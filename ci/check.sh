@@ -26,10 +26,11 @@ echo "== ildpanalyze (project linters)"
 # called directly rather than behind redundant nil guards.
 go run ./cmd/ildpanalyze ./internal/... ./cmd/...
 # The opt-in godoc gate: every exported symbol of the cache surface
-# (the per-VM cache and the shared persistent store), the telemetry
-# plane, and the serving scheduler carries a doc comment.
+# (the per-VM cache and the shared persistent store), the stream
+# envelope, the telemetry plane, and the serving scheduler carries a
+# doc comment.
 go run ./cmd/ildpanalyze -select exporteddoc ./internal/tcache ./internal/fragstore \
-    ./internal/telemetry ./internal/serve
+    ./internal/codec ./internal/telemetry ./internal/serve
 
 echo "== go vet"
 go vet ./...
@@ -71,6 +72,17 @@ echo "== fragstore decoder fuzz (5s)"
 # byte-identical (when nothing was dropped), or fail with a typed
 # error — never a panic, and survivors always re-load drop-free.
 go test -run='^$' -fuzz=FuzzFragstoreDecode -fuzztime=5s ./internal/fragstore/
+
+echo "== flight bundle decoder fuzz (5s)"
+# Arbitrary bytes either decode to a bundle whose re-encoding is
+# byte-identical, or fail with a typed *codec.Error — never a panic.
+go test -run='^$' -fuzz=FuzzFlightDecode -fuzztime=5s ./internal/flight/
+
+echo "== stream envelope fuzz (5s)"
+# Sealed, damaged and scripted streams through codec.Open and the
+# sticky Reader: the latched error is always the first failure in
+# stream order, checked against an independent model.
+go test -run='^$' -fuzz=FuzzOpen -fuzztime=5s ./internal/codec/
 
 echo "== semcheck fuzz (5s)"
 # Arbitrary decodable superblocks through the real translator

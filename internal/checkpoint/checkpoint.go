@@ -14,30 +14,32 @@
 //
 // Encoding is canonical: counters sort by name with zero values
 // omitted, pages sort by page number, and all integers are fixed-width
-// little-endian, so identical states always produce identical bytes. A
-// CRC-64 trailer covers the whole payload. Decode enforces the
+// little-endian, so identical states always produce identical bytes.
+// The internal/codec envelope (magic, version, CRC-64 trailer) wraps
+// the payload; docs/FORMAT.md gives the byte layout. Decode enforces the
 // canonical form, which makes Encode(Decode(b)) == b for every accepted
 // b — the property the fuzz target pins down. Decoding never mutates
 // any destination: it either returns a complete *State or a typed
-// *Error, never a half-restored result.
+// *codec.Error, never a half-restored result.
 package checkpoint
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc64"
 	"sort"
 
 	"github.com/ildp/accdbt/internal/alpha"
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/mem"
 )
 
 // Version is the current checkpoint format version.
 const Version = 1
 
-// magic identifies a checkpoint stream.
-var magic = [8]byte{'A', 'C', 'C', 'D', 'B', 'T', 'C', 'P'}
+// format is the checkpoint stream's envelope (internal/codec).
+var format = codec.Format{
+	Name:    "checkpoint",
+	Magic:   [8]byte{'A', 'C', 'C', 'D', 'B', 'T', 'C', 'P'},
+	Version: Version,
+}
 
 // State is the complete architected state of a run. It is plain data:
 // building one never touches live VM structures, and applying one is
@@ -70,37 +72,6 @@ type State struct {
 	Pages map[uint64][mem.PageSize]byte
 }
 
-// Decode failure causes, matched with errors.Is against the returned
-// *Error.
-var (
-	ErrBadMagic  = errors.New("bad magic")
-	ErrVersion   = errors.New("unsupported version")
-	ErrTruncated = errors.New("truncated")
-	ErrChecksum  = errors.New("checksum mismatch")
-	ErrCanonical = errors.New("non-canonical encoding")
-	ErrTrailing  = errors.New("trailing bytes after checksum")
-)
-
-// Error is the typed decode failure: the byte offset where decoding
-// stopped, the failure class (one of the Err sentinels), and detail.
-type Error struct {
-	Off    int
-	Cause  error
-	Detail string
-}
-
-func (e *Error) Error() string {
-	if e.Detail == "" {
-		return fmt.Sprintf("checkpoint: %v at offset %d", e.Cause, e.Off)
-	}
-	return fmt.Sprintf("checkpoint: %v at offset %d: %s", e.Cause, e.Off, e.Detail)
-}
-
-// Unwrap exposes the failure class for errors.Is.
-func (e *Error) Unwrap() error { return e.Cause }
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
 // flag bits in the encoded flags byte.
 const (
 	flagHalted    = 1 << 0
@@ -109,22 +80,14 @@ const (
 	flagsKnown    = flagHalted | flagLock | flagMemStrict
 )
 
-// maxCounterName bounds counter-name length (the length field is a
-// byte; zero-length names are rejected as non-canonical).
-const maxCounterName = 255
-
 // Encode serializes the state. The output is deterministic: encoding
 // the same state twice yields identical bytes.
 func Encode(st *State) []byte {
-	var b []byte
-	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-
-	b = append(b, magic[:]...)
-	u32(Version)
-	u64(st.PC)
+	w := format.NewWriter(8*(1+len(st.Reg)) + 1 + 3*8 + 4 + len(st.Console) +
+		4 + 32*len(st.Counters) + 4 + (8+mem.PageSize)*len(st.Pages))
+	w.U64(st.PC)
 	for _, r := range st.Reg {
-		u64(r)
+		w.U64(r)
 	}
 	var flags byte
 	if st.Halted {
@@ -136,230 +99,71 @@ func Encode(st *State) []byte {
 	if st.MemStrict {
 		flags |= flagMemStrict
 	}
-	b = append(b, flags)
-	u64(st.ExitStatus)
-	u64(st.InstCount)
-	u64(st.LockAddr)
-
-	u32(uint32(len(st.Console)))
-	b = append(b, st.Console...)
-
-	names := make([]string, 0, len(st.Counters))
-	for name, v := range st.Counters {
-		if v != 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	u32(uint32(len(names)))
-	for _, name := range names {
-		b = append(b, byte(len(name)))
-		b = append(b, name...)
-		u64(st.Counters[name])
-	}
+	w.U8(flags)
+	w.U64(st.ExitStatus)
+	w.U64(st.InstCount)
+	w.U64(st.LockAddr)
+	w.Blob(st.Console)
+	w.Counters(st.Counters)
 
 	pns := make([]uint64, 0, len(st.Pages))
 	for pn := range st.Pages {
 		pns = append(pns, pn)
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	u32(uint32(len(pns)))
+	w.U32(uint32(len(pns)))
 	for _, pn := range pns {
-		u64(pn)
+		w.U64(pn)
 		page := st.Pages[pn]
-		b = append(b, page[:]...)
+		w.Raw(page[:])
 	}
-
-	u64(crc64.Checksum(b, crcTable))
-	return b
-}
-
-// decoder is a bounds-checked little-endian reader over the stream.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) fail(cause error, format string, args ...any) *Error {
-	return &Error{Off: d.off, Cause: cause, Detail: fmt.Sprintf(format, args...)}
-}
-
-func (d *decoder) take(n int, what string) ([]byte, *Error) {
-	if n < 0 || len(d.b)-d.off < n {
-		return nil, d.fail(ErrTruncated, "%s wants %d bytes, %d remain", what, n, len(d.b)-d.off)
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out, nil
-}
-
-func (d *decoder) u8(what string) (byte, *Error) {
-	b, err := d.take(1, what)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (d *decoder) u32(what string) (uint32, *Error) {
-	b, err := d.take(4, what)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (d *decoder) u64(what string) (uint64, *Error) {
-	b, err := d.take(8, what)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
+	return w.Seal()
 }
 
 // Decode parses a checkpoint stream. Any malformation — truncation, a
 // flipped bit (caught by the checksum), a version skew, non-canonical
-// ordering, or trailing garbage — returns a typed *Error and a nil
-// State; a non-nil State is always complete and internally consistent.
+// ordering, or trailing garbage — returns a typed *codec.Error and a
+// nil State; a non-nil State is always complete and internally
+// consistent.
 func Decode(b []byte) (*State, error) {
-	d := &decoder{b: b}
-
-	m, derr := d.take(len(magic), "magic")
-	if derr != nil {
-		return nil, derr
+	r, err := format.Open(b)
+	if err != nil {
+		return nil, err
 	}
-	if [8]byte(m) != magic {
-		d.off = 0
-		return nil, d.fail(ErrBadMagic, "got %q", m)
-	}
-	// The checksum is verified before any structural parsing so that a
-	// flipped bit anywhere reports ErrChecksum, not a misleading
-	// structural error.
-	if len(b) < len(magic)+4+8 {
-		return nil, d.fail(ErrTruncated, "stream shorter than header+checksum")
-	}
-	payload, trailer := b[:len(b)-8], b[len(b)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), crc64.Checksum(payload, crcTable); got != want {
-		d.off = len(payload)
-		return nil, d.fail(ErrChecksum, "got %#x, want %#x", got, want)
-	}
-	d.b = payload
-
-	ver, derr := d.u32("version")
-	if derr != nil {
-		return nil, derr
-	}
-	if ver != Version {
-		return nil, d.fail(ErrVersion, "got %d, support %d", ver, Version)
-	}
-
-	st := &State{
-		Counters: map[string]uint64{},
-		Pages:    map[uint64][mem.PageSize]byte{},
-	}
-	if st.PC, derr = d.u64("pc"); derr != nil {
-		return nil, derr
-	}
+	st := &State{Pages: map[uint64][mem.PageSize]byte{}}
+	st.PC = r.U64()
 	for i := range st.Reg {
-		if st.Reg[i], derr = d.u64("reg"); derr != nil {
-			return nil, derr
-		}
+		st.Reg[i] = r.U64()
 	}
-	flags, derr := d.u8("flags")
-	if derr != nil {
-		return nil, derr
-	}
+	flags := r.U8()
 	if flags&^byte(flagsKnown) != 0 {
-		return nil, d.fail(ErrCanonical, "unknown flag bits %#x", flags&^byte(flagsKnown))
+		r.Fail(codec.ErrCanonical, "unknown flag bits %#x", flags&^byte(flagsKnown))
 	}
 	st.Halted = flags&flagHalted != 0
 	st.LockFlag = flags&flagLock != 0
 	st.MemStrict = flags&flagMemStrict != 0
-	if st.ExitStatus, derr = d.u64("exit status"); derr != nil {
-		return nil, derr
-	}
-	if st.InstCount, derr = d.u64("inst count"); derr != nil {
-		return nil, derr
-	}
-	if st.LockAddr, derr = d.u64("lock addr"); derr != nil {
-		return nil, derr
-	}
-
-	conLen, derr := d.u32("console length")
-	if derr != nil {
-		return nil, derr
-	}
-	con, derr := d.take(int(conLen), "console")
-	if derr != nil {
-		return nil, derr
-	}
-	if conLen > 0 {
+	st.ExitStatus = r.U64()
+	st.InstCount = r.U64()
+	st.LockAddr = r.U64()
+	if con := r.Blob(); len(con) > 0 {
 		st.Console = append([]byte(nil), con...)
 	}
+	st.Counters = r.Counters()
 
-	nCounters, derr := d.u32("counter count")
-	if derr != nil {
-		return nil, derr
+	n := r.Count(8 + mem.PageSize)
+	var prev uint64
+	for i := 0; i < n && r.Err() == nil; i++ {
+		pn := r.U64()
+		if i > 0 && pn <= prev {
+			r.Fail(codec.ErrCanonical, "page %#x not sorted after %#x", pn, prev)
+		}
+		prev = pn
+		if data := r.Take(mem.PageSize); data != nil {
+			st.Pages[pn] = [mem.PageSize]byte(data)
+		}
 	}
-	// Each counter entry is at least 1+1+8 bytes; reject counts the
-	// remaining stream cannot possibly hold before allocating anything.
-	if int64(nCounters)*10 > int64(len(d.b)-d.off) {
-		return nil, d.fail(ErrTruncated, "%d counters cannot fit in %d bytes", nCounters, len(d.b)-d.off)
-	}
-	prevName := ""
-	for i := uint32(0); i < nCounters; i++ {
-		nameLen, derr := d.u8("counter name length")
-		if derr != nil {
-			return nil, derr
-		}
-		if nameLen == 0 {
-			return nil, d.fail(ErrCanonical, "empty counter name")
-		}
-		nameB, derr := d.take(int(nameLen), "counter name")
-		if derr != nil {
-			return nil, derr
-		}
-		name := string(nameB)
-		if i > 0 && name <= prevName {
-			return nil, d.fail(ErrCanonical, "counter %q not sorted after %q", name, prevName)
-		}
-		prevName = name
-		v, derr := d.u64("counter value")
-		if derr != nil {
-			return nil, derr
-		}
-		if v == 0 {
-			return nil, d.fail(ErrCanonical, "zero-valued counter %q", name)
-		}
-		st.Counters[name] = v
-	}
-
-	nPages, derr := d.u32("page count")
-	if derr != nil {
-		return nil, derr
-	}
-	if int64(nPages)*(8+mem.PageSize) > int64(len(d.b)-d.off) {
-		return nil, d.fail(ErrTruncated, "%d pages cannot fit in %d bytes", nPages, len(d.b)-d.off)
-	}
-	var prevPN uint64
-	for i := uint32(0); i < nPages; i++ {
-		pn, derr := d.u64("page number")
-		if derr != nil {
-			return nil, derr
-		}
-		if i > 0 && pn <= prevPN {
-			return nil, d.fail(ErrCanonical, "page %#x not sorted after %#x", pn, prevPN)
-		}
-		prevPN = pn
-		data, derr := d.take(mem.PageSize, "page data")
-		if derr != nil {
-			return nil, derr
-		}
-		st.Pages[pn] = [mem.PageSize]byte(data)
-	}
-
-	if d.off != len(d.b) {
-		return nil, d.fail(ErrTrailing, "%d bytes", len(d.b)-d.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

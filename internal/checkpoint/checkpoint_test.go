@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc64"
 	"testing"
 
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/mem"
 )
 
@@ -119,7 +119,7 @@ func TestDecodeTruncated(t *testing.T) {
 		if st != nil || err == nil {
 			t.Fatalf("Decode of %d/%d bytes succeeded", n, len(enc))
 		}
-		var ce *Error
+		var ce *codec.Error
 		if !errors.As(err, &ce) {
 			t.Fatalf("Decode of %d bytes returned untyped error %T: %v", n, err, err)
 		}
@@ -140,11 +140,11 @@ func TestDecodeBitFlips(t *testing.T) {
 			if st != nil || err == nil {
 				t.Fatalf("flip at byte %d bit %d decoded successfully", pos, bit)
 			}
-			var ce *Error
+			var ce *codec.Error
 			if !errors.As(err, &ce) {
 				t.Fatalf("flip at byte %d bit %d: untyped error %v", pos, bit, err)
 			}
-			if pos >= 8 && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrBadMagic) {
+			if pos >= 8 && !errors.Is(err, codec.ErrChecksum) && !errors.Is(err, codec.ErrBadMagic) {
 				t.Fatalf("flip at byte %d bit %d: want checksum failure, got %v", pos, bit, err)
 			}
 		}
@@ -152,16 +152,16 @@ func TestDecodeBitFlips(t *testing.T) {
 }
 
 // TestDecodeVersionSkew rewrites the version field (fixing up the CRC)
-// and requires a clean ErrVersion.
+// and requires a clean codec.ErrVersion.
 func TestDecodeVersionSkew(t *testing.T) {
 	enc := Encode(sampleState())
 	mut := append([]byte(nil), enc...)
 	binary.LittleEndian.PutUint32(mut[8:], Version+1)
 	payload := mut[:len(mut)-8]
-	binary.LittleEndian.PutUint64(mut[len(mut)-8:], crc64Checksum(payload))
+	binary.LittleEndian.PutUint64(mut[len(mut)-8:], codec.Checksum(payload))
 	_, err := Decode(mut)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("version skew: got %v, want ErrVersion", err)
+	if !errors.Is(err, codec.ErrVersion) {
+		t.Fatalf("version skew: got %v, want codec.ErrVersion", err)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestDecodeBadMagic(t *testing.T) {
 	enc := Encode(sampleState())
 	mut := append([]byte(nil), enc...)
 	mut[0] = 'X'
-	if _, err := Decode(mut); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("bad magic: got %v, want ErrBadMagic", err)
+	if _, err := Decode(mut); !errors.Is(err, codec.ErrBadMagic) {
+		t.Fatalf("bad magic: got %v, want codec.ErrBadMagic", err)
 	}
 }
 
@@ -183,14 +183,10 @@ func TestDecodeTrailingBytes(t *testing.T) {
 }
 
 // TestDecodeNonCanonical hand-builds streams violating the canonical
-// rules and requires ErrCanonical for each.
+// rules and requires codec.ErrCanonical for each.
 func TestDecodeNonCanonical(t *testing.T) {
-	unsorted := sampleState()
-	enc := Encode(unsorted)
-	// Swap the two sorted counter names in place: find the first two
-	// counter entries and reverse their order, then fix the CRC.
-	// Simpler: build a minimal stream by encoding a single-counter state
-	// and splicing a duplicate entry in front.
+	// Encode a single-counter state, then splice a two-entry counter
+	// section in reverse order in its place and fix the CRC.
 	one := &State{Counters: map[string]uint64{"b": 1}}
 	base := Encode(one)
 	payload := base[:len(base)-8]
@@ -208,14 +204,8 @@ func TestDecodeNonCanonical(t *testing.T) {
 	entry("b", 1)
 	entry("a", 1) // out of order
 	spliced = binary.LittleEndian.AppendUint32(spliced, 0)
-	spliced = binary.LittleEndian.AppendUint64(spliced, crc64Checksum(spliced))
-	if _, err := Decode(spliced); !errors.Is(err, ErrCanonical) {
-		t.Fatalf("unsorted counters: got %v, want ErrCanonical", err)
+	spliced = binary.LittleEndian.AppendUint64(spliced, codec.Checksum(spliced))
+	if _, err := Decode(spliced); !errors.Is(err, codec.ErrCanonical) {
+		t.Fatalf("unsorted counters: got %v, want codec.ErrCanonical", err)
 	}
-	_ = enc
-}
-
-// crc64Checksum recomputes the trailer for hand-mutated streams.
-func crc64Checksum(payload []byte) uint64 {
-	return crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/mem"
 )
 
@@ -12,7 +13,7 @@ import (
 // bytes — truncated, bit-flipped, version-skewed, or hostile — must
 // either decode into a State whose re-encoding reproduces the input
 // exactly (the canonical-form identity), or fail with the package's
-// typed *Error. Never a panic, never an untyped error, never a partial
+// typed *codec.Error. Never a panic, never an untyped error, never a partial
 // result.
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -43,7 +44,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if got != nil {
 				t.Fatal("Decode returned both a state and an error")
 			}
-			var ce *Error
+			var ce *codec.Error
 			if !errors.As(err, &ce) {
 				t.Fatalf("untyped decode error %T: %v", err, err)
 			}

@@ -13,23 +13,22 @@
 // in production" into an executable, checkable artifact
 // (`ildpchaos -replay BUNDLE`).
 //
-// The on-disk format follows the repo's canonical-codec discipline
-// (docs/FORMAT.md): fixed-width little-endian fields, sorted nonzero
-// counters, a CRC-64/ECMA trailer verified before structural parsing,
-// typed *Error decode failures, and Encode(Decode(b)) == b for every
+// The on-disk format is an internal/codec envelope (docs/FORMAT.md):
+// fixed-width little-endian fields, sorted nonzero counters, a
+// CRC-64/ECMA trailer verified before structural parsing, typed
+// *codec.Error decode failures, and Encode(Decode(b)) == b for every
 // accepted b.
 package flight
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"sort"
 
 	"github.com/ildp/accdbt/internal/alphaprog"
 	"github.com/ildp/accdbt/internal/checkpoint"
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/emu"
 	"github.com/ildp/accdbt/internal/faultinject"
 	"github.com/ildp/accdbt/internal/ildp"
@@ -41,8 +40,12 @@ import (
 // Version is the current bundle format version.
 const Version = 1
 
-// magic identifies a flight-recorder bundle stream.
-var magic = [8]byte{'A', 'C', 'C', 'D', 'B', 'T', 'F', 'R'}
+// format is the bundle stream's envelope (internal/codec).
+var format = codec.Format{
+	Name:    "flight",
+	Magic:   [8]byte{'A', 'C', 'C', 'D', 'B', 'T', 'F', 'R'},
+	Version: Version,
+}
 
 // Failure kinds recorded in Bundle.Kind and produced by Classify.
 const (
@@ -170,427 +173,135 @@ type Bundle struct {
 	Events []string
 }
 
-// Decode failure causes, matched with errors.Is against the returned
-// *Error.
-var (
-	ErrBadMagic  = errors.New("bad magic")
-	ErrVersion   = errors.New("unsupported version")
-	ErrTruncated = errors.New("truncated")
-	ErrChecksum  = errors.New("checksum mismatch")
-	ErrCanonical = errors.New("non-canonical encoding")
-	ErrTrailing  = errors.New("trailing bytes after checksum")
-)
-
-// Error is the typed decode failure: the byte offset where decoding
-// stopped, the failure class (one of the Err sentinels), and detail.
-type Error struct {
-	Off    int
-	Cause  error
-	Detail string
+// flagFields lists the config booleans of the encoded flags byte in
+// bit order, bit 0 first; every higher bit must be zero.
+func flagFields(c *VMConfig) [6]*bool {
+	return [...]*bool{&c.Straighten, &c.FuseMemOps, &c.Verify, &c.SemCheck, &c.Paranoid, &c.SelfHeal}
 }
-
-func (e *Error) Error() string {
-	if e.Detail == "" {
-		return fmt.Sprintf("flight: %v at offset %d", e.Cause, e.Off)
-	}
-	return fmt.Sprintf("flight: %v at offset %d: %s", e.Cause, e.Off, e.Detail)
-}
-
-// Unwrap exposes the failure class for errors.Is.
-func (e *Error) Unwrap() error { return e.Cause }
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
-// flag bits of the encoded config flags byte.
-const (
-	flagStraighten = 1 << 0
-	flagFuseMemOps = 1 << 1
-	flagVerify     = 1 << 2
-	flagSemCheck   = 1 << 3
-	flagParanoid   = 1 << 4
-	flagSelfHeal   = 1 << 5
-	flagsKnown     = flagStraighten | flagFuseMemOps | flagVerify |
-		flagSemCheck | flagParanoid | flagSelfHeal
-)
 
 // Encode serializes the bundle. The output is deterministic: encoding
 // the same bundle twice yields identical bytes.
 func Encode(b *Bundle) []byte {
-	var out []byte
-	u32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
-	u64 := func(v uint64) { out = binary.LittleEndian.AppendUint64(out, v) }
-	blob := func(data []byte) { u32(uint32(len(data))); out = append(out, data...) }
-
-	out = append(out, magic[:]...)
-	u32(Version)
-	out = append(out, byte(len(b.Kind)))
-	out = append(out, b.Kind...)
-	u64(b.VPC)
-	blob([]byte(b.Cause))
+	w := format.NewWriter(128 + len(b.Cause) + len(b.Program) + len(b.Checkpoint))
+	w.U8(byte(len(b.Kind)))
+	w.Raw([]byte(b.Kind))
+	w.U64(b.VPC)
+	w.Blob([]byte(b.Cause))
 
 	c := b.Config
-	out = append(out, byte(c.Form), byte(c.Chain))
-	u32(uint32(c.NumAcc))
+	w.U8(byte(c.Form))
+	w.U8(byte(c.Chain))
+	w.U32(uint32(c.NumAcc))
 	var flags byte
-	if c.Straighten {
-		flags |= flagStraighten
+	for bit, on := range flagFields(&c) {
+		if *on {
+			flags |= 1 << bit
+		}
 	}
-	if c.FuseMemOps {
-		flags |= flagFuseMemOps
-	}
-	if c.Verify {
-		flags |= flagVerify
-	}
-	if c.SemCheck {
-		flags |= flagSemCheck
-	}
-	if c.Paranoid {
-		flags |= flagParanoid
-	}
-	if c.SelfHeal {
-		flags |= flagSelfHeal
-	}
-	out = append(out, flags)
-	u64(uint64(c.TCacheBytes))
-	u64(uint64(c.MaxPages))
-	u32(uint32(c.RetryBudget))
-	u64(uint64(c.WatchdogWindow))
-	u32(uint32(c.HotThreshold))
-	u32(uint32(c.MaxSuperblock))
-	u32(uint32(c.RASSize))
+	w.U8(flags)
+	w.U64(uint64(c.TCacheBytes))
+	w.U64(uint64(c.MaxPages))
+	w.U32(uint32(c.RetryBudget))
+	w.U64(uint64(c.WatchdogWindow))
+	w.U32(uint32(c.HotThreshold))
+	w.U32(uint32(c.MaxSuperblock))
+	w.U32(uint32(c.RASSize))
 
 	if f := b.Faults; f != nil {
-		out = append(out, 1)
-		u64(f.Seed)
-		u32(uint32(f.EntryRate))
-		u32(uint32(f.TranslateRate))
-		u32(uint32(f.MaxFaults))
-		out = append(out, byte(len(f.Kinds)))
+		w.U8(1)
+		w.U64(f.Seed)
+		w.U32(uint32(f.EntryRate))
+		w.U32(uint32(f.TranslateRate))
+		w.U32(uint32(f.MaxFaults))
+		w.U8(byte(len(f.Kinds)))
 		for _, k := range f.Kinds {
-			out = append(out, byte(k))
+			w.U8(byte(k))
 		}
 	} else {
-		out = append(out, 0)
+		w.U8(0)
 	}
 
-	u64(uint64(b.Budget))
-	blob(b.Program)
-	blob(b.Checkpoint)
-
-	names := make([]string, 0, len(b.Counters))
-	for name, v := range b.Counters {
-		if v != 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	u32(uint32(len(names)))
-	for _, name := range names {
-		out = append(out, byte(len(name)))
-		out = append(out, name...)
-		u64(b.Counters[name])
-	}
-
-	u32(uint32(len(b.Events)))
+	w.U64(uint64(b.Budget))
+	w.Blob(b.Program)
+	w.Blob(b.Checkpoint)
+	w.Counters(b.Counters)
+	w.U32(uint32(len(b.Events)))
 	for _, ev := range b.Events {
-		blob([]byte(ev))
+		w.Blob([]byte(ev))
 	}
-
-	u64(crc64.Checksum(out, crcTable))
-	return out
-}
-
-// decoder is a bounds-checked little-endian reader over the stream.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) fail(cause error, format string, args ...any) *Error {
-	return &Error{Off: d.off, Cause: cause, Detail: fmt.Sprintf(format, args...)}
-}
-
-func (d *decoder) take(n int, what string) ([]byte, *Error) {
-	if n < 0 || len(d.b)-d.off < n {
-		return nil, d.fail(ErrTruncated, "%s wants %d bytes, %d remain", what, n, len(d.b)-d.off)
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out, nil
-}
-
-func (d *decoder) u8(what string) (byte, *Error) {
-	b, err := d.take(1, what)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (d *decoder) u32(what string) (uint32, *Error) {
-	b, err := d.take(4, what)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (d *decoder) u64(what string) (uint64, *Error) {
-	b, err := d.take(8, what)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (d *decoder) blob(what string) ([]byte, *Error) {
-	n, err := d.u32(what + " length")
-	if err != nil {
-		return nil, err
-	}
-	return d.take(int(n), what)
+	return w.Seal()
 }
 
 // Decode parses a bundle stream. Any malformation — truncation, a
 // flipped bit (caught by the checksum), a version skew, non-canonical
-// ordering, or trailing garbage — returns a typed *Error and a nil
-// Bundle; a non-nil Bundle is always complete and internally
+// ordering, or trailing garbage — returns a typed *codec.Error and a
+// nil Bundle; a non-nil Bundle is always complete and internally
 // consistent.
 func Decode(b []byte) (*Bundle, error) {
-	d := &decoder{b: b}
-
-	m, derr := d.take(len(magic), "magic")
-	if derr != nil {
-		return nil, derr
+	r, err := format.Open(b)
+	if err != nil {
+		return nil, err
 	}
-	if [8]byte(m) != magic {
-		d.off = 0
-		return nil, d.fail(ErrBadMagic, "got %q", m)
-	}
-	// The checksum is verified before any structural parsing so that a
-	// flipped bit anywhere reports ErrChecksum, not a misleading
-	// structural error — and so a torn bundle file is never half-parsed.
-	if len(b) < len(magic)+4+8 {
-		return nil, d.fail(ErrTruncated, "stream shorter than header+checksum")
-	}
-	payload, trailer := b[:len(b)-8], b[len(b)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), crc64.Checksum(payload, crcTable); got != want {
-		d.off = len(payload)
-		return nil, d.fail(ErrChecksum, "got %#x, want %#x", got, want)
-	}
-	d.b = payload
-
-	ver, derr := d.u32("version")
-	if derr != nil {
-		return nil, derr
-	}
-	if ver != Version {
-		return nil, d.fail(ErrVersion, "got %d, support %d", ver, Version)
-	}
-
-	bu := &Bundle{Counters: map[string]uint64{}}
-	kindLen, derr := d.u8("kind length")
-	if derr != nil {
-		return nil, derr
-	}
+	bu := &Bundle{}
+	kindLen := r.U8()
 	if kindLen == 0 {
-		return nil, d.fail(ErrCanonical, "empty kind")
+		r.Fail(codec.ErrCanonical, "empty kind")
 	}
-	kindB, derr := d.take(int(kindLen), "kind")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Kind = string(kindB)
-	if bu.VPC, derr = d.u64("vpc"); derr != nil {
-		return nil, derr
-	}
-	cause, derr := d.blob("cause")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Cause = string(cause)
+	bu.Kind = string(r.Take(int(kindLen)))
+	bu.VPC = r.U64()
+	bu.Cause = string(r.Blob())
 
-	form, derr := d.u8("form")
-	if derr != nil {
-		return nil, derr
+	c := &bu.Config
+	c.Form = ildp.Form(r.U8())
+	c.Chain = translate.ChainMode(r.U8())
+	c.NumAcc = int(r.U32())
+	flags := r.U8()
+	fields := flagFields(c)
+	if unknown := flags >> len(fields); unknown != 0 {
+		r.Fail(codec.ErrCanonical, "unknown flag bits %#x", unknown<<len(fields))
 	}
-	chain, derr := d.u8("chain")
-	if derr != nil {
-		return nil, derr
+	for bit, on := range fields {
+		*on = flags&(1<<bit) != 0
 	}
-	bu.Config.Form = ildp.Form(form)
-	bu.Config.Chain = translate.ChainMode(chain)
-	numAcc, derr := d.u32("num acc")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Config.NumAcc = int(numAcc)
-	flags, derr := d.u8("config flags")
-	if derr != nil {
-		return nil, derr
-	}
-	if flags&^byte(flagsKnown) != 0 {
-		return nil, d.fail(ErrCanonical, "unknown flag bits %#x", flags&^byte(flagsKnown))
-	}
-	bu.Config.Straighten = flags&flagStraighten != 0
-	bu.Config.FuseMemOps = flags&flagFuseMemOps != 0
-	bu.Config.Verify = flags&flagVerify != 0
-	bu.Config.SemCheck = flags&flagSemCheck != 0
-	bu.Config.Paranoid = flags&flagParanoid != 0
-	bu.Config.SelfHeal = flags&flagSelfHeal != 0
-	tcb, derr := d.u64("tcache bytes")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Config.TCacheBytes = int(tcb)
-	mp, derr := d.u64("max pages")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Config.MaxPages = int(mp)
-	rb, derr := d.u32("retry budget")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Config.RetryBudget = int(rb)
-	wd, derr := d.u64("watchdog window")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Config.WatchdogWindow = int64(wd)
-	ht, derr := d.u32("hot threshold")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Config.HotThreshold = int(ht)
-	msb, derr := d.u32("max superblock")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Config.MaxSuperblock = int(msb)
-	ras, derr := d.u32("ras size")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Config.RASSize = int(ras)
+	c.TCacheBytes = int(r.U64())
+	c.MaxPages = int(r.U64())
+	c.RetryBudget = int(r.U32())
+	c.WatchdogWindow = int64(r.U64())
+	c.HotThreshold = int(r.U32())
+	c.MaxSuperblock = int(r.U32())
+	c.RASSize = int(r.U32())
 
-	havefaults, derr := d.u8("faults present")
-	if derr != nil {
-		return nil, derr
-	}
-	switch havefaults {
+	switch present := r.U8(); present {
 	case 0:
 	case 1:
-		f := &faultinject.Config{}
-		if f.Seed, derr = d.u64("fault seed"); derr != nil {
-			return nil, derr
-		}
-		er, derr := d.u32("entry rate")
-		if derr != nil {
-			return nil, derr
-		}
-		f.EntryRate = int(er)
-		tr, derr := d.u32("translate rate")
-		if derr != nil {
-			return nil, derr
-		}
-		f.TranslateRate = int(tr)
-		mf, derr := d.u32("max faults")
-		if derr != nil {
-			return nil, derr
-		}
-		f.MaxFaults = int(mf)
-		nk, derr := d.u8("fault kind count")
-		if derr != nil {
-			return nil, derr
-		}
-		for i := 0; i < int(nk); i++ {
-			kb, derr := d.u8("fault kind")
-			if derr != nil {
-				return nil, derr
-			}
-			f.Kinds = append(f.Kinds, faultinject.Kind(kb))
+		f := &faultinject.Config{Seed: r.U64()}
+		f.EntryRate = int(r.U32())
+		f.TranslateRate = int(r.U32())
+		f.MaxFaults = int(r.U32())
+		for n := r.U8(); n > 0; n-- {
+			f.Kinds = append(f.Kinds, faultinject.Kind(r.U8()))
 		}
 		bu.Faults = f
 	default:
-		return nil, d.fail(ErrCanonical, "faults-present byte %d", havefaults)
+		r.Fail(codec.ErrCanonical, "faults-present byte %d", present)
 	}
 
-	budget, derr := d.u64("budget")
-	if derr != nil {
-		return nil, derr
-	}
-	bu.Budget = int64(budget)
-	prog, derr := d.blob("program")
-	if derr != nil {
-		return nil, derr
-	}
-	if len(prog) > 0 {
+	bu.Budget = int64(r.U64())
+	if prog := r.Blob(); len(prog) > 0 {
 		bu.Program = append([]byte(nil), prog...)
 	}
-	ckpt, derr := d.blob("checkpoint")
-	if derr != nil {
-		return nil, derr
-	}
-	if len(ckpt) > 0 {
+	if ckpt := r.Blob(); len(ckpt) > 0 {
 		bu.Checkpoint = append([]byte(nil), ckpt...)
 	}
 	if bu.Program == nil && bu.Checkpoint == nil {
-		return nil, d.fail(ErrCanonical, "bundle has neither program nor checkpoint")
+		r.Fail(codec.ErrCanonical, "bundle has neither program nor checkpoint")
 	}
-
-	nCounters, derr := d.u32("counter count")
-	if derr != nil {
-		return nil, derr
+	bu.Counters = r.Counters()
+	for n := r.Count(4); n > 0 && r.Err() == nil; n-- {
+		bu.Events = append(bu.Events, string(r.Blob()))
 	}
-	if int64(nCounters)*10 > int64(len(d.b)-d.off) {
-		return nil, d.fail(ErrTruncated, "%d counters cannot fit in %d bytes", nCounters, len(d.b)-d.off)
-	}
-	prevName := ""
-	for i := uint32(0); i < nCounters; i++ {
-		nameLen, derr := d.u8("counter name length")
-		if derr != nil {
-			return nil, derr
-		}
-		if nameLen == 0 {
-			return nil, d.fail(ErrCanonical, "empty counter name")
-		}
-		nameB, derr := d.take(int(nameLen), "counter name")
-		if derr != nil {
-			return nil, derr
-		}
-		name := string(nameB)
-		if i > 0 && name <= prevName {
-			return nil, d.fail(ErrCanonical, "counter %q not sorted after %q", name, prevName)
-		}
-		prevName = name
-		v, derr := d.u64("counter value")
-		if derr != nil {
-			return nil, derr
-		}
-		if v == 0 {
-			return nil, d.fail(ErrCanonical, "zero-valued counter %q", name)
-		}
-		bu.Counters[name] = v
-	}
-
-	nEvents, derr := d.u32("event count")
-	if derr != nil {
-		return nil, derr
-	}
-	if int64(nEvents)*4 > int64(len(d.b)-d.off) {
-		return nil, d.fail(ErrTruncated, "%d events cannot fit in %d bytes", nEvents, len(d.b)-d.off)
-	}
-	for i := uint32(0); i < nEvents; i++ {
-		ev, derr := d.blob("event")
-		if derr != nil {
-			return nil, derr
-		}
-		bu.Events = append(bu.Events, string(ev))
-	}
-
-	if d.off != len(d.b) {
-		return nil, d.fail(ErrTrailing, "%d bytes", len(d.b)-d.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return bu, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/ildp/accdbt/internal/checkpoint"
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/faultinject"
 	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/vm"
@@ -96,24 +97,24 @@ func TestDecodeTypedErrors(t *testing.T) {
 	b, _ := testBundle(t, 64, nil)
 	enc := Encode(b)
 
-	if _, err := Decode([]byte("NOTABNDL" + string(enc[8:]))); !errors.Is(err, ErrBadMagic) {
+	if _, err := Decode([]byte("NOTABNDL" + string(enc[8:]))); !errors.Is(err, codec.ErrBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
-	if _, err := Decode(enc[:10]); !errors.Is(err, ErrTruncated) {
+	if _, err := Decode(enc[:10]); !errors.Is(err, codec.ErrTruncated) {
 		t.Errorf("truncated: %v", err)
 	}
 	flipped := append([]byte(nil), enc...)
 	flipped[len(flipped)/2] ^= 1
-	if _, err := Decode(flipped); !errors.Is(err, ErrChecksum) {
+	if _, err := Decode(flipped); !errors.Is(err, codec.ErrChecksum) {
 		t.Errorf("bit flip: %v", err)
 	}
 	trailing := append(append([]byte(nil), enc...), 0xFF)
 	if _, err := Decode(trailing); err == nil {
 		t.Error("trailing byte accepted")
 	}
-	var e *Error
+	var e *codec.Error
 	if _, err := Decode(flipped); !errors.As(err, &e) {
-		t.Error("decode failure is not a *Error")
+		t.Error("decode failure is not a *codec.Error")
 	}
 }
 
@@ -238,7 +239,7 @@ func TestReplayWithFaultSchedule(t *testing.T) {
 // with neither program nor checkpoint is rejected at decode.
 func TestBundleRequiresStateSource(t *testing.T) {
 	b := &Bundle{Kind: KindTrap, Config: CaptureConfig(vm.DefaultConfig())}
-	if _, err := Decode(Encode(b)); !errors.Is(err, ErrCanonical) {
+	if _, err := Decode(Encode(b)); !errors.Is(err, codec.ErrCanonical) {
 		t.Fatalf("state-less bundle: %v", err)
 	}
 }

@@ -1,27 +1,28 @@
 package fragstore
 
 // On-disk format of the fragment store (docs/FORMAT.md specifies it
-// byte for byte). The codec follows internal/checkpoint's discipline:
-// fixed-width little-endian fields, sorted canonical ordering, CRC-64
-// guards, typed *Error failures, and Encode(Decode(b)) == b for every
-// stream Decode accepts without dropping an entry.
+// byte for byte). The stream is an internal/codec envelope — magic,
+// version, fixed-width little-endian fields, a CRC-64 trailer, typed
+// *codec.Error failures — with canonical ordering, so
+// Encode(Decode(b)) == b for every stream Decode accepts without
+// dropping an entry.
 //
-// The stream is guarded at two granularities. A whole-file CRC rejects
-// transport corruption outright (Decode fails with ErrChecksum). Inside
-// an intact file, each entry carries its own CRC, its content-record
-// hash must reproduce its key, and its fragment must re-pass the static
-// verifier — an entry failing any of those is dropped and counted in
-// the LoadReport, never installed, while the rest of the file loads.
+// The stream is guarded at two granularities. The envelope's file CRC
+// rejects transport corruption outright (Decode fails with
+// codec.ErrChecksum). Inside an intact file, each entry carries its own
+// CRC, its content-record hash must reproduce its key, and its fragment
+// must re-pass the static verifier — an entry failing any of those is
+// dropped and counted in the LoadReport, never installed, while the
+// rest of the file loads.
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"fmt"
-	"hash/crc64"
 	"sort"
 
 	"github.com/ildp/accdbt/internal/alpha"
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/iverify"
 	"github.com/ildp/accdbt/internal/semcheck"
@@ -31,41 +32,12 @@ import (
 // Version is the current fragment-store format version.
 const Version = 1
 
-// magic identifies a fragment-store stream.
-var magic = [8]byte{'A', 'C', 'C', 'D', 'B', 'T', 'F', 'S'}
-
-// Decode failure causes, matched with errors.Is against the returned
-// *Error. These classify whole-file failures; per-entry corruption is
-// not an error but a dropped entry counted in the LoadReport.
-var (
-	ErrBadMagic  = errors.New("bad magic")
-	ErrVersion   = errors.New("unsupported version")
-	ErrTruncated = errors.New("truncated")
-	ErrChecksum  = errors.New("checksum mismatch")
-	ErrCanonical = errors.New("non-canonical encoding")
-	ErrTrailing  = errors.New("trailing bytes after checksum")
-)
-
-// Error is the typed decode failure: the byte offset where decoding
-// stopped, the failure class (one of the Err sentinels), and detail.
-type Error struct {
-	Off    int
-	Cause  error
-	Detail string
+// format is the store stream's envelope (internal/codec).
+var format = codec.Format{
+	Name:    "fragstore",
+	Magic:   [8]byte{'A', 'C', 'C', 'D', 'B', 'T', 'F', 'S'},
+	Version: Version,
 }
-
-// Error renders the failure with its offset and detail.
-func (e *Error) Error() string {
-	if e.Detail == "" {
-		return fmt.Sprintf("fragstore: %v at offset %d", e.Cause, e.Off)
-	}
-	return fmt.Sprintf("fragstore: %v at offset %d: %s", e.Cause, e.Off, e.Detail)
-}
-
-// Unwrap exposes the failure class for errors.Is.
-func (e *Error) Unwrap() error { return e.Cause }
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // LoadOptions controls Decode's re-verification of loaded entries.
 type LoadOptions struct {
@@ -147,85 +119,53 @@ func (s *Store) Encode() []byte {
 		total += len(perShard[i])
 	}
 
-	var b []byte
-	b = append(b, magic[:]...)
-	b = le32(b, Version)
-	b = le32(b, NumShards)
-	b = le32(b, uint32(total))
+	w := format.NewWriter(8)
+	w.U32(NumShards)
+	w.U32(uint32(total))
 	for i := range perShard {
-		b = le32(b, uint32(len(perShard[i])))
+		w.U32(uint32(len(perShard[i])))
 		for _, f := range perShard[i] {
-			body := make([]byte, 0, len(f.key)+len(f.content)+resultRecLen(f.res))
-			body = append(body, f.key[:]...)
-			body = append(body, f.content...)
-			body = appendResult(body, f.res)
-			b = le32(b, uint32(len(body)))
-			b = append(b, body...)
-			b = le64(b, crc64.Checksum(body, crcTable))
+			body := codec.NewWriter(len(f.key) + len(f.content) + resultRecLen(f.res))
+			body.Raw(f.key[:])
+			body.Raw(f.content)
+			writeResult(body, f.res)
+			w.Blob(body.Bytes())
+			w.U64(codec.Checksum(body.Bytes()))
 		}
 	}
-	b = le64(b, crc64.Checksum(b, crcTable))
-	return b
+	return w.Seal()
 }
 
 // Decode rebuilds a store from an Encode stream. Whole-file damage —
 // bad magic, unknown version, truncation, file-checksum mismatch,
-// non-canonical structure — fails with a typed *Error and no store.
-// Within an intact file, every entry is independently validated (entry
-// CRC, key-to-content hash, structural well-formedness) and re-proved
-// by the static fragment verifier (plus semcheck when opts.SemCheck is
-// set) before it becomes visible; entries failing any check are dropped
-// and counted in the LoadReport, which is returned even on error.
+// non-canonical structure — fails with a typed *codec.Error and no
+// store. Within an intact file, every entry is independently validated
+// (entry CRC, key-to-content hash, structural well-formedness) and
+// re-proved by the static fragment verifier (plus semcheck when
+// opts.SemCheck is set) before it becomes visible; entries failing any
+// check are dropped and counted in the LoadReport, which is returned
+// even on error.
 func Decode(b []byte, opts LoadOptions) (*Store, *LoadReport, error) {
 	rep := &LoadReport{}
-	const headerLen = 8 + 4 + 4 + 4
-	if len(b) < headerLen+8 {
-		return nil, rep, &Error{Off: len(b), Cause: ErrTruncated, Detail: "stream shorter than header and trailer"}
+	r, err := format.Open(b)
+	if err != nil {
+		return nil, rep, err
 	}
-	if !bytes.Equal(b[:8], magic[:]) {
-		return nil, rep, &Error{Off: 0, Cause: ErrBadMagic}
+	if n := r.U32(); n != NumShards {
+		r.Fail(codec.ErrCanonical, "%d shards, want %d", n, NumShards)
 	}
-	d := &decoder{b: b, off: 8}
-	ver, _ := d.u32()
-	if ver != Version {
-		return nil, rep, &Error{Off: 8, Cause: ErrVersion, Detail: fmt.Sprintf("version %d", ver)}
-	}
-	trailerOff := len(b) - 8
-	sum := crc64.Checksum(b[:trailerOff], crcTable)
-	if got := leU64(b[trailerOff:]); got != sum {
-		return nil, rep, &Error{Off: trailerOff, Cause: ErrChecksum,
-			Detail: fmt.Sprintf("file checksum %#x, computed %#x", got, sum)}
-	}
-
-	nShards, _ := d.u32()
-	if nShards != NumShards {
-		return nil, rep, &Error{Off: d.off - 4, Cause: ErrCanonical,
-			Detail: fmt.Sprintf("%d shards, want %d", nShards, NumShards)}
-	}
-	total, _ := d.u32()
+	total := r.U32()
 
 	s := New()
 	counted := uint32(0)
-	for shardIdx := 0; shardIdx < NumShards; shardIdx++ {
-		count, ok := d.u32()
-		if !ok {
-			return nil, rep, d.fail(ErrTruncated, "shard count")
-		}
+	for shardIdx := 0; shardIdx < NumShards && r.Err() == nil; shardIdx++ {
 		var prev Key
-		for n := uint32(0); n < count; n++ {
+		for n, count := 0, r.Count(4+8); n < count; n++ {
 			counted++
-			bodyOff := d.off + 4
-			bodyLen, ok := d.u32()
-			if !ok {
-				return nil, rep, d.fail(ErrTruncated, "entry length")
-			}
-			body, ok := d.take(int(bodyLen))
-			if !ok {
-				return nil, rep, d.fail(ErrTruncated, "entry body")
-			}
-			wantCRC, ok := d.u64()
-			if !ok {
-				return nil, rep, d.fail(ErrTruncated, "entry checksum")
+			body := r.Blob()
+			wantCRC := r.U64()
+			if r.Err() != nil {
+				break
 			}
 			rep.Entries++
 
@@ -234,17 +174,16 @@ func Decode(b []byte, opts LoadOptions) (*Store, *LoadReport, error) {
 			if len(body) >= len(Key{}) {
 				key := Key(body[:len(Key{})])
 				if int(key[0])%NumShards != shardIdx {
-					return nil, rep, &Error{Off: bodyOff, Cause: ErrCanonical,
-						Detail: fmt.Sprintf("key %v in shard %d, belongs in %d", key, shardIdx, int(key[0])%NumShards)}
-				}
-				if n > 0 && bytes.Compare(key[:], prev[:]) <= 0 {
-					return nil, rep, &Error{Off: bodyOff, Cause: ErrCanonical,
-						Detail: fmt.Sprintf("key %v not strictly after %v", key, prev)}
+					r.Fail(codec.ErrCanonical, "key %v in shard %d, belongs in %d", key, shardIdx, int(key[0])%NumShards)
+				} else if n > 0 && bytes.Compare(key[:], prev[:]) <= 0 {
+					r.Fail(codec.ErrCanonical, "key %v not strictly after %v", key, prev)
 				}
 				prev = key
 			}
-
-			if crc64.Checksum(body, crcTable) != wantCRC {
+			if r.Err() != nil {
+				break
+			}
+			if codec.Checksum(body) != wantCRC {
 				rep.DroppedCRC++
 				continue
 			}
@@ -252,12 +191,10 @@ func Decode(b []byte, opts LoadOptions) (*Store, *LoadReport, error) {
 		}
 	}
 	if counted != total {
-		return nil, rep, &Error{Off: headerLen - 4, Cause: ErrCanonical,
-			Detail: fmt.Sprintf("entry total %d, shard counts sum to %d", total, counted)}
+		r.Fail(codec.ErrCanonical, "entry total %d, shard counts sum to %d", total, counted)
 	}
-	if d.off != trailerOff {
-		return nil, rep, &Error{Off: d.off, Cause: ErrTrailing,
-			Detail: fmt.Sprintf("%d bytes before checksum", trailerOff-d.off)}
+	if err := r.Done(); err != nil {
+		return nil, rep, err
 	}
 	return s, rep, nil
 }
@@ -307,40 +244,26 @@ func loadEntry(s *Store, body []byte, opts LoadOptions, rep *LoadReport) {
 // mismatch — without distinguishing causes; a malformed entry is
 // dropped whatever the detail.
 func parseEntry(body []byte) (key Key, content []byte, cfg Config, sb *translate.Superblock, res *translate.Result, ok bool) {
-	d := &decoder{b: body}
-	kb, ok1 := d.take(len(Key{}))
-	if !ok1 {
+	r := codec.NewReader(format.Name, body)
+	kb := r.Take(len(Key{}))
+	contentStart := r.Off()
+	cfg = parseConfigRec(r)
+	sb = parseSuperblockRec(r)
+	content = body[contentStart:r.Off()]
+	res = parseResultRec(r)
+	if r.Done() != nil {
 		return key, nil, cfg, nil, nil, false
 	}
-	key = Key(kb)
-	contentStart := d.off
-	cfg, ok1 = parseConfigRec(d)
-	if !ok1 {
-		return key, nil, cfg, nil, nil, false
-	}
-	sb, ok1 = parseSuperblockRec(d)
-	if !ok1 {
-		return key, nil, cfg, nil, nil, false
-	}
-	content = body[contentStart:d.off]
-	res, ok1 = parseResultRec(d)
-	if !ok1 || d.off != len(body) {
-		return key, nil, cfg, nil, nil, false
-	}
-	return key, content, cfg, sb, res, true
+	return Key(kb), content, cfg, sb, res, true
 }
 
 // parseConfigRec parses the canonical config record and enforces its
 // normalisation: a straightening record must zero the fields
 // straightening ignores, and every enum must be in range.
-func parseConfigRec(d *decoder) (Config, bool) {
-	rec, ok := d.take(configRecLen)
-	if !ok {
-		return Config{}, false
-	}
-	flags, form, numAcc, chain, fuse := rec[0], rec[1], rec[2], rec[3], rec[4]
+func parseConfigRec(r *codec.Reader) Config {
+	flags, form, numAcc, chain, fuse := r.U8(), r.U8(), r.U8(), r.U8(), r.U8()
 	if flags > 1 || form > uint8(ildp.Modified) || chain > uint8(translate.SWPredRAS) || fuse > 1 {
-		return Config{}, false
+		r.Fail(codec.ErrCanonical, "config enum out of range")
 	}
 	cfg := Config{
 		Straighten: flags == 1,
@@ -353,51 +276,42 @@ func parseConfigRec(d *decoder) (Config, bool) {
 	}
 	if cfg.Straighten {
 		if form != 0 || numAcc != 0 || fuse != 0 {
-			return Config{}, false
+			r.Fail(codec.ErrCanonical, "straightening config not normalised")
 		}
 	} else if numAcc == 0 || int(numAcc) > ildp.MaxAccumulators {
-		return Config{}, false
+		r.Fail(codec.ErrCanonical, "accumulator count out of range")
 	}
-	return cfg, true
+	return cfg
 }
 
 // parseSuperblockRec parses the canonical superblock record
-// (appendSuperblock's layout), rebuilding each instruction from its
+// (writeSuperblock's layout), rebuilding each instruction from its
 // stored Alpha word.
-func parseSuperblockRec(d *decoder) (*translate.Superblock, bool) {
-	sb := &translate.Superblock{}
-	var ok bool
-	if sb.StartPC, ok = d.u64(); !ok {
-		return nil, false
-	}
-	end, ok := d.u8()
-	if !ok || end > uint8(translate.EndTrap) {
-		return nil, false
+func parseSuperblockRec(r *codec.Reader) *translate.Superblock {
+	sb := &translate.Superblock{StartPC: r.U64()}
+	end := r.U8()
+	if end > uint8(translate.EndTrap) {
+		r.Fail(codec.ErrCanonical, "superblock end kind")
 	}
 	sb.End = translate.EndKind(end)
-	if sb.NextPC, ok = d.u64(); !ok {
-		return nil, false
-	}
-	n, ok := d.u32()
-	if !ok || n == 0 || int(n) > d.remaining()/sbInstRecLen {
-		return nil, false
+	sb.NextPC = r.U64()
+	n := r.Count(sbInstRecLen)
+	if n == 0 {
+		r.Fail(codec.ErrCanonical, "empty superblock")
 	}
 	sb.Insts = make([]translate.SBInst, n)
 	for i := range sb.Insts {
 		si := &sb.Insts[i]
-		si.PC, _ = d.u64()
-		w, _ := d.u32()
-		si.Inst = alpha.Decode(alpha.Word(w))
-		flags, _ := d.u8()
+		si.PC = r.U64()
+		si.Inst = alpha.Decode(alpha.Word(r.U32()))
+		flags := r.U8()
 		if flags > 1 {
-			return nil, false
+			r.Fail(codec.ErrCanonical, "superblock taken flag")
 		}
 		si.Taken = flags == 1
-		if si.PredTarget, ok = d.u64(); !ok {
-			return nil, false
-		}
+		si.PredTarget = r.U64()
 	}
-	return sb, true
+	return sb
 }
 
 // resultRecLen sizes the result record for preallocation.
@@ -416,342 +330,208 @@ func resultRecLen(res *translate.Result) int {
 // instRecLen is the encoded size of one I-ISA instruction record.
 const instRecLen = 1 + 2 + 1 + 1 + 10 + 10 + 1 + 1 + 4 + 8 + 8 + 4 + 1 + 1 + 1
 
-// appendResult appends the result record: every field of
+// writeResult appends the result record: every field of
 // translate.Result in fixed order, fixed width, with slice lengths
 // prefixed, so decode-then-encode reproduces the bytes exactly.
-func appendResult(b []byte, res *translate.Result) []byte {
-	b = le64(b, res.VStart)
-	b = append(b, byte(res.Form))
-	var flags byte
-	if res.Straightened {
-		flags = 1
+func writeResult(w *codec.Writer, res *translate.Result) {
+	w.U64(res.VStart)
+	w.U8(byte(res.Form))
+	w.U8(boolByte(res.Straightened))
+	for _, v := range [...]int{res.SrcCount, res.NOPCount, res.BranchElims,
+		res.CopyCount, res.SpillCount, res.ChainCount, res.CodeBytes, res.SrcBytes} {
+		w.U32(uint32(v))
 	}
-	b = append(b, flags)
-	b = le32(b, uint32(res.SrcCount))
-	b = le32(b, uint32(res.NOPCount))
-	b = le32(b, uint32(res.BranchElims))
-	b = le32(b, uint32(res.CopyCount))
-	b = le32(b, uint32(res.SpillCount))
-	b = le32(b, uint32(res.ChainCount))
-	b = le32(b, uint32(res.CodeBytes))
-	b = le32(b, uint32(res.SrcBytes))
-	b = le64(b, uint64(res.Cost))
+	w.U64(uint64(res.Cost))
 	for _, u := range res.Usage {
-		b = le64(b, uint64(u))
+		w.U64(uint64(u))
 	}
-	b = le32(b, uint32(len(res.Insts)))
+	w.U32(uint32(len(res.Insts)))
 	for i := range res.Insts {
-		b = appendInst(b, &res.Insts[i])
+		writeInst(w, &res.Insts[i])
 	}
-	b = le32(b, uint32(len(res.PEI)))
+	w.U32(uint32(len(res.PEI)))
 	for _, pc := range res.PEI {
-		b = le64(b, pc)
+		w.U64(pc)
 	}
-	b = le32(b, uint32(len(res.PEIRecover)))
+	w.U32(uint32(len(res.PEIRecover)))
 	for _, rec := range res.PEIRecover {
-		b = append(b, byte(len(rec)))
+		w.U8(byte(len(rec)))
 		for _, ra := range rec {
-			b = append(b, byte(ra.Reg), byte(ra.Acc))
+			w.U8(byte(ra.Reg))
+			w.U8(byte(ra.Acc))
 		}
 	}
-	b = le32(b, uint32(len(res.Strands)))
+	w.U32(uint32(len(res.Strands)))
 	for _, s := range res.Strands {
-		b = le32(b, uint32(int32(s)))
+		w.U32(uint32(int32(s)))
 	}
-	b = le32(b, uint32(len(res.ExitLive)))
+	w.U32(uint32(len(res.ExitLive)))
 	for _, regs := range res.ExitLive {
-		b = append(b, byte(len(regs)))
-		for _, r := range regs {
-			b = append(b, byte(r))
-		}
+		writeRegList(w, regs)
 	}
-	b = append(b, byte(len(res.EndLive)))
-	for _, r := range res.EndLive {
-		b = append(b, byte(r))
-	}
-	return b
+	writeRegList(w, res.EndLive)
 }
 
-// appendInst appends one instruction record (instRecLen bytes).
-func appendInst(b []byte, in *ildp.Inst) []byte {
-	b = append(b, byte(in.Kind))
-	b = append(b, byte(in.Op), byte(uint16(in.Op)>>8))
-	b = append(b, byte(in.Acc))
-	var flags byte
-	if in.WritesAcc {
-		flags = 1
-	}
-	b = append(b, flags)
-	b = appendSrc(b, in.SrcA)
-	b = appendSrc(b, in.SrcB)
-	b = append(b, byte(in.Dest), byte(in.ArchDest))
-	b = le32(b, uint32(in.Disp))
-	b = le64(b, in.VPC)
-	b = le64(b, in.VAddr)
-	b = le32(b, uint32(in.Frag))
-	b = append(b, byte(in.Class), byte(in.VCredit), byte(in.Usage))
-	return b
+// writeInst appends one instruction record (instRecLen bytes).
+func writeInst(w *codec.Writer, in *ildp.Inst) {
+	w.Raw([]byte{byte(in.Kind), byte(in.Op), byte(uint16(in.Op) >> 8), byte(in.Acc), boolByte(in.WritesAcc)})
+	writeSrc(w, in.SrcA)
+	writeSrc(w, in.SrcB)
+	w.Raw([]byte{byte(in.Dest), byte(in.ArchDest)})
+	w.U32(uint32(in.Disp))
+	w.U64(in.VPC)
+	w.U64(in.VAddr)
+	w.U32(uint32(in.Frag))
+	w.Raw([]byte{byte(in.Class), in.VCredit, byte(in.Usage)})
 }
 
-// appendSrc appends one source-operand record (10 bytes).
-func appendSrc(b []byte, s ildp.Src) []byte {
-	b = append(b, byte(s.Kind), byte(s.Reg))
-	return le64(b, uint64(s.Imm))
+// writeSrc appends one source-operand record (10 bytes).
+func writeSrc(w *codec.Writer, s ildp.Src) {
+	w.Raw([]byte{byte(s.Kind), byte(s.Reg)})
+	w.U64(uint64(s.Imm))
 }
 
-// parseResultRec parses the result record (appendResult's layout).
-func parseResultRec(d *decoder) (*translate.Result, bool) {
-	res := &translate.Result{}
-	var ok bool
-	if res.VStart, ok = d.u64(); !ok {
-		return nil, false
+// writeRegList appends a u8-counted register list.
+func writeRegList(w *codec.Writer, regs []alpha.Reg) {
+	w.U8(byte(len(regs)))
+	for _, r := range regs {
+		w.U8(byte(r))
 	}
-	form, ok := d.u8()
-	if !ok || form > uint8(ildp.Modified) {
-		return nil, false
+}
+
+// boolByte encodes a flag as 0 or 1.
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// parseResultRec parses the result record (writeResult's layout).
+func parseResultRec(r *codec.Reader) *translate.Result {
+	res := &translate.Result{VStart: r.U64()}
+	form := r.U8()
+	if form > uint8(ildp.Modified) {
+		r.Fail(codec.ErrCanonical, "result form")
 	}
 	res.Form = ildp.Form(form)
-	flags, ok := d.u8()
-	if !ok || flags > 1 {
-		return nil, false
-	}
-	res.Straightened = flags == 1
-	var v uint32
-	for _, dst := range []*int{&res.SrcCount, &res.NOPCount, &res.BranchElims,
+	res.Straightened = parseFlag(r)
+	for _, dst := range [...]*int{&res.SrcCount, &res.NOPCount, &res.BranchElims,
 		&res.CopyCount, &res.SpillCount, &res.ChainCount, &res.CodeBytes, &res.SrcBytes} {
-		if v, ok = d.u32(); !ok {
-			return nil, false
-		}
-		*dst = int(v)
+		*dst = int(r.U32())
 	}
-	cost, ok := d.u64()
-	if !ok {
-		return nil, false
-	}
-	res.Cost = int64(cost)
+	res.Cost = int64(r.U64())
 	for i := range res.Usage {
-		u, ok := d.u64()
-		if !ok {
-			return nil, false
-		}
-		res.Usage[i] = int64(u)
+		res.Usage[i] = int64(r.U64())
 	}
 
-	nInsts, ok := d.u32()
-	if !ok || nInsts == 0 || int(nInsts) > d.remaining()/instRecLen {
-		return nil, false
+	nInsts := r.Count(instRecLen)
+	if nInsts == 0 {
+		r.Fail(codec.ErrCanonical, "empty fragment")
 	}
 	res.Insts = make([]ildp.Inst, nInsts)
 	for i := range res.Insts {
-		if !parseInst(d, &res.Insts[i]) {
-			return nil, false
-		}
+		parseInst(r, &res.Insts[i])
 	}
 
-	nPEI, ok := d.u32()
-	if !ok || int(nPEI) > d.remaining()/8 {
-		return nil, false
-	}
-	if nPEI > 0 {
-		res.PEI = make([]uint64, nPEI)
+	if n := r.Count(8); n > 0 {
+		res.PEI = make([]uint64, n)
 		for i := range res.PEI {
-			res.PEI[i], _ = d.u64()
+			res.PEI[i] = r.U64()
 		}
 	}
-
-	nRec, ok := d.u32()
-	if !ok || int(nRec) > d.remaining() {
-		return nil, false
-	}
-	if nRec > 0 {
-		res.PEIRecover = make([][]translate.RegAcc, nRec)
+	if n := r.Count(1); n > 0 {
+		res.PEIRecover = make([][]translate.RegAcc, n)
 		for i := range res.PEIRecover {
-			m, ok := d.u8()
-			if !ok || int(m)*2 > d.remaining() {
-				return nil, false
+			m := r.U8()
+			if m == 0 {
+				continue
 			}
-			if m > 0 {
-				rec := make([]translate.RegAcc, m)
-				for j := range rec {
-					r, _ := d.u8()
-					a, ok := d.u8()
-					if !ok || r >= alpha.NumRegs || int(a) >= ildp.MaxAccumulators {
-						return nil, false
-					}
-					rec[j] = translate.RegAcc{Reg: alpha.Reg(r), Acc: ildp.AccID(a)}
+			rec := make([]translate.RegAcc, m)
+			for j := range rec {
+				reg, acc := r.U8(), r.U8()
+				if reg >= alpha.NumRegs || int(acc) >= ildp.MaxAccumulators {
+					r.Fail(codec.ErrCanonical, "recovery pair out of range")
 				}
-				res.PEIRecover[i] = rec
+				rec[j] = translate.RegAcc{Reg: alpha.Reg(reg), Acc: ildp.AccID(acc)}
 			}
+			res.PEIRecover[i] = rec
 		}
 	}
-
-	nStrands, ok := d.u32()
-	if !ok || int(nStrands) > d.remaining()/4 {
-		return nil, false
-	}
-	if nStrands > 0 {
-		res.Strands = make([]int, nStrands)
+	if n := r.Count(4); n > 0 {
+		res.Strands = make([]int, n)
 		for i := range res.Strands {
-			s, _ := d.u32()
-			res.Strands[i] = int(int32(s))
+			res.Strands[i] = int(int32(r.U32()))
 		}
 	}
-
-	nExit, ok := d.u32()
-	if !ok || int(nExit) > d.remaining() {
-		return nil, false
-	}
-	if nExit > 0 {
-		res.ExitLive = make([][]alpha.Reg, nExit)
+	if n := r.Count(1); n > 0 {
+		res.ExitLive = make([][]alpha.Reg, n)
 		for i := range res.ExitLive {
-			regs, ok := parseRegList(d)
-			if !ok {
-				return nil, false
-			}
-			res.ExitLive[i] = regs
+			res.ExitLive[i] = parseRegList(r)
 		}
 	}
-
-	endLive, ok := parseRegList(d)
-	if !ok {
-		return nil, false
-	}
-	res.EndLive = endLive
+	res.EndLive = parseRegList(r)
 
 	// The per-VM cache may only patch NoFrag exits and dispatch stubs;
 	// a stored fragment referencing a concrete fragment ID would leak
 	// one session's private cache layout into the shared artifact.
 	for i := range res.Insts {
 		if f := res.Insts[i].Frag; f != ildp.NoFrag && f != ildp.FragDispatch {
-			return nil, false
+			r.Fail(codec.ErrCanonical, "concrete fragment link")
 		}
 	}
-	return res, true
+	return res
 }
 
 // parseInst parses one instruction record.
-func parseInst(d *decoder, in *ildp.Inst) bool {
-	kind, ok := d.u8()
-	if !ok {
-		return false
-	}
-	in.Kind = ildp.Kind(kind)
-	lo, _ := d.u8()
-	hi, _ := d.u8()
+func parseInst(r *codec.Reader, in *ildp.Inst) {
+	in.Kind = ildp.Kind(r.U8())
+	lo, hi := r.U8(), r.U8()
 	in.Op = alpha.Op(uint16(lo) | uint16(hi)<<8)
-	acc, _ := d.u8()
-	in.Acc = ildp.AccID(acc)
-	flags, ok := d.u8()
-	if !ok || flags > 1 {
-		return false
-	}
-	in.WritesAcc = flags == 1
-	if !parseSrc(d, &in.SrcA) || !parseSrc(d, &in.SrcB) {
-		return false
-	}
-	dest, _ := d.u8()
-	in.Dest = alpha.Reg(dest)
-	archDest, _ := d.u8()
-	in.ArchDest = alpha.Reg(archDest)
-	disp, _ := d.u32()
-	in.Disp = int32(disp)
-	in.VPC, _ = d.u64()
-	in.VAddr, _ = d.u64()
-	frag, _ := d.u32()
-	in.Frag = int32(frag)
-	class, _ := d.u8()
-	in.Class = ildp.Class(class)
-	credit, _ := d.u8()
-	in.VCredit = credit
-	usage, ok := d.u8()
-	if !ok {
-		return false
-	}
-	in.Usage = ildp.UsageClass(usage)
-	return true
+	in.Acc = ildp.AccID(r.U8())
+	in.WritesAcc = parseFlag(r)
+	parseSrc(r, &in.SrcA)
+	parseSrc(r, &in.SrcB)
+	in.Dest = alpha.Reg(r.U8())
+	in.ArchDest = alpha.Reg(r.U8())
+	in.Disp = int32(r.U32())
+	in.VPC = r.U64()
+	in.VAddr = r.U64()
+	in.Frag = int32(r.U32())
+	in.Class = ildp.Class(r.U8())
+	in.VCredit = r.U8()
+	in.Usage = ildp.UsageClass(r.U8())
 }
 
 // parseSrc parses one source-operand record.
-func parseSrc(d *decoder, s *ildp.Src) bool {
-	kind, _ := d.u8()
-	reg, _ := d.u8()
-	imm, ok := d.u64()
-	if !ok {
-		return false
+func parseSrc(r *codec.Reader, s *ildp.Src) {
+	s.Kind = ildp.SrcKind(r.U8())
+	s.Reg = alpha.Reg(r.U8())
+	s.Imm = int64(r.U64())
+}
+
+// parseFlag parses a 0-or-1 flag byte.
+func parseFlag(r *codec.Reader) bool {
+	v := r.U8()
+	if v > 1 {
+		r.Fail(codec.ErrCanonical, "flag byte")
 	}
-	s.Kind = ildp.SrcKind(kind)
-	s.Reg = alpha.Reg(reg)
-	s.Imm = int64(imm)
-	return true
+	return v == 1
 }
 
 // parseRegList parses a u8-counted register list; zero count yields nil.
-func parseRegList(d *decoder) ([]alpha.Reg, bool) {
-	m, ok := d.u8()
-	if !ok || int(m) > d.remaining() {
-		return nil, false
-	}
+func parseRegList(r *codec.Reader) []alpha.Reg {
+	m := r.U8()
 	if m == 0 {
-		return nil, true
+		return nil
 	}
 	regs := make([]alpha.Reg, m)
 	for i := range regs {
-		r, _ := d.u8()
-		if r >= alpha.NumRegs {
-			return nil, false
+		reg := r.U8()
+		if reg >= alpha.NumRegs {
+			r.Fail(codec.ErrCanonical, "register out of range")
 		}
-		regs[i] = alpha.Reg(r)
+		regs[i] = alpha.Reg(reg)
 	}
-	return regs, true
-}
-
-// decoder is a bounds-checked little-endian reader.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) remaining() int { return len(d.b) - d.off }
-
-func (d *decoder) take(n int) ([]byte, bool) {
-	if n < 0 || d.remaining() < n {
-		return nil, false
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v, true
-}
-
-func (d *decoder) u8() (uint8, bool) {
-	v, ok := d.take(1)
-	if !ok {
-		return 0, false
-	}
-	return v[0], true
-}
-
-func (d *decoder) u32() (uint32, bool) {
-	v, ok := d.take(4)
-	if !ok {
-		return 0, false
-	}
-	return uint32(v[0]) | uint32(v[1])<<8 | uint32(v[2])<<16 | uint32(v[3])<<24, true
-}
-
-func (d *decoder) u64() (uint64, bool) {
-	v, ok := d.take(8)
-	if !ok {
-		return 0, false
-	}
-	return leU64(v), true
-}
-
-func leU64(v []byte) uint64 {
-	return uint64(v[0]) | uint64(v[1])<<8 | uint64(v[2])<<16 | uint64(v[3])<<24 |
-		uint64(v[4])<<32 | uint64(v[5])<<40 | uint64(v[6])<<48 | uint64(v[7])<<56
-}
-
-// fail builds a truncation-class error at the current offset.
-func (d *decoder) fail(cause error, detail string) *Error {
-	return &Error{Off: d.off, Cause: cause, Detail: detail}
+	return regs
 }

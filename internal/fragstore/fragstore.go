@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"github.com/ildp/accdbt/internal/alpha"
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/translate"
 )
@@ -99,13 +100,12 @@ func (c Config) record() [configRecLen]byte {
 // addressed and the caller must translate it privately.
 func KeyOf(sb *translate.Superblock, cfg Config) (Key, []byte, error) {
 	rec := cfg.record()
-	content := make([]byte, 0, configRecLen+superblockRecLen(sb))
-	content = append(content, rec[:]...)
-	content, err := appendSuperblock(content, sb)
-	if err != nil {
+	w := codec.NewWriter(configRecLen + superblockRecLen(sb))
+	w.Raw(rec[:])
+	if err := writeSuperblock(w, sb); err != nil {
 		return Key{}, nil, err
 	}
-	return Key(sha256.Sum256(content)), content, nil
+	return Key(sha256.Sum256(w.Bytes())), w.Bytes(), nil
 }
 
 // superblockRecLen sizes the superblock record for preallocation.
@@ -116,33 +116,29 @@ func superblockRecLen(sb *translate.Superblock) int {
 // sbInstRecLen is the encoded size of one superblock instruction record.
 const sbInstRecLen = 8 + 4 + 1 + 8
 
-// appendSuperblock appends the canonical superblock record to b: start
-// PC, end kind, continuation PC, and one fixed-width record per
-// collected instruction (PC, canonical Alpha word, taken flag,
-// predicted indirect target). The record is the "superblock bytes" half
-// of a content address, so it must be a pure function of the collected
-// trace — alpha.Encode provides the canonical word spelling.
-func appendSuperblock(b []byte, sb *translate.Superblock) ([]byte, error) {
-	b = le64(b, sb.StartPC)
-	b = append(b, byte(sb.End))
-	b = le64(b, sb.NextPC)
-	b = le32(b, uint32(len(sb.Insts)))
+// writeSuperblock appends the canonical superblock record: start PC,
+// end kind, continuation PC, and one fixed-width record per collected
+// instruction (PC, canonical Alpha word, taken flag, predicted indirect
+// target). The record is the "superblock bytes" half of a content
+// address, so it must be a pure function of the collected trace —
+// alpha.Encode provides the canonical word spelling.
+func writeSuperblock(w *codec.Writer, sb *translate.Superblock) error {
+	w.U64(sb.StartPC)
+	w.U8(byte(sb.End))
+	w.U64(sb.NextPC)
+	w.U32(uint32(len(sb.Insts)))
 	for i := range sb.Insts {
 		si := &sb.Insts[i]
-		w, err := alpha.Encode(si.Inst)
+		word, err := alpha.Encode(si.Inst)
 		if err != nil {
-			return nil, fmt.Errorf("fragstore: superblock %#x inst %d: %w", sb.StartPC, i, err)
+			return fmt.Errorf("fragstore: superblock %#x inst %d: %w", sb.StartPC, i, err)
 		}
-		b = le64(b, si.PC)
-		b = le32(b, uint32(w))
-		var flags byte
-		if si.Taken {
-			flags = 1
-		}
-		b = append(b, flags)
-		b = le64(b, si.PredTarget)
+		w.U64(si.PC)
+		w.U32(uint32(word))
+		w.U8(boolByte(si.Taken))
+		w.U64(si.PredTarget)
 	}
-	return b, nil
+	return nil
 }
 
 // CloneForInstall returns a copy of res whose instruction slice is
@@ -406,14 +402,4 @@ func (s *Store) insertLoaded(key Key, content []byte, res *translate.Result) {
 		s.loaded.Add(1)
 	}
 	sh.mu.Unlock()
-}
-
-// le32 and le64 append fixed-width little-endian integers.
-func le32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func le64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }

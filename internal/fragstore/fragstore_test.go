@@ -3,12 +3,12 @@ package fragstore_test
 import (
 	"bytes"
 	"errors"
-	"hash/crc64"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/ildp/accdbt/internal/alpha"
+	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/fragstore"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/translate"
@@ -207,9 +207,10 @@ func TestDoSingleflight(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 miss, %d hits all shared", st, callers-1)
 	}
 
-	// A second Do by the translating caller is a hit but not a shared
-	// one; by anyone else, shared.
-	if _, hit, shared, _ := s.Do(key, content, 0, nil); !hit || !shared {
+	// A later Do by a caller that did not translate is a shared hit. The
+	// token must be one no goroutine above used: any of them may have
+	// been the translating caller.
+	if _, hit, shared, _ := s.Do(key, content, callers, nil); !hit || !shared {
 		t.Fatalf("hit=%v shared=%v for a non-creator caller", hit, shared)
 	}
 }
@@ -319,8 +320,6 @@ func TestEmptyStoreRoundTrip(t *testing.T) {
 
 // --- corrupt-stream tests ----------------------------------------------
 
-var testCRC = crc64.MakeTable(crc64.ECMA)
-
 func leU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
@@ -356,11 +355,11 @@ func entrySpans(t *testing.T, b []byte) []span {
 }
 
 func fixEntryCRC(b []byte, sp span) {
-	putU64(b[sp.off+sp.n:], crc64.Checksum(b[sp.off:sp.off+sp.n], testCRC))
+	putU64(b[sp.off+sp.n:], codec.Checksum(b[sp.off:sp.off+sp.n]))
 }
 
 func fixFileCRC(b []byte) {
-	putU64(b[len(b)-8:], crc64.Checksum(b[:len(b)-8], testCRC))
+	putU64(b[len(b)-8:], codec.Checksum(b[:len(b)-8]))
 }
 
 func TestDecodeCorruptFile(t *testing.T) {
@@ -372,33 +371,38 @@ func TestDecodeCorruptFile(t *testing.T) {
 		if !errors.Is(err, want) {
 			t.Fatalf("%s: err = %v, want %v", name, err, want)
 		}
-		var fe *fragstore.Error
+		var fe *codec.Error
 		if !errors.As(err, &fe) {
-			t.Fatalf("%s: err %T is not *fragstore.Error", name, err)
+			t.Fatalf("%s: err %T is not *codec.Error", name, err)
 		}
 	}
 
-	check("empty", nil, fragstore.ErrTruncated)
-	check("short", enc[:12], fragstore.ErrTruncated)
+	check("empty", nil, codec.ErrTruncated)
+	check("short", enc[:12], codec.ErrTruncated)
 
 	bad := bytes.Clone(enc)
 	bad[0] ^= 0xFF
-	check("magic", bad, fragstore.ErrBadMagic)
+	check("magic", bad, codec.ErrBadMagic)
 
+	// The envelope checks the file CRC before the version: a skewed
+	// version is reported only once the CRC vouches for it, and a
+	// version byte flipped in transit is a checksum failure.
 	bad = bytes.Clone(enc)
 	bad[8] = 0xEE // version field
-	check("version", bad, fragstore.ErrVersion)
+	check("version stale crc", bad, codec.ErrChecksum)
+	fixFileCRC(bad)
+	check("version", bad, codec.ErrVersion)
 
 	bad = bytes.Clone(enc)
 	bad[len(bad)/2] ^= 0x10
-	check("flip", bad, fragstore.ErrChecksum)
+	check("flip", bad, codec.ErrChecksum)
 
 	// Bytes wedged between the last entry and the trailer, trailer
 	// recomputed so only structure can catch them.
 	bad = append(bytes.Clone(enc[:len(enc)-8]), 0, 0, 0, 0)
 	bad = append(bad, make([]byte, 8)...)
 	fixFileCRC(bad)
-	check("trailing", bad, fragstore.ErrTrailing)
+	check("trailing", bad, codec.ErrTrailing)
 }
 
 func TestDecodeDropsCorruptEntry(t *testing.T) {
@@ -489,11 +493,11 @@ func TestLoadReportMidEntryTruncation(t *testing.T) {
 		if st != nil || err == nil {
 			t.Fatalf("entry %d: torn prefix of %d bytes parsed (err %v)", i, cut, err)
 		}
-		var fe *fragstore.Error
+		var fe *codec.Error
 		if !errors.As(err, &fe) {
 			t.Fatalf("entry %d: torn prefix error %T is not typed", i, err)
 		}
-		if !errors.Is(err, fragstore.ErrTruncated) && !errors.Is(err, fragstore.ErrChecksum) {
+		if !errors.Is(err, codec.ErrTruncated) && !errors.Is(err, codec.ErrChecksum) {
 			t.Fatalf("entry %d: torn prefix error %v is neither truncation nor checksum", i, err)
 		}
 	}
@@ -609,9 +613,9 @@ func FuzzFragstoreDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, rep, err := fragstore.Decode(b, fragstore.LoadOptions{})
 		if err != nil {
-			var fe *fragstore.Error
+			var fe *codec.Error
 			if !errors.As(err, &fe) {
-				t.Fatalf("decode error %T is not *fragstore.Error", err)
+				t.Fatalf("decode error %T is not *codec.Error", err)
 			}
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/ildp/accdbt/internal/checkpoint"
+	"github.com/ildp/accdbt/internal/codec"
 )
 
 // countSpillFiles counts .ckpt + .json files in a spill directory.
@@ -94,7 +95,7 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		t.Fatalf("corrupt-resume state = %s, want failed", got)
 	}
 	_, derr := checkpoint.Decode(corrupt)
-	var ckErr *checkpoint.Error
+	var ckErr *codec.Error
 	if !errors.As(derr, &ckErr) {
 		t.Fatalf("test invariant broken: corruption produced %v, not a typed checkpoint error", derr)
 	}

@@ -252,7 +252,7 @@ func TestTenantPageQuotaAdmission(t *testing.T) {
 	fake := &Session{ID: "fake", Tenant: "greedy", state: StateReady,
 		pages: 10, done: make(chan struct{})}
 	s.sessions["fake"] = fake
-	s.live++
+	s.live["fake"] = fake
 	s.mu.Unlock()
 
 	spec, err := workload.ByName("gap", 1)

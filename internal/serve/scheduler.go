@@ -335,9 +335,9 @@ func (s *Server) shedCold() {
 		}
 		var coldest *Session
 		var coldestAt time.Time
-		for _, sess := range s.sessions {
+		for _, sess := range s.live {
 			sess.mu.Lock()
-			candidate := sess.state == StateReady && !sess.spilled && sess.ckpt != nil
+			candidate := sess.state == StateReady && !sess.spilled && !sess.spilling && sess.ckpt != nil
 			at := sess.lastRun
 			sess.mu.Unlock()
 			if candidate && (coldest == nil || at.Before(coldestAt)) {
@@ -361,24 +361,47 @@ func (s *Server) shedCold() {
 // spillSession writes a ready session's checkpoint to disk — via the
 // write-temp/fsync/rename protocol, so a fault mid-write never leaves
 // a torn file at the spill path — and drops the in-memory copy.
+//
+// The write runs unlocked, so a worker may dequeue the session
+// meanwhile: it takes the checkpoint (loadState) and may even park a
+// newer one. The spill therefore commits only if the session is still
+// ready holding the very checkpoint written; otherwise the file is
+// stale and is removed. The spilling flag keeps a second shedder off
+// the session's spill path until this one settles.
 func (s *Server) spillSession(sess *Session) error {
 	if err := s.fs.MkdirAll(s.opts.SpillDir, 0o755); err != nil {
 		return err
 	}
 	sess.mu.Lock()
-	if sess.state != StateReady || sess.spilled || sess.ckpt == nil {
+	if sess.state != StateReady || sess.spilled || sess.spilling || sess.ckpt == nil {
 		sess.mu.Unlock()
 		return nil
 	}
 	enc := sess.ckpt
+	sess.spilling = true
 	sess.mu.Unlock()
-	if err := iofs.AtomicWriteFile(s.fs, s.spillPath(sess.ID), enc, 0o644); err != nil {
+	// Cleared only after the stale-file removal below, so no other
+	// shedder can have written the spill path in between.
+	defer func() {
+		sess.mu.Lock()
+		sess.spilling = false
+		sess.mu.Unlock()
+	}()
+	err := iofs.AtomicWriteFile(s.fs, s.spillPath(sess.ID), enc, 0o644)
+	sess.mu.Lock()
+	commit := err == nil && sess.state == StateReady && len(sess.ckpt) > 0 && &sess.ckpt[0] == &enc[0]
+	if commit {
+		sess.ckpt = nil
+		sess.spilled = true
+	}
+	sess.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	sess.mu.Lock()
-	sess.ckpt = nil
-	sess.spilled = true
-	sess.mu.Unlock()
+	if !commit {
+		s.fs.Remove(s.spillPath(sess.ID))
+		return nil
+	}
 	s.mu.Lock()
 	s.resident--
 	s.mu.Unlock()
@@ -469,7 +492,7 @@ func (s *Server) finishSession(sess *Session, st State, msg string, final []byte
 	}
 
 	s.mu.Lock()
-	s.live--
+	delete(s.live, sess.ID)
 	s.byTenant[sess.Tenant]--
 	if s.byTenant[sess.Tenant] <= 0 {
 		delete(s.byTenant, sess.Tenant)

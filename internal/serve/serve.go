@@ -130,11 +130,11 @@ type Server struct {
 	draining atomic.Bool // preempts running quanta and rejects admissions
 
 	mu       sync.Mutex
-	sessions map[string]*Session
-	order    []string // admission order, for listing
+	sessions map[string]*Session // every session ever admitted, for lookup
+	live     map[string]*Session // non-terminal sessions; finishSession removes
+	order    []string            // admission order, for listing
 	byTenant map[string]int
 	nextID   int
-	live     int // non-terminal sessions
 	resident int // in-memory checkpoints (ready, not spilled)
 
 	runq chan *Session
@@ -171,6 +171,7 @@ func New(opts Options) *Server {
 		reg:      metrics.NewRegistry(),
 		fs:       iofs.Default(opts.FS),
 		sessions: make(map[string]*Session),
+		live:     make(map[string]*Session),
 		byTenant: make(map[string]int),
 		runq:     make(chan *Session, opts.MaxSessions),
 		quit:     make(chan struct{}),
@@ -211,7 +212,7 @@ func (s *Server) Submit(prog *alphaprog.Program, tenant, name string) (*Session,
 		return nil, ErrDraining
 	}
 	s.mu.Lock()
-	if s.live >= s.opts.MaxSessions {
+	if len(s.live) >= s.opts.MaxSessions {
 		s.mu.Unlock()
 		s.reg.Counter("serve.rejected.full").Inc()
 		return nil, ErrQueueFull
@@ -240,9 +241,9 @@ func (s *Server) Submit(prog *alphaprog.Program, tenant, name string) (*Session,
 		done:     make(chan struct{}),
 	}
 	s.sessions[sess.ID] = sess
+	s.live[sess.ID] = sess
 	s.order = append(s.order, sess.ID)
 	s.byTenant[tenant]++
-	s.live++
 	s.mu.Unlock()
 
 	sess.tsess = s.plane.Register(telemetry.SessionConfig{
@@ -273,7 +274,7 @@ func (s *Server) enqueue(sess *Session) {
 // The caller holds s.mu.
 func (s *Server) tenantPagesLocked(tenant string) int {
 	total := 0
-	for _, sess := range s.sessions {
+	for _, sess := range s.live {
 		if sess.Tenant != tenant {
 			continue
 		}
@@ -351,9 +352,9 @@ type Stats struct {
 // Stats snapshots the scheduler counters and latency quantiles.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	live := s.live
+	live := len(s.live)
 	var pages int
-	for _, sess := range s.sessions {
+	for _, sess := range s.live {
 		sess.mu.Lock()
 		if !sess.state.Terminal() {
 			pages += sess.pages
@@ -391,11 +392,13 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// updateGauges refreshes the scheduler gauges from the session table.
+// updateGauges refreshes the scheduler gauges from the live sessions.
+// It runs on every quantum, so it scans only the live set, never the
+// finished sessions kept for lookup.
 func (s *Server) updateGauges() {
 	s.mu.Lock()
 	var queued, running, ready, spilled, pages int
-	for _, sess := range s.sessions {
+	for _, sess := range s.live {
 		sess.mu.Lock()
 		switch sess.state {
 		case StateQueued:
@@ -413,7 +416,7 @@ func (s *Server) updateGauges() {
 		}
 		sess.mu.Unlock()
 	}
-	live := s.live
+	live := len(s.live)
 	s.mu.Unlock()
 	s.reg.Gauge("serve.queue_depth").Set(float64(len(s.runq)))
 	s.reg.Gauge("serve.sessions_queued").Set(float64(queued))
@@ -599,9 +602,9 @@ func (s *Server) adopt(meta *spillMeta, ckpt []byte, decodeErr error) *Session {
 	sess.vinsts = meta.VInsts
 	sess.ckpt = ckpt
 	s.sessions[sess.ID] = sess
+	s.live[sess.ID] = sess
 	s.order = append(s.order, sess.ID)
 	s.byTenant[sess.Tenant]++
-	s.live++
 	if ckpt != nil {
 		s.resident++
 	}

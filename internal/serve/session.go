@@ -70,6 +70,7 @@ type Session struct {
 	errMsg   string
 	ckpt     []byte // encoded checkpoint between quanta (nil when spilled or unstarted)
 	spilled  bool   // checkpoint lives at spillPath instead of ckpt
+	spilling bool   // a shedding spill of ckpt is being written
 	final    []byte // final checkpoint once terminal
 	quanta   int
 	vinsts   uint64 // cumulative V-instructions retired
