@@ -55,9 +55,11 @@ go run ./cmd/ildpchaos -seeds 4 -seed-base 1001 -machines ildp-modified
 
 echo "== kill-and-resume smoke (short sweep under the race detector)"
 # Fixed-seed kill-and-resume runs: preempt, checkpoint, restore into a
-# fresh VM, and finish bit-identical to the uninterrupted oracle. The
-# full 50-seed sweep is `make killresume`.
-go test -race -short -run 'TestKillResume|TestStopHook|TestBudgetIs|TestResumeFrom|TestWatchdog' \
+# fresh VM, and finish bit-identical to the uninterrupted oracle; and
+# repeated preemptions of one resident VM, which must leave its Stats
+# equal to an uninterrupted run's. The full 50-seed sweep is
+# `make killresume`.
+go test -race -short -run 'TestKillResume|TestStopHook|TestBudgetIs|TestResumeFrom|TestWatchdog|TestPreemptionInvisible' \
     ./internal/experiments/ ./internal/vm/
 go run ./cmd/ildpchaos -kill -seeds 4 -seed-base 5001 -machines ildp-modified
 

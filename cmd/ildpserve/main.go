@@ -62,7 +62,7 @@ func main() {
 	budget := flag.Int64("budget", 0, "per-session cumulative V-instruction budget (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "per-session wall-clock lifetime (0 = unlimited)")
 	quantumWall := flag.Duration("quantum-wall", time.Second, "per-quantum wall-clock safety net (0 = off)")
-	maxResident := flag.Int("max-resident", 0, "bound on in-memory checkpoints before cold sessions spill (0 = unlimited)")
+	maxResident := flag.Int("max-resident", 0, "bound on sessions held in memory between quanta before the coldest spill (0 = unlimited)")
 	spillDir := flag.String("spill", "", "spill directory for overload shedding and graceful drain")
 	resumeDir := flag.String("resume-dir", "", "re-admit sessions a previous server drained into this directory")
 	maxPages := flag.Int("max-pages", 0, "per-session guest page limit; exceeding it is a typed resource kill (0 = ungoverned)")

@@ -180,7 +180,7 @@ func TestCrashBarrier(t *testing.T) {
 	}
 }
 
-// TestShedCold forces the resident-checkpoint bound so cold sessions
+// TestShedCold forces the resident-session bound so cold sessions
 // spill to disk mid-run, and proves spilled-and-reloaded sessions still
 // finish bit-identical to the oracle.
 func TestShedCold(t *testing.T) {

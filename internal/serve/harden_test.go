@@ -185,7 +185,7 @@ func TestMembombGovernedSiblings(t *testing.T) {
 	bundleDir := t.TempDir()
 	s := testServer(t, Options{
 		Workers:         2,
-		QuantumVInsts:   10_000,
+		QuantumVInsts:   150, // the bomb hits its 64-page cap ~400 V-insts in
 		SessionMaxPages: 64,
 		BundleDir:       bundleDir,
 	})
@@ -204,6 +204,9 @@ func TestMembombGovernedSiblings(t *testing.T) {
 	}
 	if !strings.HasPrefix(bomb.Err(), "resource:") {
 		t.Errorf("membomb cause %q, want a typed resource failure", bomb.Err())
+	}
+	if q := bomb.view().Quanta; q < 2 {
+		t.Errorf("membomb ran %d quanta, want ≥ 2: its bundle must replay across a preemption", q)
 	}
 	for _, sb := range sibs {
 		waitDone(t, sb.sess, 60*time.Second)

@@ -31,35 +31,24 @@ func (s *Server) worker() {
 	}
 }
 
-// runQuantum executes one scheduler quantum for sess: restore (or
-// boot), run until the quantum's V-instruction deadline, a wall-clock
-// safety timer, a kill, a drain, or a terminal event, then checkpoint
-// and requeue — or settle a terminal state. A panic anywhere inside the
-// quantum is quarantined into StateCrashed by the deferred barrier; it
-// never unwinds into the worker loop, so sibling sessions and the
-// server survive translator or executor bugs in one guest.
+// runQuantum executes one scheduler quantum for sess: cold-start its VM
+// if the session holds none, advance the quantum's V-instruction
+// deadline, and run until that deadline, a wall-clock safety timer, a
+// kill, a drain, or a terminal event; then park the VM and requeue — or
+// settle a terminal state. A panic anywhere inside the quantum is
+// quarantined into StateCrashed by the deferred barrier; it never
+// unwinds into the worker loop, so sibling sessions and the server
+// survive translator or executor bugs in one guest.
 func (s *Server) runQuantum(sess *Session) {
-	// segRaw is the encoded checkpoint this quantum resumed from (nil on
-	// a boot quantum); the crash barrier and the failure paths bundle it
-	// so the failing segment can be replayed from its exact start state.
-	var segRaw []byte
 	defer func() {
 		if r := recover(); r != nil {
-			s.emitBundle(sess, &flight.Bundle{
-				Kind:       flight.KindCrash,
-				Cause:      fmt.Sprintf("panic: %v", r),
-				Config:     flight.CaptureConfig(s.quantumConfig()),
-				Budget:     s.opts.SessionVBudget,
-				Program:    s.progBytes(sess),
-				Checkpoint: segRaw,
-				Events:     []string{"panic quarantined by the crash barrier"},
-			})
+			s.emitBundle(sess, s.failureBundle(sess, flight.KindCrash, fmt.Sprintf("panic: %v", r)))
 			s.crashSession(sess, r)
 		}
 	}()
 
 	if sess.kill.Load() {
-		s.finishSession(sess, StateKilled, "killed by client", nil)
+		s.finishSession(sess, StateKilled, "killed by client")
 		return
 	}
 	if s.opts.SessionWall > 0 {
@@ -76,49 +65,24 @@ func (s *Server) runQuantum(sess *Session) {
 		s.hookQuantum(sess)
 	}
 
-	// Load the architected state to resume from: nil for a first
-	// quantum (boot from the program image), an encoded checkpoint
-	// otherwise — possibly read back from a shedding spill. A
-	// checkpoint that no longer decodes is a typed failure of this
-	// session only.
-	st, raw, err := s.loadState(sess)
-	if err != nil {
-		s.failSession(sess, "checkpoint: "+err.Error())
-		return
-	}
-	segRaw = raw
-
+	// Claiming the session (StateRunning) under its lock is what makes a
+	// shed spill still in flight abandon its commit.
 	sess.mu.Lock()
 	sess.state = StateRunning
-	startV := sess.vinsts
+	vv, origin, spilled := sess.vm, sess.origin, sess.spilled
+	sess.spilled = false
 	wait := time.Since(sess.enqueued)
 	sess.mu.Unlock()
 	s.reg.Histogram("serve.wait_ms").Observe(float64(wait.Microseconds()) / 1000)
 
-	cfg := s.quantumConfig()
-	cfg.Store = s.store
-	cfg.Metrics = sess.reg
-	cfg.Poll = sess.tsess.Poll
-
-	var vv *vm.VM
-	target := int64(startV) + s.opts.QuantumVInsts
-	cfg.Stop = func() bool {
-		return s.draining.Load() || sess.kill.Load() || sess.desched.Load() ||
-			int64(vv.Stats.TotalVInsts()) >= target
-	}
-
-	vv = vm.New(mem.New(), cfg)
-	if st == nil {
-		if err := vv.LoadProgram(sess.prog); err != nil {
-			s.failSession(sess, "load: "+err.Error())
+	if vv == nil {
+		var err error
+		if vv, err = s.coldStart(sess, origin, spilled); err != nil {
+			s.failSession(sess, err.Error())
 			return
 		}
-	} else {
-		vv.Restore(st)
 	}
-
-	probe := telemetry.ProbeVM(vv, nil)
-	sess.tsess.SetProbe(probe)
+	sess.deadline = vv.Stats.TotalVInsts() + uint64(s.opts.QuantumVInsts)
 	sess.tsess.Unpark()
 
 	var wallTimer *time.Timer
@@ -141,57 +105,25 @@ func (s *Server) runQuantum(sess *Session) {
 
 	// Deschedule: push the boundary snapshot to the plane so scrapes
 	// see the parked state instantly, then settle the outcome.
-	sess.tsess.Publish(probe())
+	sess.tsess.Publish(telemetry.ProbeVM(vv, nil)())
 	sess.tsess.Park()
 
-	ck := vv.Checkpoint()
-	enc := checkpoint.Encode(ck)
 	sess.mu.Lock()
 	sess.quanta++
 	sess.vinsts = vv.Stats.TotalVInsts()
 	sess.pages = vv.Pages()
 	sess.lastRun = time.Now()
-	quanta := sess.quanta
 	sess.mu.Unlock()
-
-	// bundleFor shapes this quantum's failure into a flight-recorder
-	// bundle: the segment-start state, the config fingerprint, and the
-	// architected position and counters at the failure.
-	bundleFor := func(kind string, cause string) *flight.Bundle {
-		b := &flight.Bundle{
-			Kind:       kind,
-			VPC:        vv.CPU().PC,
-			Cause:      cause,
-			Config:     flight.CaptureConfig(cfg),
-			Budget:     s.opts.SessionVBudget,
-			Checkpoint: segRaw,
-			Counters:   ck.Counters,
-			Events: []string{
-				fmt.Sprintf("session %s tenant %q name %q", sess.ID, sess.Tenant, sess.Name),
-				fmt.Sprintf("quantum %d, %d v-insts retired", quanta, vv.Stats.TotalVInsts()),
-				"failure: " + cause,
-			},
-		}
-		if segRaw == nil {
-			b.Program = s.progBytes(sess)
-		}
-		return b
-	}
 
 	switch {
 	case runErr == nil:
-		sess.mu.Lock()
-		sess.halted = ck.Halted
-		sess.exitCode = ck.ExitStatus
-		sess.console = string(ck.Console)
-		sess.mu.Unlock()
-		s.finishSession(sess, StateDone, "", enc)
+		s.finishSession(sess, StateDone, "")
 	case errors.Is(runErr, vm.ErrBudget):
-		s.emitBundle(sess, bundleFor(flight.KindBudget, runErr.Error()))
+		s.emitBundle(sess, s.failureBundle(sess, flight.KindBudget, runErr.Error()))
 		s.failSession(sess, "v-instruction budget exhausted")
 	case errors.Is(runErr, vm.ErrPreempted):
 		if sess.kill.Load() {
-			s.finishSession(sess, StateKilled, "killed by client", nil)
+			s.finishSession(sess, StateKilled, "killed by client")
 			return
 		}
 		if msg := s.tenantPageOverage(sess); msg != "" {
@@ -203,18 +135,13 @@ func (s *Server) runQuantum(sess *Session) {
 			s.failSession(sess, msg)
 			break
 		}
-		// Ordinary quantum expiry (or drain): park the checkpoint and
-		// requeue. Under drain the worker loop exits next iteration and
-		// Drain spills the ready set from the session table.
+		// Ordinary quantum expiry (or drain): park the VM and requeue.
+		// Under drain the worker loop exits next iteration and Drain
+		// spills the ready set from the session table.
 		sess.mu.Lock()
 		sess.state = StateReady
-		sess.ckpt = enc
-		sess.spilled = false
 		sess.enqueued = time.Now()
 		sess.mu.Unlock()
-		s.mu.Lock()
-		s.resident++
-		s.mu.Unlock()
 		s.reg.Counter("serve.preempts").Inc()
 		s.enqueue(sess)
 		s.shedCold()
@@ -228,41 +155,75 @@ func (s *Server) runQuantum(sess *Session) {
 		switch {
 		case errors.As(runErr, &rf):
 			s.reg.Counter("serve.resource_kills").Inc()
-			s.emitBundle(sess, bundleFor(flight.KindResource, runErr.Error()))
+			s.emitBundle(sess, s.failureBundle(sess, flight.KindResource, runErr.Error()))
 			s.failSession(sess, "resource: "+runErr.Error())
 		case errors.As(runErr, &trap):
-			s.emitBundle(sess, bundleFor(flight.KindTrap, runErr.Error()))
+			s.emitBundle(sess, s.failureBundle(sess, flight.KindTrap, runErr.Error()))
 			s.failSession(sess, "trap: "+trap.Error())
 		default:
-			s.emitBundle(sess, bundleFor(flight.KindError, runErr.Error()))
+			s.emitBundle(sess, s.failureBundle(sess, flight.KindError, runErr.Error()))
 			s.failSession(sess, runErr.Error())
 		}
 	}
 	s.updateGauges()
 }
 
-// quantumConfig is the VM configuration every quantum runs under and
+// coldStart builds the VM a session keeps for the rest of its life in
+// this server: from its shedding spill (read back and deleted), from
+// origin (a checkpoint adopted by Resume), or from the program image on
+// its first quantum. The Stop hook and the telemetry probe are attached
+// here, once per VM. A spill the filesystem tears or truncates never
+// parses — the checkpoint CRC rejects it — so the error is always
+// typed, never silent corruption.
+func (s *Server) coldStart(sess *Session, origin []byte, spilled bool) (*vm.VM, error) {
+	if spilled {
+		raw, err := s.fs.ReadFile(s.spillPath(sess.ID))
+		if err != nil {
+			s.noteIOFault("spill read", sess.ID, err)
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+		s.fs.Remove(s.spillPath(sess.ID))
+		s.reg.Counter("serve.spill_loads").Inc()
+		origin = raw
+	}
+
+	cfg := s.quantumConfig()
+	cfg.Store = s.store
+	cfg.Metrics = sess.reg
+	cfg.Poll = sess.tsess.Poll
+	var vv *vm.VM
+	cfg.Stop = func() bool {
+		return s.draining.Load() || sess.kill.Load() || sess.desched.Load() ||
+			vv.Stats.TotalVInsts() >= sess.deadline
+	}
+	vv = vm.New(mem.New(), cfg)
+	if origin == nil {
+		if err := vv.LoadProgram(sess.prog); err != nil {
+			return nil, fmt.Errorf("load: %w", err)
+		}
+	} else {
+		st, err := checkpoint.Decode(origin)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+		vv.Restore(st)
+	}
+	sess.tsess.SetProbe(telemetry.ProbeVM(vv, nil))
+
+	sess.mu.Lock()
+	sess.vm, sess.origin = vv, origin
+	sess.mu.Unlock()
+	return vv, nil
+}
+
+// quantumConfig is the VM configuration every session runs under and
 // every recorded bundle fingerprints; hooks and sinks are attached by
-// runQuantum itself.
+// coldStart itself.
 func (s *Server) quantumConfig() vm.Config {
 	cfg := vm.DefaultConfig()
 	cfg.SelfHeal = true
 	cfg.MaxPages = s.opts.SessionMaxPages
 	return cfg
-}
-
-// progBytes serialises the session's program image for a bundle; nil
-// for resumed sessions (their memory lives in the checkpoint) or if the
-// image fails to encode.
-func (s *Server) progBytes(sess *Session) []byte {
-	if sess.prog == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := sess.prog.Save(&buf); err != nil {
-		return nil
-	}
-	return buf.Bytes()
 }
 
 // tenantPageOverage reports a non-empty kill message when sess's tenant
@@ -281,103 +242,68 @@ func (s *Server) tenantPageOverage(sess *Session) string {
 		sess.Tenant, total, s.opts.TenantPageQuota)
 }
 
-// loadState returns the checkpoint to resume sess from: nil for a
-// first quantum, the decoded in-memory checkpoint, or the decoded
-// shedding spill (read back and deleted). It also returns the raw
-// encoded bytes for the flight recorder. A spill the filesystem tears
-// or truncates never parses — the checkpoint CRC rejects it — so the
-// error is always typed, never silent corruption.
-func (s *Server) loadState(sess *Session) (*checkpoint.State, []byte, error) {
-	sess.mu.Lock()
-	enc, spilled := sess.ckpt, sess.spilled
-	sess.ckpt = nil
-	sess.spilled = false
-	sess.mu.Unlock()
-	if spilled {
-		raw, err := s.fs.ReadFile(s.spillPath(sess.ID))
-		if err != nil {
-			s.noteIOFault("spill read", sess.ID, err)
-			return nil, nil, err
-		}
-		s.fs.Remove(s.spillPath(sess.ID))
-		s.reg.Counter("serve.spill_loads").Inc()
-		enc = raw
-	} else if enc != nil {
-		s.mu.Lock()
-		s.resident--
-		s.mu.Unlock()
-	}
-	if enc == nil {
-		return nil, nil, nil
-	}
-	st, err := checkpoint.Decode(enc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, enc, nil
-}
-
-// shedCold enforces MaxResident: while more checkpoints sit in memory
-// than allowed, the coldest ready session (least recently run — the one
-// least likely to be re-scheduled soon) is written to the spill
-// directory and its in-memory bytes are released. Overload therefore
-// degrades by slowing cold sessions' resumes, never by refusing to
-// checkpoint a hot one.
+// shedCold enforces MaxResident: while more ready sessions hold a VM
+// in memory than allowed, the coldest (least recently run — the one
+// least likely to be re-scheduled soon) is checkpointed to the spill
+// directory and its VM released. Overload therefore degrades by slowing
+// cold sessions' resumes, never by refusing to park a hot one.
 func (s *Server) shedCold() {
 	if s.opts.MaxResident <= 0 || s.opts.SpillDir == "" {
 		return
 	}
 	for {
 		s.mu.Lock()
-		if s.resident <= s.opts.MaxResident {
-			s.mu.Unlock()
-			return
-		}
+		resident := 0
 		var coldest *Session
 		var coldestAt time.Time
 		for _, sess := range s.live {
 			sess.mu.Lock()
-			candidate := sess.state == StateReady && !sess.spilled && !sess.spilling && sess.ckpt != nil
+			held := sess.state == StateReady && sess.vm != nil
+			candidate := held && !sess.spilling
 			at := sess.lastRun
 			sess.mu.Unlock()
+			if held {
+				resident++
+			}
 			if candidate && (coldest == nil || at.Before(coldestAt)) {
 				coldest, coldestAt = sess, at
 			}
 		}
 		s.mu.Unlock()
-		if coldest == nil {
+		if resident <= s.opts.MaxResident || coldest == nil {
 			return
 		}
 		if err := s.spillSession(coldest); err != nil {
-			// Shedding failure is non-fatal: the checkpoint stays
-			// resident (the atomic write never clobbered anything) and
-			// the session runs on; only the pressure-relief is lost.
+			// Shedding failure is non-fatal: the VM stays resident (the
+			// atomic write never clobbered anything) and the session runs
+			// on; only the pressure-relief is lost.
 			s.noteIOFault("shed spill", coldest.ID, err)
 			return
 		}
 	}
 }
 
-// spillSession writes a ready session's checkpoint to disk — via the
-// write-temp/fsync/rename protocol, so a fault mid-write never leaves
-// a torn file at the spill path — and drops the in-memory copy.
+// spillSession checkpoints a ready session's VM to disk — via the
+// write-temp/fsync/rename protocol, so a fault mid-write never leaves a
+// torn file at the spill path — and releases the VM.
 //
-// The write runs unlocked, so a worker may dequeue the session
-// meanwhile: it takes the checkpoint (loadState) and may even park a
-// newer one. The spill therefore commits only if the session is still
-// ready holding the very checkpoint written; otherwise the file is
-// stale and is removed. The spilling flag keeps a second shedder off
-// the session's spill path until this one settles.
+// The encode runs under the session lock while the session is ready,
+// so no worker is running the VM; the write runs unlocked, so a worker
+// may dequeue the session meanwhile and run it on. The spill therefore
+// commits only if the session is still ready at the same quantum count;
+// otherwise the file is stale and is removed. The spilling flag keeps a
+// second shedder off the session's spill path until this one settles.
 func (s *Server) spillSession(sess *Session) error {
 	if err := s.fs.MkdirAll(s.opts.SpillDir, 0o755); err != nil {
 		return err
 	}
 	sess.mu.Lock()
-	if sess.state != StateReady || sess.spilled || sess.spilling || sess.ckpt == nil {
+	if sess.state != StateReady || sess.vm == nil || sess.spilling {
 		sess.mu.Unlock()
 		return nil
 	}
-	enc := sess.ckpt
+	enc := checkpoint.Encode(sess.vm.Checkpoint())
+	quanta := sess.quanta
 	sess.spilling = true
 	sess.mu.Unlock()
 	// Cleared only after the stale-file removal below, so no other
@@ -389,9 +315,9 @@ func (s *Server) spillSession(sess *Session) error {
 	}()
 	err := iofs.AtomicWriteFile(s.fs, s.spillPath(sess.ID), enc, 0o644)
 	sess.mu.Lock()
-	commit := err == nil && sess.state == StateReady && len(sess.ckpt) > 0 && &sess.ckpt[0] == &enc[0]
+	commit := err == nil && sess.state == StateReady && sess.quanta == quanta
 	if commit {
-		sess.ckpt = nil
+		sess.vm = nil
 		sess.spilled = true
 	}
 	sess.mu.Unlock()
@@ -402,9 +328,6 @@ func (s *Server) spillSession(sess *Session) error {
 		s.fs.Remove(s.spillPath(sess.ID))
 		return nil
 	}
-	s.mu.Lock()
-	s.resident--
-	s.mu.Unlock()
 	s.reg.Counter("serve.spills").Inc()
 	return nil
 }
@@ -415,28 +338,37 @@ func (s *Server) spillPath(id string) string {
 }
 
 // spillForDrain persists one unfinished session for a successor server:
-// its checkpoint bytes (captured now for sessions that never ran) plus
-// the JSON meta sidecar Resume reads back.
-func (s *Server) spillForDrain(sess *Session) error {
+// its checkpoint bytes (from the resident VM, or its adopted origin, or
+// captured now for sessions that never ran) plus the JSON meta sidecar
+// Resume reads back. It returns the checkpoint bytes it meant to write,
+// nil when the state was already on disk from a shedding spill.
+func (s *Server) spillForDrain(sess *Session) ([]byte, error) {
 	sess.mu.Lock()
-	enc, spilled := sess.ckpt, sess.spilled
+	vv, origin, spilled := sess.vm, sess.origin, sess.spilled
 	quanta, vinsts := sess.quanta, sess.vinsts
 	sess.mu.Unlock()
-	if !spilled && enc == nil {
+	var enc []byte
+	switch {
+	case vv != nil:
+		enc = checkpoint.Encode(vv.Checkpoint())
+	case spilled: // already on disk from a shedding spill
+	case origin != nil:
+		enc = origin
+	default:
 		// Admitted but never scheduled: boot the VM just far enough to
 		// have an architected state worth spilling — load the image and
 		// checkpoint before the first instruction.
-		vv := vm.New(mem.New(), vm.DefaultConfig())
-		if err := vv.LoadProgram(sess.prog); err != nil {
-			return err
+		boot := vm.New(mem.New(), vm.DefaultConfig())
+		if err := boot.LoadProgram(sess.prog); err != nil {
+			return nil, err
 		}
-		enc = checkpoint.Encode(vv.Checkpoint())
+		enc = checkpoint.Encode(boot.Checkpoint())
 	}
 	if enc != nil {
 		if err := iofs.AtomicWriteFile(s.fs, s.spillPath(sess.ID), enc, 0o644); err != nil {
-			return err
+			return enc, err
 		}
-	} // else: already on disk from a shedding spill
+	}
 	// The sidecar is written second: a crash or fault between the two
 	// writes leaves a checkpoint no sidecar names, which the successor's
 	// Resume counts as an orphan and sweeps — never a half-adopted
@@ -446,9 +378,9 @@ func (s *Server) spillForDrain(sess *Session) error {
 		Quanta: quanta, VInsts: vinsts,
 	})
 	if err != nil {
-		return err
+		return enc, err
 	}
-	return iofs.AtomicWriteFile(s.fs, filepath.Join(s.opts.SpillDir, sess.ID+".json"), meta, 0o644)
+	return enc, iofs.AtomicWriteFile(s.fs, filepath.Join(s.opts.SpillDir, sess.ID+".json"), meta, 0o644)
 }
 
 // readSpillMeta parses one drain sidecar.
@@ -467,12 +399,12 @@ func readSpillMeta(fsys iofs.FS, path string) (*spillMeta, error) {
 	return &meta, nil
 }
 
-// finishSession settles a terminal state, releasing the session's
-// admission slot, closing its done channel, and finishing its plane
-// registration. final, when non-nil, is the encoded final checkpoint
-// served on /sessions/{id}/checkpoint and compared bit-for-bit by the
-// differential harnesses.
-func (s *Server) finishSession(sess *Session, st State, msg string, final []byte) {
+// finishSession settles a terminal state, releasing the session's VM
+// and admission slot, closing its done channel, and finishing its plane
+// registration. A session that is done keeps its encoded final
+// checkpoint, served on /sessions/{id}/checkpoint and compared
+// bit-for-bit by the differential harnesses.
+func (s *Server) finishSession(sess *Session, st State, msg string) {
 	sess.mu.Lock()
 	if sess.state.Terminal() {
 		sess.mu.Unlock()
@@ -480,10 +412,13 @@ func (s *Server) finishSession(sess *Session, st State, msg string, final []byte
 	}
 	sess.state = st
 	sess.errMsg = msg
-	sess.final = final
-	hadResident := sess.ckpt != nil
+	if st == StateDone {
+		ck := sess.vm.Checkpoint()
+		sess.final = checkpoint.Encode(ck)
+		sess.halted, sess.exitCode, sess.console = ck.Halted, ck.ExitStatus, string(ck.Console)
+	}
 	hadSpill := sess.spilled
-	sess.ckpt = nil
+	sess.vm, sess.origin = nil, nil
 	sess.spilled = false
 	done := sess.done
 	sess.mu.Unlock()
@@ -496,9 +431,6 @@ func (s *Server) finishSession(sess *Session, st State, msg string, final []byte
 	s.byTenant[sess.Tenant]--
 	if s.byTenant[sess.Tenant] <= 0 {
 		delete(s.byTenant, sess.Tenant)
-	}
-	if hadResident {
-		s.resident--
 	}
 	s.mu.Unlock()
 
@@ -526,14 +458,14 @@ func (s *Server) finishSession(sess *Session, st State, msg string, final []byte
 
 // failSession settles StateFailed with a cause.
 func (s *Server) failSession(sess *Session, msg string) {
-	s.finishSession(sess, StateFailed, msg, nil)
+	s.finishSession(sess, StateFailed, msg)
 }
 
 // crashSession is the crash barrier's landing: the panic value becomes
 // the quarantined session's failure cause.
 func (s *Server) crashSession(sess *Session, r any) {
 	s.log.Error("session crashed", "session", sess.ID, "panic", fmt.Sprint(r))
-	s.finishSession(sess, StateCrashed, fmt.Sprintf("panic: %v", r), nil)
+	s.finishSession(sess, StateCrashed, fmt.Sprintf("panic: %v", r))
 }
 
 // noteIOFault counts and logs one failed persistence operation. Every
@@ -569,34 +501,50 @@ func (s *Server) emitBundle(sess *Session, b *flight.Bundle) {
 	s.log.Info("flight bundle recorded", "session", sess.ID, "kind", b.Kind, "path", path)
 }
 
-// bundleDrainFailure records an io_fault bundle for a session whose
-// drain spill failed: the resident checkpoint bytes are the evidence —
-// the exact architected state the fault prevented from reaching disk.
-func (s *Server) bundleDrainFailure(sess *Session, cause error) {
-	if s.opts.BundleDir == "" {
-		return
-	}
+// failureBundle shapes a failure of sess into a flight-recorder bundle:
+// the state the session's VM started from (its origin checkpoint, or
+// the program image), the config fingerprint, and — once the session
+// holds a VM — the architected V-PC and counters at the failure. The
+// VM's Stats are preemption-invariant, so an uninterrupted replay from
+// that start state reproduces them.
+func (s *Server) failureBundle(sess *Session, kind, cause string) *flight.Bundle {
 	sess.mu.Lock()
-	enc := sess.ckpt
+	vv, origin, quanta, vinsts := sess.vm, sess.origin, sess.quanta, sess.vinsts
 	sess.mu.Unlock()
-	if enc == nil {
-		return
+	b := &flight.Bundle{
+		Kind:       kind,
+		Cause:      cause,
+		Config:     flight.CaptureConfig(s.quantumConfig()),
+		Budget:     s.opts.SessionVBudget,
+		Checkpoint: origin,
+		Events: []string{
+			fmt.Sprintf("session %s tenant %q name %q", sess.ID, sess.Tenant, sess.Name),
+			fmt.Sprintf("quantum %d, %d v-insts retired", quanta, vinsts),
+			"failure: " + cause,
+		},
 	}
+	var prog bytes.Buffer
+	if origin == nil && sess.prog != nil && sess.prog.Save(&prog) == nil {
+		b.Program = prog.Bytes()
+	}
+	if vv != nil {
+		ck := vv.Checkpoint()
+		b.VPC = ck.PC
+		b.Counters = ck.Counters
+	}
+	return b
+}
+
+// bundleDrainFailure records an io_fault bundle for a session whose
+// drain spill failed: the checkpoint bytes the fault kept off the disk
+// are the evidence — the exact architected state it prevented from
+// being persisted.
+func (s *Server) bundleDrainFailure(sess *Session, enc []byte, cause error) {
 	st, err := checkpoint.Decode(enc)
 	if err != nil {
 		return
 	}
-	s.emitBundle(sess, &flight.Bundle{
-		Kind:       flight.KindIOFault,
-		VPC:        st.PC,
-		Cause:      cause.Error(),
-		Config:     flight.CaptureConfig(s.quantumConfig()),
-		Budget:     s.opts.SessionVBudget,
-		Checkpoint: enc,
-		Counters:   st.Counters,
-		Events: []string{
-			fmt.Sprintf("session %s tenant %q name %q", sess.ID, sess.Tenant, sess.Name),
-			"drain spill failed: " + cause.Error(),
-		},
-	})
+	b := s.failureBundle(sess, flight.KindIOFault, "drain spill: "+cause.Error())
+	b.Checkpoint, b.Program, b.VPC, b.Counters = enc, nil, st.PC, st.Counters
+	s.emitBundle(sess, b)
 }

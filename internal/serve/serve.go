@@ -1,9 +1,11 @@
 // Package serve is the multi-tenant VM service: an admission-controlled
 // run queue in front of a bounded worker pool that round-robins
-// preemptible guest sessions, one scheduler quantum at a time. The
-// co-designed VM's checkpoint contract (DESIGN.md §11) makes a quantum
-// cheap and safe: a session is descheduled by encoding its complete
-// architected state, and resumed by restoring it into a fresh VM whose
+// preemptible guest sessions, one scheduler quantum at a time. Each
+// session keeps its live VM across quanta, so a quantum is a Stop-hook
+// preemption and a later Run of the same VM. The co-designed VM's
+// checkpoint contract (DESIGN.md §11) is used only where bytes are
+// needed — a shedding spill, a drain, the final state, a flight bundle:
+// a spilled or resumed session is restored into a fresh VM whose
 // concealed state — translation cache, counters, RAS — is rebuilt on
 // demand, with the process-wide fragment store ensuring hot superblocks
 // still translate only once per server. DESIGN.md §14 documents the
@@ -79,8 +81,10 @@ type Options struct {
 	// forces descheduling even if the guest is cheap per V-inst. 0
 	// disables it (the V-inst quantum still preempts).
 	QuantumWall time.Duration
-	// MaxResident bounds checkpoints held in memory; beyond it the
-	// coldest ready sessions spill to SpillDir. 0 is unlimited.
+	// MaxResident bounds the sessions held in memory between quanta
+	// (ready sessions keeping their VM); beyond it the coldest ready
+	// sessions are checkpointed to SpillDir and their VMs released. 0 is
+	// unlimited.
 	MaxResident int
 	// SpillDir receives overload spills and the drain checkpoint set.
 	// Required when MaxResident > 0 or Drain must preserve sessions.
@@ -135,7 +139,6 @@ type Server struct {
 	order    []string            // admission order, for listing
 	byTenant map[string]int
 	nextID   int
-	resident int // in-memory checkpoints (ready, not spilled)
 
 	runq chan *Session
 	quit chan struct{}
@@ -470,9 +473,9 @@ func (s *Server) Drain() (int, error) {
 	}
 	spilled := 0
 	for _, sess := range pending {
-		if err := s.spillForDrain(sess); err != nil {
+		if enc, err := s.spillForDrain(sess); err != nil {
 			s.noteIOFault("drain spill", sess.ID, err)
-			s.bundleDrainFailure(sess, err)
+			s.bundleDrainFailure(sess, enc, err)
 			s.failSession(sess, "drain spill: "+err.Error())
 			continue
 		}
@@ -549,7 +552,7 @@ func (s *Server) Resume(dir string) (int, int, error) {
 		}
 		resumed++
 		s.reg.Counter("serve.resume.sessions").Inc()
-		// The checkpoint now lives in memory under a fresh session ID;
+		// The checkpoint is now the origin of a session with a fresh ID;
 		// consume the spill files so a later drain of this server can't
 		// collide with (or double-resume) the previous generation's.
 		s.fs.Remove(filepath.Join(dir, meta.ID+".ckpt"))
@@ -584,8 +587,8 @@ func (s *Server) Resume(dir string) (int, int, error) {
 
 // adopt registers a spilled session under a fresh ID. With a decode
 // error it lands terminal (StateFailed); otherwise it enqueues with the
-// spilled checkpoint resident in memory.
-func (s *Server) adopt(meta *spillMeta, ckpt []byte, decodeErr error) *Session {
+// spilled checkpoint as its origin, restored on its first quantum.
+func (s *Server) adopt(meta *spillMeta, origin []byte, decodeErr error) *Session {
 	s.mu.Lock()
 	s.nextID++
 	sess := &Session{
@@ -600,14 +603,11 @@ func (s *Server) adopt(meta *spillMeta, ckpt []byte, decodeErr error) *Session {
 	}
 	sess.quanta = meta.Quanta
 	sess.vinsts = meta.VInsts
-	sess.ckpt = ckpt
+	sess.origin = origin
 	s.sessions[sess.ID] = sess
 	s.live[sess.ID] = sess
 	s.order = append(s.order, sess.ID)
 	s.byTenant[sess.Tenant]++
-	if ckpt != nil {
-		s.resident++
-	}
 	s.mu.Unlock()
 	sess.tsess = s.plane.Register(telemetry.SessionConfig{
 		Name: sess.Name + " #" + sess.ID + " (resumed)", Workload: sess.Name, Registry: sess.reg,

@@ -8,13 +8,14 @@ import (
 	"github.com/ildp/accdbt/internal/alphaprog"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/telemetry"
+	"github.com/ildp/accdbt/internal/vm"
 )
 
 // State is a session's position in the scheduler lifecycle.
 type State string
 
 // Session lifecycle states. A session moves queued → running → ready
-// (checkpointed between quanta, possibly spilled to disk) and around
+// (its VM parked in memory between quanta, or spilled to disk) and around
 // again until it reaches one of the terminal states: done (guest
 // exited), failed (trap, budget, timeout, or a bad checkpoint), killed
 // (client DELETE), or crashed (runtime panic quarantined by the crash
@@ -59,6 +60,9 @@ type Session struct {
 	kill atomic.Bool
 	// desched is armed by the quantum wall-clock safety timer.
 	desched atomic.Bool
+	// deadline is the V-instruction count ending the running quantum;
+	// only the worker running the session touches it.
+	deadline uint64
 
 	// reg is the session's private metrics registry, tapped by the
 	// telemetry plane; tsess is its plane registration.
@@ -68,10 +72,11 @@ type Session struct {
 	mu       sync.Mutex
 	state    State
 	errMsg   string
-	ckpt     []byte // encoded checkpoint between quanta (nil when spilled or unstarted)
-	spilled  bool   // checkpoint lives at spillPath instead of ckpt
-	spilling bool   // a shedding spill of ckpt is being written
-	final    []byte // final checkpoint once terminal
+	vm       *vm.VM // the session's live VM (nil when spilled, unstarted, or terminal)
+	origin   []byte // checkpoint vm was cold-restored from; nil when booted from prog
+	spilled  bool   // state lives at spillPath instead of vm
+	spilling bool   // a shedding spill of vm is being written
+	final    []byte // final checkpoint once done
 	quanta   int
 	vinsts   uint64 // cumulative V-instructions retired
 	pages    int    // guest-resident pages at the last quantum boundary

@@ -8,25 +8,50 @@ import (
 	"github.com/ildp/accdbt/internal/workload"
 )
 
-// TestDifferentialSoak is the PR's acceptance criterion: ≥200 sessions
-// scheduled across ≥8 concurrent workers, the quantum sized so every
-// session is forcibly preempted (checkpoint → encode → decode → restore
-// into a fresh VM) multiple times, and every final architected state
-// compared bit-for-bit — registers, PC, exit status, console, memory —
-// against an uninterrupted single-VM pure-interpreter run of the same
-// image. Any scheduler, checkpoint, or shared-store bug that perturbs a
-// single guest-visible bit fails the test with the first diverging
-// field. Tenants rotate so quota accounting churns too.
+// TestDifferentialSoak is the serving acceptance criterion: ≥200
+// sessions scheduled across ≥8 concurrent workers, the quantum sized so
+// every session is forcibly preempted multiple times, and every final
+// architected state compared bit-for-bit — registers, PC, exit status,
+// console, memory — against an uninterrupted single-VM
+// pure-interpreter run of the same image. It runs twice: once with
+// every session keeping its VM resident between quanta, and once with
+// MaxResident=1 so most requeues shed the session to disk and its next
+// quantum restores it cold (checkpoint → encode → write → read → decode
+// → restore into a fresh VM). Any scheduler, checkpoint, or
+// shared-store bug that perturbs a single guest-visible bit fails the
+// test with the first diverging field. Tenants rotate so quota
+// accounting churns too.
 func TestDifferentialSoak(t *testing.T) {
 	sessionsN := 200
 	if testing.Short() {
 		sessionsN = 48
 	}
-	s := testServer(t, Options{
-		Workers:       8,
-		QuantumVInsts: 15_000, // the smallest workload (~55k V-insts) preempts ≥ 3×
-		MaxSessions:   sessionsN,
-	})
+	for _, set := range []struct {
+		name  string
+		spill bool
+	}{{"resident", false}, {"spilling", true}} {
+		t.Run(set.name, func(t *testing.T) {
+			opts := Options{
+				Workers:       8,
+				QuantumVInsts: 15_000, // the smallest workload (~55k V-insts) preempts ≥ 3×
+				MaxSessions:   sessionsN,
+			}
+			if set.spill {
+				opts.MaxResident = 1
+				opts.SpillDir = t.TempDir()
+			}
+			s := testServer(t, opts)
+			soak(t, s, sessionsN)
+			if loads := s.reg.Counter("serve.spill_loads").Load(); set.spill && loads == 0 {
+				t.Error("no spill loads: no session resumed from disk")
+			}
+		})
+	}
+}
+
+// soak submits sessionsN workload sessions to s and checks each
+// finishes preempted at least once and bit-identical to its oracle.
+func soak(t *testing.T, s *Server, sessionsN int) {
 	names := workload.Names()
 	type job struct {
 		sess *Session
@@ -60,6 +85,6 @@ func TestDifferentialSoak(t *testing.T) {
 	if st.Completed != uint64(sessionsN) {
 		t.Errorf("completed = %d, want %d", st.Completed, sessionsN)
 	}
-	t.Logf("soak: %d sessions, %d preempted ≥ once, %d quanta, quantum p50/p99 = %.2f/%.2f ms",
-		sessionsN, preempted, st.Quanta, st.QuantumP50ms, st.QuantumP99ms)
+	t.Logf("soak: %d sessions, %d preempted ≥ once, %d quanta, %d spills, quantum p50/p99 = %.2f/%.2f ms",
+		sessionsN, preempted, st.Quanta, st.Spills, st.QuantumP50ms, st.QuantumP99ms)
 }

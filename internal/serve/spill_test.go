@@ -43,10 +43,10 @@ func recvWithin(t *testing.T, ch <-chan struct{}, what string) {
 
 // TestShedSpillRacesDequeue runs a shedding spill whose write is still
 // in flight when a worker dequeues the session, runs a whole quantum,
-// and parks a newer checkpoint. The late spill must not commit: the
-// newer checkpoint stays resident, the resident count is decremented
-// once (by the dequeue) rather than twice, and the stale file is
-// removed. The session then finishes bit-identical to its oracle.
+// and parks its VM again. The late spill must not commit: the VM, now
+// a quantum past the written state, stays resident and the stale file
+// is removed. The session then finishes bit-identical to its oracle and
+// releases its VM.
 func TestShedSpillRacesDequeue(t *testing.T) {
 	dir := t.TempDir()
 	fsys := &gateFS{entered: make(chan struct{}), release: make(chan struct{})}
@@ -77,8 +77,8 @@ func TestShedSpillRacesDequeue(t *testing.T) {
 	}
 	sess := submitWorkload(t, s, "gap", 1, 0, "t0") // ~11 quanta of 5k V-insts
 
-	// Quantum 1 parked its checkpoint; the worker holds the session at
-	// the top of quantum 2, before it takes that checkpoint.
+	// Quantum 1 parked the VM; the worker holds the session at the top
+	// of quantum 2, before it claims the session.
 	recvWithin(t, atQ2, "quantum 2")
 	fsys.armed.Store(true)
 	spillErr := make(chan error, 1)
@@ -86,28 +86,19 @@ func TestShedSpillRacesDequeue(t *testing.T) {
 	recvWithin(t, fsys.entered, "the spill write")
 
 	// Mid-write, the worker dequeues the session, runs quantum 2, parks
-	// a newer checkpoint, and pauses at quantum 3.
+	// the VM again, and pauses at quantum 3.
 	close(goQ2)
 	recvWithin(t, atQ3, "quantum 3")
-	sess.mu.Lock()
-	newer := sess.ckpt
-	sess.mu.Unlock()
 	close(fsys.release)
 	if err := <-spillErr; err != nil {
 		t.Fatalf("spill: %v", err)
 	}
 
 	sess.mu.Lock()
-	spilled, ckpt := sess.spilled, sess.ckpt
+	spilled, resident := sess.spilled, sess.vm != nil
 	sess.mu.Unlock()
-	s.mu.Lock()
-	resident := s.resident
-	s.mu.Unlock()
-	if spilled || ckpt == nil || &ckpt[0] != &newer[0] {
-		t.Fatalf("stale spill committed: spilled=%v, newer checkpoint resident=%v", spilled, ckpt != nil)
-	}
-	if resident != 1 {
-		t.Fatalf("resident = %d after the abandoned spill, want 1", resident)
+	if spilled || !resident {
+		t.Fatalf("stale spill committed: spilled=%v, VM resident=%v", spilled, resident)
 	}
 	if n, err := countSpillFiles(dir); err != nil || n != 0 {
 		t.Fatalf("%d stale spill files left (%v)", n, err)
@@ -119,11 +110,11 @@ func TestShedSpillRacesDequeue(t *testing.T) {
 		t.Fatalf("state = %s (%s), want done", got, sess.Err())
 	}
 	checkFinal(t, sess, oracle(t, "gap", 1, 0))
-	s.mu.Lock()
-	resident = s.resident
-	s.mu.Unlock()
-	if resident != 0 {
-		t.Fatalf("resident = %d after the session finished, want 0", resident)
+	sess.mu.Lock()
+	resident = sess.vm != nil
+	sess.mu.Unlock()
+	if resident {
+		t.Fatal("finished session still holds its VM")
 	}
 }
 

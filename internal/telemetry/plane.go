@@ -255,6 +255,9 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			if !hasVMCounters(s.reg) {
 				tmp := metrics.NewRegistry()
 				live.Stats.Publish(tmp)
+				if live.Preemptions != 0 {
+					tmp.Counter("vm.preempt.preemptions").Add(live.Preemptions)
+				}
 				exp.AddRegistry(tmp, labels...)
 			}
 			exp.Add("vm.vpc", "gauge", float64(live.VPC), labels...)
@@ -437,7 +440,7 @@ func (p *Plane) handleVMs(w http.ResponseWriter, r *http.Request) {
 			row.VInsts = live.Stats.TotalVInsts()
 			row.Fragments = live.Stats.Fragments
 			row.Recoveries = live.Stats.Recoveries()
-			row.Preempts = live.Stats.Preemptions
+			row.Preempts = live.Preemptions
 			row.StoreHits = live.Stats.StoreHits
 		}
 		out = append(out, row)
@@ -536,7 +539,7 @@ func (p *Plane) handleVM(w http.ResponseWriter, r *http.Request) {
 		d.VInsts = live.Stats.TotalVInsts()
 		d.Fragments = live.Stats.Fragments
 		d.Recoveries = live.Stats.Recoveries()
-		d.Preempts = live.Stats.Preemptions
+		d.Preempts = live.Preemptions
 		d.StoreHits = live.Stats.StoreHits
 		d.Stats = live.Stats
 		d.TCache = live.TCache
@@ -550,7 +553,7 @@ func (p *Plane) handleVM(w http.ResponseWriter, r *http.Request) {
 			StaleLinks:    live.Stats.StaleLinks,
 			Quarantines:   live.Stats.Quarantines,
 			WatchdogTrips: live.Stats.WatchdogTrips,
-			Preemptions:   live.Stats.Preemptions,
+			Preemptions:   live.Preemptions,
 			RecoveryCost:  live.Stats.RecoveryCost,
 		}
 		if hotN > 0 && live.Hot != nil {

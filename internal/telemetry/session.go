@@ -20,6 +20,8 @@ import (
 type Live struct {
 	// Stats is a copy of the VM's execution statistics.
 	Stats vm.Stats `json:"stats"`
+	// Preemptions is the VM's preemption count (vm.VM.Preemptions).
+	Preemptions uint64 `json:"preemptions"`
 	// VPC is the V-ISA program counter at the snapshot boundary.
 	VPC uint64 `json:"vpc"`
 	// Halted reports whether the guest executed its exit call;
@@ -285,12 +287,13 @@ func ProbeVM(v *vm.VM, p *prof.Profiler) func() Live {
 	return func() Live {
 		cpu := v.CPU()
 		live := Live{
-			Stats:      v.Stats,
-			VPC:        cpu.PC,
-			Halted:     cpu.Halted,
-			ExitStatus: cpu.ExitStatus,
-			TCache:     v.TCache().Occupancy(),
-			Pages:      v.Pages(),
+			Stats:       v.Stats,
+			Preemptions: v.Preemptions,
+			VPC:         cpu.PC,
+			Halted:      cpu.Halted,
+			ExitStatus:  cpu.ExitStatus,
+			TCache:      v.TCache().Occupancy(),
+			Pages:       v.Pages(),
 		}
 		if p.Enabled() {
 			live.Hot = p.LiveProfile()

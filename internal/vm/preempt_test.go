@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/ildp/accdbt/internal/alpha/alphaasm"
@@ -40,8 +41,8 @@ func TestStopHookPreciselyPreempts(t *testing.T) {
 	if v.CPU().Halted {
 		t.Error("preempted run reports Halted")
 	}
-	if v.Stats.Preemptions != 1 {
-		t.Errorf("Stats.Preemptions = %d, want 1", v.Stats.Preemptions)
+	if v.Preemptions != 1 {
+		t.Errorf("Preemptions = %d, want 1", v.Preemptions)
 	}
 	if v.Stats.TotalVInsts() < 5_000 {
 		t.Errorf("preempted before the hook could have fired (%d V-insts)", v.Stats.TotalVInsts())
@@ -109,9 +110,95 @@ func TestResumeFromBudgetMatchesUninterrupted(t *testing.T) {
 	if got, want := v2.Stats.TotalVInsts(), ref.InstCount; got != want {
 		t.Errorf("cumulative V-insts = %d, want %d (uninterrupted)", got, want)
 	}
-	if v2.Stats.Preemptions != 1 {
-		t.Errorf("restored Stats.Preemptions = %d, want 1", v2.Stats.Preemptions)
+	if v2.Preemptions != 0 {
+		t.Errorf("restored Preemptions = %d, want 0 (not checkpointed)", v2.Preemptions)
 	}
+}
+
+// TestPreemptionInvisible preempts one VM per workload again and again
+// and resumes that same VM each time, two ways: at V-instruction
+// targets, and at every Nth Stop poll (which lands on chained and
+// dispatched fragment entries too). The architected state and every
+// Stats counter must equal an uninterrupted run's, both where a
+// V-instruction budget runs out midway and at the end: preemption is
+// the scheduler's event, not the guest's, so a flight bundle replayed
+// without interruption must reproduce the counters a preempted session
+// recorded.
+func TestPreemptionInvisible(t *testing.T) {
+	byTarget := func(step uint64) func(*VM) bool {
+		target := step
+		return func(v *VM) bool {
+			if n := v.Stats.TotalVInsts(); n >= target {
+				target = n + step
+				return true
+			}
+			return false
+		}
+	}
+	everyNth := func(n int) func(*VM) bool {
+		polls := 0
+		return func(*VM) bool { polls++; return polls%n == 0 }
+	}
+	preempted := map[string]uint64{}
+	for _, name := range workload.Names() {
+		spec, err := workload.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := spec.MustProgram()
+		// run returns the VM at the end and its state where a budget of
+		// 20 011 V-instructions ran out.
+		run := func(stop func(*VM) bool) (*VM, *checkpoint.State) {
+			cfg := DefaultConfig()
+			var v *VM
+			if stop != nil {
+				cfg.Stop = func() bool { return stop(v) }
+			}
+			v = New(mem.New(), cfg)
+			if err := v.LoadProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			budget := int64(20_011)
+			var atBudget *checkpoint.State
+			for {
+				err := v.Run(budget)
+				switch {
+				case err == nil:
+					return v, atBudget
+				case errors.Is(err, ErrBudget):
+					atBudget, budget = v.Checkpoint(), 0
+				case !errors.Is(err, ErrPreempted):
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		ref, refBudget := run(nil)
+		want := ref.Checkpoint()
+		for _, way := range []struct {
+			label string
+			stop  func(*VM) bool
+		}{
+			{"v-inst targets", byTarget(3_000)},
+			{"every 101st poll", everyNth(101)},
+		} {
+			got, gotBudget := run(way.stop)
+			preempted[way.label] += got.Preemptions
+			if got.Preemptions <= ref.Preemptions {
+				t.Errorf("%s, %s: never preempted", name, way.label)
+			}
+			if !reflect.DeepEqual(gotBudget, refBudget) {
+				t.Errorf("%s, %s: state where the budget ran out differs from the uninterrupted run", name, way.label)
+			}
+			if got.Stats != ref.Stats {
+				t.Errorf("%s, %s (%d preemptions): Stats differ from the uninterrupted run\n got %+v\nwant %+v",
+					name, way.label, got.Preemptions, got.Stats, ref.Stats)
+			}
+			if !reflect.DeepEqual(got.Checkpoint(), want) {
+				t.Errorf("%s, %s: architected state differs from the uninterrupted run", name, way.label)
+			}
+		}
+	}
+	t.Logf("preemptions taken: %v", preempted)
 }
 
 // TestWatchdogBreaksLivelock corrupts every translation so translated
@@ -163,7 +250,6 @@ func TestStatsCountersRoundTrip(t *testing.T) {
 	s.ClassCounts = [5]uint64{10, 11, 12, 13, 14}
 	s.UsageDyn = [8]uint64{20, 0, 22, 0, 24, 0, 26, 0}
 	s.UsageStatic = translate.UsageCounts{-1, 2, -3, 4, -5, 6, -7, 8}
-	s.Preemptions = 7
 	s.WatchdogTrips = 9
 
 	var back Stats

@@ -29,18 +29,23 @@ const shrinkFloor = 4 << 10
 // guarantees forward progress — the next entry attempt redraws.
 func (v *VM) fragUsable(f *tcache.Fragment) bool {
 	// Preemption poll: a chained hot loop can stay inside translated code
-	// indefinitely, so the stop hook must also be visible at chained and
-	// dispatched entries, not just at the Run loop top. Refusing the
-	// entry exits to the VM at this fragment's V-start — a precise
-	// V-instruction boundary — where the loop-top check converts the
-	// request into a *PreemptError.
+	// indefinitely, so the budget and the stop hook must also be visible
+	// at chained and dispatched entries, not just at the Run loop top.
+	// Refusing the entry exits to the VM at this fragment's V-start — a
+	// precise V-instruction boundary — and stopCause makes Run convert
+	// the refusal into a *PreemptError there.
 	if poll := v.cfg.Poll; poll != nil {
 		// Observation hook: like Stop below, it must fire at chained and
 		// dispatched entries too, or a chained hot loop could starve the
 		// telemetry plane for the whole loop's lifetime.
 		poll()
 	}
+	if v.budget > 0 && int64(v.Stats.TotalVInsts()) >= v.budget {
+		v.stopCause = ErrBudget
+		return false
+	}
 	if stop := v.cfg.Stop; stop != nil && stop() {
+		v.stopCause = ErrPreempted
 		return false
 	}
 	// Livelock watchdog: translated code retiring no V-instructions
@@ -156,7 +161,8 @@ func (v *VM) quarantinePC(pc uint64, cause error) {
 // typed error the caller returns. cause is ErrPreempted (stop hook) or
 // ErrBudget.
 func (v *VM) preempt(cause error) error {
-	v.Stats.Preemptions++
+	v.Preemptions++
+	v.stopCause = nil
 	v.cfg.Metrics.Event(metrics.Event{Kind: metrics.EventPreempt, Frag: -1,
 		VStart: v.cpu.PC, Detail: cause.Error()})
 	v.cfg.Metrics.Counter("vm.preempt.events").Inc()

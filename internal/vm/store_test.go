@@ -224,10 +224,12 @@ func TestStoreWarmResume(t *testing.T) {
 	first := runSchedule(cold)
 	compareState(t, "cold resume", ref, first, resultsAddrs())
 	// Stats survive the checkpoint, so the resumed VM's counters cover
-	// the whole schedule.
-	if first.Stats.StoreMisses == 0 || first.Stats.StoreHits != 0 {
-		t.Fatalf("cold pass: %d misses, %d hits — schedule should translate everything once",
-			first.Stats.StoreMisses, first.Stats.StoreHits)
+	// the whole schedule. The resumed segment's cold cache may re-form
+	// superblocks the killed one already published (store hits), but
+	// each is translated once.
+	if first.Stats.StoreMisses == 0 || int(first.Stats.StoreMisses) != cold.Len() {
+		t.Fatalf("cold pass: %d misses for %d store entries — schedule should translate everything once",
+			first.Stats.StoreMisses, cold.Len())
 	}
 
 	warm, rep, err := fragstore.Decode(cold.Encode(), fragstore.LoadOptions{SemCheck: true})
@@ -246,9 +248,8 @@ func TestStoreWarmResume(t *testing.T) {
 	if second.Stats.TranslateCost != 0 {
 		t.Errorf("warm replay charged translate cost %d, want 0", second.Stats.TranslateCost)
 	}
-	if second.Stats.StoreHits != first.Stats.StoreMisses {
-		t.Errorf("warm replay: %d hits for %d cold translations",
-			second.Stats.StoreHits, first.Stats.StoreMisses)
+	if lookups := first.Stats.StoreMisses + first.Stats.StoreHits; second.Stats.StoreHits != lookups {
+		t.Errorf("warm replay: %d hits for %d cold store lookups", second.Stats.StoreHits, lookups)
 	}
 	if got := warm.Stats().Misses; got != 0 {
 		t.Errorf("warm store recorded %d misses", got)

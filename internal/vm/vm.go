@@ -256,8 +256,7 @@ type Stats struct {
 	FallbackInsts  uint64 // instructions interpreted in recovery fallback
 	RecoveryCost   int64  // modelled recovery overhead in Alpha instructions
 
-	// Preemption statistics (DESIGN.md §11). Zero on undisturbed runs.
-	Preemptions   uint64 // stop-hook or budget preemptions taken
+	// Livelock-watchdog statistics (DESIGN.md §11). Zero on undisturbed runs.
 	WatchdogTrips uint64 // livelock watchdog quarantines
 
 	// Resource-governance statistics (DESIGN.md §15). Zero unless
@@ -361,11 +360,10 @@ func (s *Stats) Publish(reg *metrics.Registry) {
 		u("vm.recovery.fallback_insts", s.FallbackInsts)
 		i("vm.recovery.cost", s.RecoveryCost)
 	}
-	// Preemption counters likewise appear only on runs that were actually
-	// preempted or watchdog-tripped, so undisturbed registries stay
-	// byte-identical with and without this build.
-	if s.Preemptions != 0 || s.WatchdogTrips != 0 {
-		u("vm.preempt.preemptions", s.Preemptions)
+	// The watchdog counter likewise appears only on runs the watchdog
+	// actually tripped, so undisturbed registries stay byte-identical
+	// with and without this build.
+	if s.WatchdogTrips != 0 {
 		u("vm.preempt.watchdog_trips", s.WatchdogTrips)
 	}
 	// The resource-trap counter appears only on runs the page governor
@@ -444,12 +442,23 @@ type VM struct {
 	wdRetired uint64
 	wdWork    uint64
 
+	// budget is the running Run's maxVInsts. stopCause is set when the
+	// budget or the Stop hook refuses a fragment entry; Run turns it into
+	// a preemption at that entry's V-start.
+	budget    int64
+	stopCause error
+
 	// testMutateResult, when set, corrupts each translation before the
 	// verifier sees it — the test hook proving paranoid mode rejects bad
 	// installs.
 	testMutateResult func(res *translate.Result)
 
 	Stats Stats
+
+	// Preemptions counts the stop-hook and budget preemptions taken. It
+	// is the scheduler's event, not the guest's: kept out of Stats and
+	// never checkpointed.
+	Preemptions uint64
 }
 
 // New creates a VM around the given memory image.
@@ -528,10 +537,12 @@ func (v *VM) noteRunError(err error) error {
 }
 
 // Run executes until the program halts, a trap propagates, or maxVInsts
-// V-ISA instructions have retired (0 = unlimited). Out-of-domain
-// semantic panics from the emulator core (*emu.SemanticsError) are
-// recovered here and surfaced as ordinary errors tagged with the
-// current V-PC; any other panic propagates.
+// V-ISA instructions have retired (0 = unlimited). The budget is checked
+// wherever Stop is polled, so a budget preemption lands on the same
+// V-instruction boundary however often the run was preempted before
+// it. Out-of-domain semantic panics from the emulator core
+// (*emu.SemanticsError) are recovered here and surfaced as ordinary
+// errors tagged with the current V-PC; any other panic propagates.
 func (v *VM) Run(maxVInsts int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -542,6 +553,7 @@ func (v *VM) Run(maxVInsts int64) (err error) {
 			err = fmt.Errorf("vm: at V-PC %#x: %w", v.cpu.PC, se)
 		}
 	}()
+	v.budget = maxVInsts
 	for !v.cpu.Halted {
 		if maxVInsts > 0 && int64(v.Stats.TotalVInsts()) >= maxVInsts {
 			return v.preempt(ErrBudget)
@@ -563,9 +575,17 @@ func (v *VM) Run(maxVInsts int64) (err error) {
 					return nil
 				}
 				v.cpu.PC = exitPC
-				v.Stats.Exits++
-				v.noteCandidate(exitPC)
-				continue
+				if v.stopCause == nil {
+					v.Stats.Exits++
+					v.noteCandidate(exitPC)
+					continue
+				}
+			}
+			// A refused entry, here or chained inside translated code,
+			// preempts at its V-start with no Exits and no interpreted
+			// step, so preemption leaves Stats unchanged.
+			if v.stopCause != nil {
+				return v.preempt(v.stopCause)
 			}
 		}
 		if err := v.interpStep(); err != nil {
