@@ -27,10 +27,11 @@ echo "== ildpanalyze (project linters)"
 go run ./cmd/ildpanalyze ./internal/... ./cmd/...
 # The opt-in godoc gate: every exported symbol of the cache surface
 # (the per-VM cache and the shared persistent store), the stream
-# envelope, the telemetry plane, and the serving scheduler carries a
-# doc comment.
+# envelope, the telemetry plane, the serving scheduler, the VM and its
+# checkpoint, flight-bundle and metrics surfaces carries a doc comment.
 go run ./cmd/ildpanalyze -select exporteddoc ./internal/tcache ./internal/fragstore \
-    ./internal/codec ./internal/telemetry ./internal/serve
+    ./internal/codec ./internal/telemetry ./internal/serve \
+    ./internal/vm ./internal/flight ./internal/checkpoint ./internal/metrics
 
 echo "== go vet"
 go vet ./...

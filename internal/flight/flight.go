@@ -339,19 +339,6 @@ type Result struct {
 	Counters map[string]uint64
 }
 
-// storeDependent names the counters excluded from Matches: the shared
-// fragment store dedups translation work across sessions, so a replay
-// without the neighbouring sessions legitimately translates more (or
-// less) than the original run did. Everything architecturally
-// meaningful — retirement, traps, recoveries, fragment entries — is
-// store-independent and compared exactly.
-var storeDependent = map[string]bool{
-	"stats.StoreHits":       true,
-	"stats.StoreMisses":     true,
-	"stats.StoreSharedHits": true,
-	"stats.TranslateCost":   true,
-}
-
 // Replay re-executes the bundle's failing segment: it rebuilds the VM
 // from the config fingerprint (and fault schedule), restores the
 // checkpoint (or boots the program), runs under the recorded budget
@@ -416,9 +403,9 @@ func Replay(b *Bundle) (*Result, error) {
 }
 
 // Matches checks that a replay reproduced the recorded failure: same
-// kind, same V-PC, and identical counters modulo the store-dependent
-// exclusions. A nil return is the bit-identical verdict; otherwise the
-// error names the first divergence.
+// kind, same V-PC, and identical counters except the store-dependent
+// ones (vm.StoreDependent). A nil return is the bit-identical verdict;
+// otherwise the error names the first divergence.
 func (r *Result) Matches(b *Bundle) error {
 	if r.Kind != b.Kind {
 		return fmt.Errorf("flight: kind diverges: replay %s, bundle %s", r.Kind, b.Kind)
@@ -439,7 +426,7 @@ func (r *Result) Matches(b *Bundle) error {
 	}
 	sort.Strings(sorted)
 	for _, name := range sorted {
-		if storeDependent[name] {
+		if vm.StoreDependent(name) {
 			continue
 		}
 		if got, want := r.Counters[name], b.Counters[name]; got != want {

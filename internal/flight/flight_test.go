@@ -216,6 +216,38 @@ func TestMatchesDetectsDivergence(t *testing.T) {
 	}
 }
 
+// TestMatchesSkipsStoreDependent pins the counters a replay may
+// legitimately disagree on: exactly the four store-dependent ones.
+func TestMatchesSkipsStoreDependent(t *testing.T) {
+	b, _ := testBundle(t, 64, nil)
+	res, err := Replay(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"stats.StoreHits", "stats.StoreMisses",
+		"stats.StoreSharedHits", "stats.TranslateCost"} {
+		res.Counters[name] += 3
+	}
+	if err := res.Matches(b); err != nil {
+		t.Errorf("store-dependent counters compared: %v", err)
+	}
+	skipped := 0
+	for name := range res.Counters {
+		if vm.StoreDependent(name) {
+			skipped++
+			continue
+		}
+		res.Counters[name]++
+		if err := res.Matches(b); err == nil {
+			t.Errorf("divergence in %s not detected", name)
+		}
+		res.Counters[name]--
+	}
+	if skipped != 4 {
+		t.Errorf("%d counters are store-dependent, want 4", skipped)
+	}
+}
+
 // TestReplayWithFaultSchedule replays a failure recorded under VM-level
 // chaos: the injected fault schedule is part of the bundle, so the
 // replay draws the identical faults.

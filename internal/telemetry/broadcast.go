@@ -112,7 +112,10 @@ func (b *Broadcaster) dispatch() {
 	}
 }
 
-// deliver marshals one event and offers it to every subscriber.
+// deliver marshals one event and offers it to every subscriber. The
+// offers are made under b.mu, so Subscriber.Close cannot close a
+// channel between the subscriber lookup and the send; the offers never
+// block, so the lock is held for one select per subscriber.
 func (b *Broadcaster) deliver(e StreamEvent) {
 	payload, err := json.Marshal(e)
 	if err != nil {
@@ -121,12 +124,8 @@ func (b *Broadcaster) deliver(e StreamEvent) {
 		return
 	}
 	b.mu.Lock()
-	subs := make([]*Subscriber, 0, len(b.subs))
+	defer b.mu.Unlock()
 	for _, s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.mu.Unlock()
-	for _, s := range subs {
 		select {
 		case s.ch <- payload:
 			s.delivered.Add(1)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 
@@ -145,5 +146,43 @@ func TestBroadcastCloseSemantics(t *testing.T) {
 	late := b.Subscribe()
 	if _, ok := <-late.Events(); ok {
 		t.Error("post-Close subscriber channel not closed")
+	}
+}
+
+// TestSubscriberCloseDuringDeliver races subscriber churn against a
+// busy dispatcher: a Subscriber.Close landing while deliver is offering
+// an event must never close the channel under the send. Run under
+// -race to see the interleaving.
+func TestSubscriberCloseDuringDeliver(t *testing.T) {
+	b := NewBroadcaster(64, 1)
+	stop := make(chan struct{})
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				b.Publish(StreamEvent{Session: "s1"})
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				b.Subscribe().Close()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-published
+	b.Close()
+	if n := b.Subscribers(); n != 0 {
+		t.Errorf("%d subscribers left after every one closed", n)
 	}
 }

@@ -1,9 +1,6 @@
 package vm
 
 import (
-	"reflect"
-	"strconv"
-
 	"github.com/ildp/accdbt/internal/checkpoint"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/translate"
@@ -22,6 +19,10 @@ import (
 // *PreemptError), never concurrently with Run.
 func (v *VM) Checkpoint() *checkpoint.State {
 	lockFlag, lockAddr := v.cpu.LockState()
+	counters := make(map[string]uint64, len(statFields))
+	for _, f := range statFields {
+		counters[f.key] = f.get(&v.Stats)
+	}
 	return &checkpoint.State{
 		PC:         v.cpu.PC,
 		Reg:        v.cpu.Reg,
@@ -32,7 +33,7 @@ func (v *VM) Checkpoint() *checkpoint.State {
 		LockAddr:   lockAddr,
 		MemStrict:  v.mem.Strict,
 		Console:    append([]byte(nil), v.cpu.Console...),
-		Counters:   statsToCounters(&v.Stats),
+		Counters:   counters,
 		Pages:      v.mem.Snapshot(),
 	}
 }
@@ -57,8 +58,9 @@ func (v *VM) Restore(st *checkpoint.State) {
 	v.mem.Strict = st.MemStrict
 	v.mem.LoadSnapshot(st.Pages)
 
-	v.Stats = Stats{}
-	statsFromCounters(&v.Stats, st.Counters)
+	for _, f := range statFields {
+		f.set(&v.Stats, st.Counters[f.key]) // an absent key is a zero
+	}
 
 	// Concealed state: discard and rebuild.
 	v.tc.Reset()
@@ -78,69 +80,4 @@ func (v *VM) Restore(st *checkpoint.State) {
 	v.cfg.Metrics.Event(metrics.Event{Kind: metrics.EventResume, Frag: -1, VStart: st.PC})
 	v.cfg.Metrics.Counter("vm.preempt.resumes").Inc()
 	v.cfg.Prof.Resume(v.Stats.TransIInsts, v.Stats.TransVInsts)
-}
-
-// statsToCounters flattens Stats into named values by reflection:
-// scalar fields become "stats.<Field>", array fields (ClassCounts,
-// UsageDyn, UsageStatic) become "stats.<Field>.<i>". Signed fields are
-// bit-cast, which round-trips exactly through statsFromCounters.
-// Reflection keeps the checkpoint format decoupled from the Stats
-// layout: adding a field extends the counter set automatically.
-func statsToCounters(s *Stats) map[string]uint64 {
-	out := map[string]uint64{}
-	rv := reflect.ValueOf(s).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		name := "stats." + rt.Field(i).Name
-		f := rv.Field(i)
-		if f.Kind() == reflect.Array {
-			for j := 0; j < f.Len(); j++ {
-				out[name+"."+strconv.Itoa(j)] = scalarBits(f.Index(j))
-			}
-			continue
-		}
-		out[name] = scalarBits(f)
-	}
-	return out
-}
-
-// statsFromCounters is the inverse of statsToCounters: fields whose
-// names are absent (e.g. zero-valued entries dropped by the canonical
-// encoding, or fields added after the checkpoint was written) stay
-// zero.
-func statsFromCounters(s *Stats, counters map[string]uint64) {
-	rv := reflect.ValueOf(s).Elem()
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		name := "stats." + rt.Field(i).Name
-		f := rv.Field(i)
-		if f.Kind() == reflect.Array {
-			for j := 0; j < f.Len(); j++ {
-				setScalarBits(f.Index(j), counters[name+"."+strconv.Itoa(j)])
-			}
-			continue
-		}
-		setScalarBits(f, counters[name])
-	}
-}
-
-func scalarBits(f reflect.Value) uint64 {
-	switch f.Kind() {
-	case reflect.Uint64:
-		return f.Uint()
-	case reflect.Int, reflect.Int64:
-		return uint64(f.Int())
-	}
-	panic("vm: unsupported Stats field kind " + f.Kind().String())
-}
-
-func setScalarBits(f reflect.Value, bits uint64) {
-	switch f.Kind() {
-	case reflect.Uint64:
-		f.SetUint(bits)
-	case reflect.Int, reflect.Int64:
-		f.SetInt(int64(bits))
-	default:
-		panic("vm: unsupported Stats field kind " + f.Kind().String())
-	}
 }

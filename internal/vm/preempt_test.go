@@ -237,28 +237,6 @@ func TestWatchdogBreaksLivelock(t *testing.T) {
 	compareState(t, "watchdog", ref, v, resultsAddrs())
 }
 
-// TestStatsCountersRoundTrip pins the reflection-based Stats flattening:
-// a Stats with every field (including array elements) set to a distinct
-// value must survive statsToCounters/statsFromCounters exactly,
-// including negative signed values.
-func TestStatsCountersRoundTrip(t *testing.T) {
-	var s Stats
-	s.InterpInsts = 1
-	s.TransVInsts = 2
-	s.Fragments = -3
-	s.RecoveryCost = -1 << 40
-	s.ClassCounts = [5]uint64{10, 11, 12, 13, 14}
-	s.UsageDyn = [8]uint64{20, 0, 22, 0, 24, 0, 26, 0}
-	s.UsageStatic = translate.UsageCounts{-1, 2, -3, 4, -5, 6, -7, 8}
-	s.WatchdogTrips = 9
-
-	var back Stats
-	statsFromCounters(&back, statsToCounters(&s))
-	if back != s {
-		t.Errorf("Stats did not round-trip:\n got %+v\nwant %+v", back, s)
-	}
-}
-
 // benchPreemptedVM runs gzip to a budget preemption, leaving a VM with
 // a populated memory image and live Stats to checkpoint.
 func benchPreemptedVM(b *testing.B) *VM {

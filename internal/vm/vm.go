@@ -209,179 +209,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates VM execution statistics.
-type Stats struct {
-	InterpInsts uint64 // V-ISA instructions interpreted
-	TransVInsts uint64 // V-ISA instructions retired in translated code
-	TransIInsts uint64 // I-ISA instructions executed in translated code
-
-	ClassCounts [5]uint64 // dynamic I-instructions by ildp.Class
-	UsageDyn    [8]uint64 // dynamic producing instructions by usage class
-
-	CopiesExecuted uint64
-
-	FragEntries  uint64
-	Exits        uint64 // translated-to-VM transitions
-	DispatchRuns uint64
-	DispatchHits uint64
-	SWPredHits   uint64
-	SWPredMisses uint64
-	RASHits      uint64
-	RASMisses    uint64
-
-	Fragments          int
-	FragsVerified      int // fragments proven clean by the static verifier
-	FragsProved        int // fragments proved equivalent by the symbolic prover
-	SrcInstsTranslated int64
-	NOPsRemoved        int64
-	BranchElims        int64
-	TranslateCost      int64
-	StaticCodeBytes    int64
-	StaticSrcBytes     int64
-	StaticCopies       int64
-	StaticChain        int64
-	Spills             int64
-	UsageStatic        translate.UsageCounts
-
-	// Recovery statistics (DESIGN.md §10). All zero unless fault
-	// injection or self-healing is active.
-	ReverifyFails  uint64 // paranoid entry re-checks that failed
-	SpuriousTraps  uint64 // spurious traps recovered at fragment entries
-	ForcedEvicts   uint64 // injected full-cache flushes
-	CacheShrinks   uint64 // injected capacity shrinks (pressure, not damage)
-	TransFailures  uint64 // failed or verifier-rejected translations recovered
-	StaleLinks     uint64 // dangling fragment links recovered at runtime
-	Quarantines    uint64 // start PCs pinned to interpret-only
-	Retranslations uint64 // translation attempts retried after a failure
-	FallbackInsts  uint64 // instructions interpreted in recovery fallback
-	RecoveryCost   int64  // modelled recovery overhead in Alpha instructions
-
-	// Livelock-watchdog statistics (DESIGN.md §11). Zero on undisturbed runs.
-	WatchdogTrips uint64 // livelock watchdog quarantines
-
-	// Resource-governance statistics (DESIGN.md §15). Zero unless
-	// Config.MaxPages is set and the guest hit its cap.
-	ResourceTraps uint64 // precise traps raised by the page-limit governor
-
-	// Shared-fragment-store statistics (docs/FORMAT.md). All zero
-	// unless Config.Store is set. A hit reuses an existing artifact
-	// without translating (TranslateCost is not charged); a shared hit
-	// is the subset whose artifact was translated by a different
-	// session or loaded from a persisted store; a miss means this VM
-	// ran the translator and published the artifact.
-	StoreHits       uint64
-	StoreMisses     uint64
-	StoreSharedHits uint64
-}
-
-// Recoveries returns the total recovery episodes: every event that
-// abandoned translated execution (or a translation) and fell back to
-// the interpreter. Cache shrinks are not counted — they apply pressure
-// without abandoning anything.
-func (s *Stats) Recoveries() uint64 {
-	return s.ReverifyFails + s.SpuriousTraps + s.ForcedEvicts + s.TransFailures +
-		s.StaleLinks + s.WatchdogTrips
-}
-
-// TotalVInsts returns all V-ISA instructions architecturally retired.
-func (s *Stats) TotalVInsts() uint64 { return s.InterpInsts + s.TransVInsts }
-
-// InterpCost returns the modelled interpretation overhead in Alpha
-// instructions (§4.1's ~20 instructions per interpreted instruction).
-func (s *Stats) InterpCost() int64 { return int64(s.InterpInsts) * InterpCostPerInst }
-
-// VMOverhead returns the total modelled VM software overhead —
-// interpretation plus translation plus recovery — in Alpha instructions.
-func (s *Stats) VMOverhead() int64 { return s.InterpCost() + s.TranslateCost + s.RecoveryCost }
-
-// Publish copies every aggregate statistic into the registry under the
-// "vm." namespace (see DESIGN.md §8 for the metric-to-paper mapping).
-// Call it once at the end of a run; it is a no-op on a nil registry.
-func (s *Stats) Publish(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	u := func(name string, v uint64) { reg.Counter(name).Add(v) }
-	i := func(name string, v int64) { reg.Counter(name).Add(uint64(v)) }
-	u("vm.interp_insts", s.InterpInsts)
-	u("vm.trans_v_insts", s.TransVInsts)
-	u("vm.trans_i_insts", s.TransIInsts)
-	u("vm.copies_executed", s.CopiesExecuted)
-	u("vm.frag_entries", s.FragEntries)
-	u("vm.exits", s.Exits)
-	u("vm.dispatch_runs", s.DispatchRuns)
-	u("vm.dispatch_hits", s.DispatchHits)
-	u("vm.swpred_hits", s.SWPredHits)
-	u("vm.swpred_misses", s.SWPredMisses)
-	u("vm.ras_hits", s.RASHits)
-	u("vm.ras_misses", s.RASMisses)
-	i("vm.fragments", int64(s.Fragments))
-	i("vm.frags_verified", int64(s.FragsVerified))
-	// The prover counter appears only when the prover ran, so registries
-	// (and reports generated from them) from non-SemCheck runs are
-	// byte-identical with and without this build.
-	if s.FragsProved != 0 {
-		i("vm.frags_proved", int64(s.FragsProved))
-	}
-	i("vm.src_insts_translated", s.SrcInstsTranslated)
-	i("vm.nops_removed", s.NOPsRemoved)
-	i("vm.branch_elims", s.BranchElims)
-	i("vm.translate_cost", s.TranslateCost)
-	i("vm.static_code_bytes", s.StaticCodeBytes)
-	i("vm.static_src_bytes", s.StaticSrcBytes)
-	i("vm.static_copies", s.StaticCopies)
-	i("vm.static_chain", s.StaticChain)
-	i("vm.spills", s.Spills)
-	for c, n := range s.ClassCounts {
-		u("vm.class."+ildp.Class(c).String(), n)
-	}
-	// Metric-name slugs for ildp.UsageClass (whose String forms contain
-	// spaces and arrows).
-	usageSlugs := [...]string{"none", "no_user", "local", "temp", "liveout",
-		"comm", "local_to_global", "no_user_to_global"}
-	for uc, n := range s.UsageDyn {
-		if n != 0 && uc < len(usageSlugs) {
-			u("vm.usage."+usageSlugs[uc], n)
-		}
-	}
-	// Recovery counters appear only on runs that actually recovered, so
-	// fault-free registries (and the reports generated from them) are
-	// byte-identical with and without this build.
-	if s.Recoveries() != 0 || s.CacheShrinks != 0 || s.Quarantines != 0 {
-		u("vm.recovery.total", s.Recoveries())
-		u("vm.recovery.reverify_fails", s.ReverifyFails)
-		u("vm.recovery.spurious_traps", s.SpuriousTraps)
-		u("vm.recovery.forced_evicts", s.ForcedEvicts)
-		u("vm.recovery.cache_shrinks", s.CacheShrinks)
-		u("vm.recovery.trans_failures", s.TransFailures)
-		u("vm.recovery.stale_links", s.StaleLinks)
-		u("vm.recovery.quarantined_pcs", s.Quarantines)
-		u("vm.recovery.retranslations", s.Retranslations)
-		u("vm.recovery.fallback_insts", s.FallbackInsts)
-		i("vm.recovery.cost", s.RecoveryCost)
-	}
-	// The watchdog counter likewise appears only on runs the watchdog
-	// actually tripped, so undisturbed registries stay byte-identical
-	// with and without this build.
-	if s.WatchdogTrips != 0 {
-		u("vm.preempt.watchdog_trips", s.WatchdogTrips)
-	}
-	// The resource-trap counter appears only on runs the page governor
-	// actually stopped, so ungoverned registries stay byte-identical
-	// with and without this build.
-	if s.ResourceTraps != 0 {
-		u("vm.resource_traps", s.ResourceTraps)
-	}
-	// Store counters appear only on runs that actually consulted a
-	// shared fragment store, so store-less registries stay
-	// byte-identical with and without this build.
-	if s.StoreHits != 0 || s.StoreMisses != 0 {
-		u("vm.store.hits", s.StoreHits)
-		u("vm.store.misses", s.StoreMisses)
-		u("vm.store.shared_hits", s.StoreSharedHits)
-	}
-}
-
 // ErrBudget is returned by Run when the V-instruction budget is exhausted.
 var ErrBudget = errors.New("vm: instruction budget exhausted")
 
@@ -400,6 +227,7 @@ type PreemptError struct {
 	Cause error // ErrPreempted (stop hook) or ErrBudget
 }
 
+// Error reports the cause and the V-PC the run stopped at.
 func (e *PreemptError) Error() string {
 	return fmt.Sprintf("%v at V-PC %#x", e.Cause, e.PC)
 }
@@ -524,7 +352,7 @@ func (v *VM) Pages() int { return v.mem.PageCount() }
 // noteRunError classifies a terminal run error before it propagates:
 // precise traps whose cause is the page-limit governor are counted in
 // Stats.ResourceTraps so governance kills are visible in telemetry and
-// checkpoints (the reflection flattening carries the counter).
+// checkpoints (its statFields row carries the counter).
 func (v *VM) noteRunError(err error) error {
 	if err == nil {
 		return nil
