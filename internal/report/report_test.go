@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// goldenRun produces the deterministic part of a scale-1 table2 report
-// (Timings are wall-clock and excluded from golden comparisons).
-func goldenRun(t *testing.T) *Report {
+// goldenRun produces the deterministic part of a scale-1 report over
+// the given experiments (Timings are wall-clock and excluded from golden
+// comparisons).
+func goldenRun(t *testing.T, exps ...string) *Report {
 	t.Helper()
-	r, err := Run(RunOptions{Scale: 1, Threshold: 50, Experiments: []string{"table2"}})
+	r, err := Run(RunOptions{Scale: 1, Threshold: 50, Experiments: exps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,47 +21,52 @@ func goldenRun(t *testing.T) *Report {
 	return r
 }
 
-// TestGoldenReport pins the emitted JSON and the rendered block for a
-// fixed (scale, threshold): the report pipeline must stay byte-stable.
-// Regenerate the files with UPDATE_GOLDEN=1 go test ./internal/report/.
-func TestGoldenReport(t *testing.T) {
-	r := goldenRun(t)
+// checkGolden compares a report's JSON and rendered block against
+// testdata/<name>.json and testdata/<name>.block. Regenerate the files
+// with UPDATE_GOLDEN=1 go test ./internal/report/.
+func checkGolden(t *testing.T, name string, r *Report) {
+	t.Helper()
 	gotJSON, err := r.EncodeBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBlock := []byte(r.RenderBlock("testdata"))
+	files := []struct {
+		path string
+		got  []byte
+	}{
+		{filepath.Join("testdata", name+".json"), gotJSON},
+		{filepath.Join("testdata", name+".block"), []byte(r.RenderBlock("testdata"))},
+	}
+	for _, f := range files {
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(f.path, f.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("golden file %s updated", f.path)
+			continue
+		}
+		want, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f.got, want) {
+			t.Errorf("output differs from %s (regenerate with UPDATE_GOLDEN=1 if intended)", f.path)
+		}
+	}
+}
 
-	jsonPath := filepath.Join("testdata", "table2-scale1.json")
-	blockPath := filepath.Join("testdata", "table2-scale1.block")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(jsonPath, gotJSON, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(blockPath, gotBlock, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Log("golden files updated")
-		return
-	}
+// TestGoldenReport pins the emitted JSON and the rendered block for a
+// fixed (scale, threshold): the report pipeline must stay byte-stable.
+func TestGoldenReport(t *testing.T) {
+	checkGolden(t, "table2-scale1", goldenRun(t, "table2"))
+}
 
-	wantJSON, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("report JSON differs from %s (regenerate with UPDATE_GOLDEN=1 if intended)", jsonPath)
-	}
-	wantBlock, err := os.ReadFile(blockPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotBlock, wantBlock) {
-		t.Errorf("rendered block differs from %s (regenerate with UPDATE_GOLDEN=1 if intended)", blockPath)
-	}
+// TestGoldenAllExperiments pins every experiment report.Run can execute
+// at scale 1, threshold 50: each series key, unit, row order and
+// aggregate row of every table, so a swapped or mislabelled column in
+// any driver shows up as a diff.
+func TestGoldenAllExperiments(t *testing.T) {
+	checkGolden(t, "all-scale1", goldenRun(t, ExperimentIDs()...))
 }
 
 // TestRoundTrip checks emit → parse → re-emit is the identity on bytes.
