@@ -361,9 +361,11 @@ func BenchmarkAblationRAS(b *testing.B) {
 // BenchmarkVariance regenerates the dataset-sensitivity study.
 func BenchmarkVariance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Variance(benchScale, benchThreshold, []uint64{0, 1})
-		b.ReportMetric(experiments.Spread(rows,
-			func(r experiments.VarianceRow) float64 { return r.DynM }), "dynM-spread")
+		var dynM []float64
+		for _, r := range experiments.Variance(benchScale, benchThreshold, []uint64{0, 1}) {
+			dynM = append(dynM, r.DynM)
+		}
+		b.ReportMetric(stats.Spread(dynM), "dynM-spread")
 	}
 }
 

@@ -7,7 +7,7 @@
 # Steps, in order: formatting, vet, build, the full test suite, the
 # race detector over the packages with real concurrency exposure, the
 # docs gate (EXPERIMENTS.md's generated block must match the committed
-# report), and a small-scale smoke of the JSON report pipeline.
+# report), and small-scale smokes of the JSON and text report paths.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,10 +28,12 @@ go run ./cmd/ildpanalyze ./internal/... ./cmd/...
 # The opt-in godoc gate: every exported symbol of the cache surface
 # (the per-VM cache and the shared persistent store), the stream
 # envelope, the telemetry plane, the serving scheduler, the VM and its
-# checkpoint, flight-bundle and metrics surfaces carries a doc comment.
+# checkpoint, flight-bundle and metrics surfaces, and the experiment
+# drivers and their report carries a doc comment.
 go run ./cmd/ildpanalyze -select exporteddoc ./internal/tcache ./internal/fragstore \
     ./internal/codec ./internal/telemetry ./internal/serve \
-    ./internal/vm ./internal/flight ./internal/checkpoint ./internal/metrics
+    ./internal/vm ./internal/flight ./internal/checkpoint ./internal/metrics \
+    ./internal/report ./internal/experiments
 
 echo "== go vet"
 go vet ./...
@@ -550,6 +552,25 @@ go run ./cmd/ildpreport -check
 echo "== json report smoke (scale-1 table2)"
 go run ./cmd/ildpbench -experiment=table2 -scale=1 -json \
     | go run ./cmd/ildpreport -validate -in -
+
+echo "== text report smoke (scale-1 fig5, unknown experiment)"
+# Text mode renders the same report as -json: a titled table with its
+# aggregate row. An unknown experiment is a usage error (exit 2).
+bench_dir=$(mktemp -d)
+go build -o "$bench_dir/ildpbench" ./cmd/ildpbench
+fig5_out=$("$bench_dir/ildpbench" -experiment=fig5 -scale=1)
+echo "$fig5_out" | grep -q "^Figure 5\." && echo "$fig5_out" | grep -q "^Avg\." || {
+    echo "ildpbench text mode lost the Figure 5 title or its Avg. row:" >&2
+    echo "$fig5_out" >&2
+    exit 1
+}
+rc=0
+"$bench_dir/ildpbench" -experiment=bogus 2> /dev/null || rc=$?
+[ "$rc" -eq 2 ] || {
+    echo "ildpbench -experiment=bogus exited $rc, want the usage status 2" >&2
+    exit 1
+}
+rm -rf "$bench_dir"
 
 echo "== serving load smoke (ildpload -> ildpreport)"
 go run ./cmd/ildpload -sessions 24 -clients 8 -workers 4 -verify 8 -json \

@@ -8,18 +8,19 @@
 //	ildpbench -experiment=fig8 -scale=2 -threshold=50
 //	ildpbench -experiment=all -scale=2 -json > reports/experiments-scale2.json
 //
-// With -json the run emits the versioned machine-readable report
-// (internal/report schema) that `ildpreport` consumes instead of text
-// tables.
+// Both modes run the experiments through internal/report. Text mode
+// prints the report's tables; -json emits the versioned
+// machine-readable report that `ildpreport` consumes. Table 1 is static
+// hardware parameters and exists only in text mode.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
-	"github.com/ildp/accdbt/internal/experiments"
 	"github.com/ildp/accdbt/internal/report"
 )
 
@@ -31,94 +32,39 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of text tables")
 	flag.Parse()
 
+	ids := report.ExperimentIDs()
+	switch {
+	case *experiment == "all":
+	case *experiment == "table1" && !*jsonOut:
+		fmt.Println(table1())
+		return
+	case slices.Contains(ids, *experiment):
+		ids = []string{*experiment}
+	default:
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	r, err := report.Run(report.RunOptions{
+		Scale: *scale, Threshold: *threshold, Experiments: ids,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ildpbench:", err)
+		os.Exit(1)
+	}
 	if *jsonOut {
-		ids := report.ExperimentIDs()
-		if *experiment != "all" {
-			ids = []string{*experiment}
-		}
-		r, err := report.Run(report.RunOptions{
-			Scale: *scale, Threshold: *threshold, Experiments: ids,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ildpbench:", err)
-			os.Exit(1)
-		}
 		if err := r.Encode(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "ildpbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
-
-	run := func(name string) bool {
-		return *experiment == "all" || *experiment == name
-	}
-	ran := false
-
-	if run("table1") {
+	if *experiment == "all" {
 		fmt.Println(table1())
-		ran = true
 	}
-	if run("table2") {
-		fmt.Println(experiments.FormatTable2(experiments.Table2(*scale, *threshold)))
-		ran = true
-	}
-	if run("overhead") {
-		fmt.Println(experiments.FormatOverhead(experiments.Overhead(*scale, *threshold)))
-		ran = true
-	}
-	if run("fig4") {
-		fmt.Println(experiments.FormatFig4(experiments.Fig4(*scale, *threshold)))
-		ran = true
-	}
-	if run("fig5") {
-		fmt.Println(experiments.FormatFig5(experiments.Fig5(*scale, *threshold)))
-		ran = true
-	}
-	if run("fig6") {
-		fmt.Println(experiments.FormatFig6(experiments.Fig6(*scale, *threshold)))
-		ran = true
-	}
-	if run("fig7") {
-		fmt.Println(experiments.FormatFig7(experiments.Fig7(*scale, *threshold)))
-		ran = true
-	}
-	if run("fig8") {
-		fmt.Println(experiments.FormatFig8(experiments.Fig8(*scale, *threshold)))
-		ran = true
-	}
-	if run("fig9") {
-		fmt.Println(experiments.FormatFig9(experiments.Fig9(*scale, *threshold)))
-		ran = true
-	}
-	if run("fusion") {
-		fmt.Println(experiments.FormatFusion(experiments.Fusion(*scale, *threshold)))
-		ran = true
-	}
-	if run("threshold") {
-		fmt.Println(experiments.FormatThreshold(experiments.Threshold(*scale, report.DefaultThresholdSweep)))
-		ran = true
-	}
-	if run("superblock") {
-		fmt.Println(experiments.FormatSuperblock(experiments.Superblock(*scale, *threshold, report.DefaultSuperblockSweep)))
-		ran = true
-	}
-	if run("vmcost") {
-		fmt.Println(experiments.FormatVMCost(experiments.VMCost(*scale, *threshold)))
-		ran = true
-	}
-	if run("ras") {
-		fmt.Println(experiments.FormatRASSweep(experiments.RASSweep(*scale, *threshold, report.DefaultRASSweep)))
-		ran = true
-	}
-	if run("variance") {
-		fmt.Println(experiments.FormatVariance(experiments.Variance(*scale, *threshold, report.DefaultVarianceSeeds)))
-		ran = true
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
-		flag.Usage()
-		os.Exit(2)
+	for _, t := range r.Tables() {
+		fmt.Println(t)
 	}
 }
 

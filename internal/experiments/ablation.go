@@ -44,24 +44,6 @@ func Fusion(scale, hotThreshold int) []FusionRow {
 	return rows
 }
 
-// FormatFusion renders the fusion ablation.
-func FormatFusion(rows []FusionRow) string {
-	t := stats.NewTable(
-		"Ablation: unsplit memory operations (§4.5 extension, modified ISA)",
-		"bench", "expand split", "expand fused", "IPC split", "IPC fused", "static split", "static fused")
-	var es, ef, is, ifu []float64
-	for _, r := range rows {
-		t.Row(r.Bench, r.SplitExpand, r.FusedExpand, r.SplitIPC, r.FusedIPC,
-			r.SplitStaticB, r.FusedStaticB)
-		es = append(es, r.SplitExpand)
-		ef = append(ef, r.FusedExpand)
-		is = append(is, r.SplitIPC)
-		ifu = append(ifu, r.FusedIPC)
-	}
-	t.Row("Avg/GeoM", stats.Mean(es), stats.Mean(ef), stats.GeoMean(is), stats.GeoMean(ifu), "", "")
-	return t.String()
-}
-
 // ThresholdRow sweeps the hot-trace threshold: lower thresholds translate
 // more (and sooner) at higher translation cost per retired instruction.
 type ThresholdRow struct {
@@ -91,17 +73,6 @@ func Threshold(scale int, thresholds []int) []ThresholdRow {
 		})
 	}
 	return rows
-}
-
-// FormatThreshold renders the threshold sweep.
-func FormatThreshold(rows []ThresholdRow) string {
-	t := stats.NewTable(
-		"Ablation: hot-trace threshold (the paper uses 50)",
-		"threshold", "translated frac", "xlate cost / V-inst", "fragments")
-	for _, r := range rows {
-		t.Row(r.Threshold, r.TransFraction, r.CostShare, r.Fragments)
-	}
-	return t.String()
 }
 
 // SuperblockRow sweeps the maximum superblock size (§4.1: the paper found
@@ -136,15 +107,4 @@ func Superblock(scale, hotThreshold int, sizes []int) []SuperblockRow {
 		})
 	}
 	return rows
-}
-
-// FormatSuperblock renders the superblock-size sweep.
-func FormatSuperblock(rows []SuperblockRow) string {
-	t := stats.NewTable(
-		"Ablation: maximum superblock size (§4.1; the paper uses 200)",
-		"max size", "straightened IPC", "fragments", "VM exits")
-	for _, r := range rows {
-		t.Row(r.MaxSize, r.IPC, r.Fragments, r.Exits)
-	}
-	return t.String()
 }

@@ -131,7 +131,11 @@ func TestVarianceAcrossSeeds(t *testing.T) {
 	}
 	// ...but the headline metrics are structural: spread stays small and
 	// the Basic > Modified ordering holds for every dataset.
-	if sp := Spread(rows, func(r VarianceRow) float64 { return r.DynM }); sp > 0.15 {
+	var dynM []float64
+	for _, r := range rows {
+		dynM = append(dynM, r.DynM)
+	}
+	if sp := stats.Spread(dynM); sp > 0.15 {
 		t.Errorf("modified expansion spread %.3f too large across datasets", sp)
 	}
 	for _, r := range rows {

@@ -112,7 +112,7 @@ func RunChaos(spec ChaosSpec) (*ChaosOutcome, error) {
 		MaxFaults:     spec.MaxFaults,
 	}
 
-	ooo, ildpM, err := attachMachine(&cfg, spec.Machine, spec.Timing, spec.Prof)
+	ooo, ildpM, err := harnessMachine(spec.Machine, spec.Timing).machine(&cfg, spec.Prof)
 	if err != nil {
 		return nil, err
 	}

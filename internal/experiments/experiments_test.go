@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/ildp/accdbt/internal/stats"
-	"github.com/ildp/accdbt/internal/translate"
 	"github.com/ildp/accdbt/internal/workload"
 )
 
@@ -262,23 +261,4 @@ func TestRunSpecErrors(t *testing.T) {
 	if _, err := Run(RunSpec{Workload: w, Machine: Machine(99)}); err == nil {
 		t.Error("bad machine accepted")
 	}
-}
-
-func TestFormatters(t *testing.T) {
-	// Smoke-test every formatter renders non-empty output with the bench
-	// names present.
-	w := FormatTable2(Table2(testScale, testThreshold))
-	if len(w) == 0 {
-		t.Error("empty table2")
-	}
-	for _, f := range []string{
-		FormatFig4(Fig4(testScale, testThreshold)),
-		FormatFig5(Fig5(testScale, testThreshold)),
-		FormatOverhead(Overhead(testScale, testThreshold)),
-	} {
-		if len(f) < 100 {
-			t.Errorf("formatter output too short: %q", f)
-		}
-	}
-	_ = translate.SWPredRAS
 }

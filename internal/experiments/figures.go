@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"github.com/ildp/accdbt/internal/ildp"
-	"github.com/ildp/accdbt/internal/stats"
 	"github.com/ildp/accdbt/internal/translate"
 	"github.com/ildp/accdbt/internal/workload"
 )
@@ -44,23 +41,6 @@ func Fig4(scale, hotThreshold int) []Fig4Row {
 	})
 }
 
-// FormatFig4 renders the Fig. 4 series.
-func FormatFig4(rows []Fig4Row) string {
-	t := stats.NewTable(
-		"Figure 4. Branch/jump mispredictions per 1000 instructions",
-		"bench", "original", "no_pred", "sw_pred.no_ras", "sw_pred.ras")
-	var o, n, s, r []float64
-	for _, row := range rows {
-		t.Row(row.Bench, row.Original, row.NoPred, row.SWPred, row.SWPredRAS)
-		o = append(o, row.Original)
-		n = append(n, row.NoPred)
-		s = append(s, row.SWPred)
-		r = append(r, row.SWPredRAS)
-	}
-	t.Row("Avg.", stats.Mean(o), stats.Mean(n), stats.Mean(s), stats.Mean(r))
-	return t.String()
-}
-
 // Fig5Row is one benchmark's dynamic instruction-count expansion from
 // chaining on straightened Alpha (paper Fig. 5).
 type Fig5Row struct {
@@ -91,22 +71,6 @@ func Fig5(scale, hotThreshold int) []Fig5Row {
 	})
 }
 
-// FormatFig5 renders the Fig. 5 series.
-func FormatFig5(rows []Fig5Row) string {
-	t := stats.NewTable(
-		"Figure 5. Relative instruction count (straightened Alpha / original)",
-		"bench", "no_pred", "sw_pred.no_ras", "sw_pred.ras")
-	var n, s, r []float64
-	for _, row := range rows {
-		t.Row(row.Bench, row.NoPred, row.SWPred, row.SWPredRAS)
-		n = append(n, row.NoPred)
-		s = append(s, row.SWPred)
-		r = append(r, row.SWPredRAS)
-	}
-	t.Row("Avg.", stats.Mean(n), stats.Mean(s), stats.Mean(r))
-	return t.String()
-}
-
 // Fig6Row is one benchmark's IPC for the code-straightening study (paper
 // Fig. 6): original and straightened code, with and without return address
 // stack support.
@@ -132,23 +96,6 @@ func Fig6(scale, hotThreshold int) []Fig6Row {
 			Chain: translate.SWPredRAS, Timing: true, HotThreshold: hotThreshold}).Timing.IPC()
 		return row
 	})
-}
-
-// FormatFig6 renders the Fig. 6 series.
-func FormatFig6(rows []Fig6Row) string {
-	t := stats.NewTable(
-		"Figure 6. IPC impact of code straightening and hardware RAS",
-		"bench", "orig/noRAS", "orig/RAS", "straight/noRAS", "straight/RAS")
-	var a, b, c, d []float64
-	for _, row := range rows {
-		t.Row(row.Bench, row.OrigNoRAS, row.OrigRAS, row.StraightNoRAS, row.StraightRAS)
-		a = append(a, row.OrigNoRAS)
-		b = append(b, row.OrigRAS)
-		c = append(c, row.StraightNoRAS)
-		d = append(d, row.StraightRAS)
-	}
-	t.Row("GeoMean", stats.GeoMean(a), stats.GeoMean(b), stats.GeoMean(c), stats.GeoMean(d))
-	return t.String()
 }
 
 // Fig7Row is one benchmark's output register usage breakdown (paper
@@ -187,21 +134,6 @@ func (r *Fig7Row) GlobalFraction() float64 {
 	return r.Fractions[ildp.UsageLiveOut] + r.Fractions[ildp.UsageComm]
 }
 
-// FormatFig7 renders the Fig. 7 series.
-func FormatFig7(rows []Fig7Row) string {
-	t := stats.NewTable(
-		"Figure 7. Output register usage (fractions of producing instructions)",
-		"bench", "no-user", "nouser>gbl", "local", "local>gbl", "temp", "comm", "liveout", "global%")
-	for _, row := range rows {
-		t.Row(row.Bench,
-			row.Fractions[ildp.UsageNoUser], row.Fractions[ildp.UsageNoUserGlobal],
-			row.Fractions[ildp.UsageLocal], row.Fractions[ildp.UsageLocalGlobal],
-			row.Fractions[ildp.UsageTemp], row.Fractions[ildp.UsageComm],
-			row.Fractions[ildp.UsageLiveOut], 100*row.GlobalFraction())
-	}
-	return t.String()
-}
-
 // Fig8Row is one benchmark's IPC across the four machines plus the native
 // I-ISA IPC of the modified form (paper Fig. 8; 8 PEs, 32KB D$, 0-cycle
 // communication latency).
@@ -230,25 +162,6 @@ func Fig8(scale, hotThreshold int) []Fig8Row {
 		row.NativeIISA = mod.Timing.NativeIPC()
 		return row
 	})
-}
-
-// FormatFig8 renders the Fig. 8 series.
-func FormatFig8(rows []Fig8Row) string {
-	t := stats.NewTable(
-		"Figure 8. IPC comparison (V-ISA instructions per cycle)",
-		"bench", "orig SS", "straightened", "ILDP basic", "ILDP modified", "native I-ISA")
-	var o, s, bs, md, ni []float64
-	for _, row := range rows {
-		t.Row(row.Bench, row.Original, row.Straight, row.Basic, row.Modified, row.NativeIISA)
-		o = append(o, row.Original)
-		s = append(s, row.Straight)
-		bs = append(bs, row.Basic)
-		md = append(md, row.Modified)
-		ni = append(ni, row.NativeIISA)
-	}
-	t.Row("GeoMean", stats.GeoMean(o), stats.GeoMean(s), stats.GeoMean(bs),
-		stats.GeoMean(md), stats.GeoMean(ni))
-	return t.String()
 }
 
 // Fig9Row is one benchmark's modified-ISA ILDP IPC across machine
@@ -285,33 +198,12 @@ func Fig9(scale, hotThreshold int) []Fig9Row {
 	})
 }
 
-// FormatFig9 renders the Fig. 9 series.
-func FormatFig9(rows []Fig9Row) string {
-	t := stats.NewTable(
-		"Figure 9. IPC variation over machine parameters (modified ISA)",
-		"bench", "8 acc", "base(4a/8PE/32K/0c)", "8KB D$", "2-cyc comm", "6 PE", "4 PE")
-	var a8, ba, sd, c2, p6, p4 []float64
-	for _, row := range rows {
-		t.Row(row.Bench, row.Acc8, row.Base, row.SmallD, row.Comm2, row.PE6, row.PE4)
-		a8 = append(a8, row.Acc8)
-		ba = append(ba, row.Base)
-		sd = append(sd, row.SmallD)
-		c2 = append(c2, row.Comm2)
-		p6 = append(p6, row.PE6)
-		p4 = append(p4, row.PE4)
-	}
-	t.Row("GeoMean", stats.GeoMean(a8), stats.GeoMean(ba), stats.GeoMean(sd),
-		stats.GeoMean(c2), stats.GeoMean(p6), stats.GeoMean(p4))
-	return t.String()
-}
-
 // OverheadRow is one benchmark's translation overhead (§4.2).
 type OverheadRow struct {
-	Bench       string
-	PerInst     float64 // Alpha instructions per translated Alpha instruction
-	Fragments   int
-	SrcInsts    int64
-	CopyPercent float64 // share of overhead spent copying structures
+	Bench     string
+	PerInst   float64 // Alpha instructions per translated Alpha instruction
+	Fragments int
+	SrcInsts  int64
 }
 
 // Overhead reproduces the §4.2 translation-overhead measurement.
@@ -326,18 +218,4 @@ func Overhead(scale, hotThreshold int) []OverheadRow {
 			SrcInsts:  out.VM.SrcInstsTranslated,
 		}
 	})
-}
-
-// FormatOverhead renders the §4.2 table.
-func FormatOverhead(rows []OverheadRow) string {
-	t := stats.NewTable(
-		"Translation overhead (Alpha instructions to translate one Alpha instruction, §4.2)",
-		"bench", "insts/inst", "fragments", "src insts")
-	var per []float64
-	for _, row := range rows {
-		t.Row(row.Bench, row.PerInst, row.Fragments, fmt.Sprint(row.SrcInsts))
-		per = append(per, row.PerInst)
-	}
-	t.Row("Avg.", stats.Mean(per), "", "")
-	return t.String()
 }

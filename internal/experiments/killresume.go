@@ -153,7 +153,7 @@ func RunKillResume(spec KillResumeSpec) (*KillResumeOutcome, error) {
 			p = prof.New(prof.Config{})
 			cfg.Prof = p
 		}
-		ooo, ildpM, err := attachMachine(&cfg, spec.Machine, spec.Timing, p)
+		ooo, ildpM, err := harnessMachine(spec.Machine, spec.Timing).machine(&cfg, p)
 		if err != nil {
 			return nil, err
 		}

@@ -37,6 +37,8 @@ const (
 
 var machineNames = [...]string{"original", "straightened", "ildp-basic", "ildp-modified"}
 
+// String returns the machine's name as the CLIs spell it
+// ("ildp-modified").
 func (m Machine) String() string {
 	if int(m) < len(machineNames) {
 		return machineNames[m]
@@ -124,63 +126,9 @@ func Run(spec RunSpec) (*Outcome, error) {
 		cfg.RASSize = spec.RASSize
 	}
 
-	var ooo *uarch.OoO
-	var ildpM *uarch.ILDP
-
-	switch spec.Machine {
-	case Original:
-		// No DBT: interpret everything; the timing model sees the native
-		// Alpha stream.
-		cfg.HotThreshold = math.MaxInt32
-		if spec.Timing {
-			mc := uarch.DefaultOoO()
-			mc.UseHWRAS = !spec.NoHWRAS
-			ooo = uarch.NewOoO(mc)
-			cfg.InterpSink = ooo
-		}
-	case Straightened:
-		cfg.Straighten = true
-		if spec.Timing {
-			mc := uarch.DefaultOoO()
-			mc.UseHWRAS = false
-			mc.DualRASTrace = spec.Chain == translate.SWPredRAS && !spec.NoHWRAS
-			if spec.NoHWRAS && spec.Chain == translate.SWPredRAS {
-				// Fig. 6's "straightened without RAS" pairs sw_pred chaining
-				// with no return prediction; callers normally pass SWPred.
-				mc.DualRASTrace = false
-			}
-			ooo = uarch.NewOoO(mc)
-			cfg.Sink = ooo
-		}
-	case ILDPBasic, ILDPModified:
-		cfg.Form = ildp.Basic
-		if spec.Machine == ILDPModified {
-			cfg.Form = ildp.Modified
-		}
-		if spec.Timing {
-			mc := uarch.DefaultILDP()
-			mc.PEs = spec.PEs
-			mc.CommLat = spec.CommLat
-			mc.DualRASTrace = spec.Chain == translate.SWPredRAS
-			mc.CacheOpts.Replicas = spec.PEs
-			if spec.SmallD {
-				mc.CacheOpts.DSizeBytes = 8 << 10
-				mc.CacheOpts.DWays = 2
-			}
-			ildpM = uarch.NewILDP(mc)
-			cfg.Sink = ildpM
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown machine %v", spec.Machine)
-	}
-
-	if spec.Prof != nil {
-		if ooo != nil {
-			ooo.SetProfiler(spec.Prof)
-		}
-		if ildpM != nil {
-			ildpM.SetProfiler(spec.Prof)
-		}
+	ooo, ildpM, err := spec.machine(&cfg, spec.Prof)
+	if err != nil {
+		return nil, err
 	}
 
 	if tune := spec.Tune; tune != nil {
@@ -217,6 +165,79 @@ func Run(spec RunSpec) (*Outcome, error) {
 		}
 	}
 	return out, nil
+}
+
+// machine configures cfg for s.Machine and, when s.Timing is set, builds
+// and attaches the matching timing model with p as its profiler. At
+// most one of the two results is non-nil. Run, RunChaos and
+// RunKillResume all build their machines here, so every harness models
+// them identically.
+func (s RunSpec) machine(cfg *vm.Config, p *prof.Profiler) (*uarch.OoO, *uarch.ILDP, error) {
+	var ooo *uarch.OoO
+	var ildpM *uarch.ILDP
+
+	switch s.Machine {
+	case Original:
+		// No DBT: interpret everything; the timing model sees the native
+		// Alpha stream.
+		cfg.HotThreshold = math.MaxInt32
+		if s.Timing {
+			mc := uarch.DefaultOoO()
+			mc.UseHWRAS = !s.NoHWRAS
+			ooo = uarch.NewOoO(mc)
+			cfg.InterpSink = ooo
+		}
+	case Straightened:
+		cfg.Straighten = true
+		if s.Timing {
+			mc := uarch.DefaultOoO()
+			mc.UseHWRAS = false
+			mc.DualRASTrace = s.Chain == translate.SWPredRAS && !s.NoHWRAS
+			if s.NoHWRAS && s.Chain == translate.SWPredRAS {
+				// Fig. 6's "straightened without RAS" pairs sw_pred chaining
+				// with no return prediction; callers normally pass SWPred.
+				mc.DualRASTrace = false
+			}
+			ooo = uarch.NewOoO(mc)
+			cfg.Sink = ooo
+		}
+	case ILDPBasic, ILDPModified:
+		cfg.Form = ildp.Basic
+		if s.Machine == ILDPModified {
+			cfg.Form = ildp.Modified
+		}
+		if s.Timing {
+			mc := uarch.DefaultILDP()
+			mc.PEs = s.PEs
+			mc.CommLat = s.CommLat
+			mc.DualRASTrace = s.Chain == translate.SWPredRAS
+			mc.CacheOpts.Replicas = s.PEs
+			if s.SmallD {
+				mc.CacheOpts.DSizeBytes = 8 << 10
+				mc.CacheOpts.DWays = 2
+			}
+			ildpM = uarch.NewILDP(mc)
+			cfg.Sink = ildpM
+		}
+	default:
+		return nil, nil, fmt.Errorf("experiments: unknown machine %v", s.Machine)
+	}
+	if p != nil {
+		if ooo != nil {
+			ooo.SetProfiler(p)
+		}
+		if ildpM != nil {
+			ildpM.SetProfiler(p)
+		}
+	}
+	return ooo, ildpM, nil
+}
+
+// harnessMachine is the machine the differential harnesses (chaos,
+// kill-and-resume) run on: m under Run's defaults, with sw_pred.ras
+// chaining and 8 PEs.
+func harnessMachine(m Machine, timing bool) RunSpec {
+	return RunSpec{Machine: m, Chain: translate.SWPredRAS, PEs: 8, Timing: timing}
 }
 
 // MustRun is Run for drivers where errors are programming bugs.

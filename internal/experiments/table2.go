@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"github.com/ildp/accdbt/internal/stats"
 	"github.com/ildp/accdbt/internal/translate"
 	"github.com/ildp/accdbt/internal/workload"
 )
@@ -53,26 +52,4 @@ func ratio(a, b uint64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-// FormatTable2 renders Table 2 with the paper's averages row.
-func FormatTable2(rows []Table2Row) string {
-	t := stats.NewTable(
-		"Table 2. Translated instruction statistics",
-		"bench", "dyn B", "dyn M", "copy% B", "copy% M", "static B", "static M", "xlate inst")
-	var db, dm, cb, cm, sb, sm, ov []float64
-	for _, r := range rows {
-		t.Row(r.Bench, r.RelDynB, r.RelDynM, r.CopyPctB, r.CopyPctM,
-			r.RelStaticB, r.RelStaticM, r.Overhead)
-		db = append(db, r.RelDynB)
-		dm = append(dm, r.RelDynM)
-		cb = append(cb, r.CopyPctB)
-		cm = append(cm, r.CopyPctM)
-		sb = append(sb, r.RelStaticB)
-		sm = append(sm, r.RelStaticM)
-		ov = append(ov, r.Overhead)
-	}
-	t.Row("Avg.", stats.Mean(db), stats.Mean(dm), stats.Mean(cb), stats.Mean(cm),
-		stats.Mean(sb), stats.Mean(sm), stats.Mean(ov))
-	return t.String()
 }

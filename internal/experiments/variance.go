@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-
 	"github.com/ildp/accdbt/internal/stats"
 	"github.com/ildp/accdbt/internal/translate"
 	"github.com/ildp/accdbt/internal/workload"
@@ -47,43 +45,4 @@ func Variance(scale, hotThreshold int, seeds []uint64) []VarianceRow {
 		})
 	}
 	return rows
-}
-
-// Spread returns (max-min)/mean of a metric across the rows.
-func Spread(rows []VarianceRow, metric func(VarianceRow) float64) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	min, max, sum := math.Inf(1), math.Inf(-1), 0.0
-	for _, r := range rows {
-		v := metric(r)
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-		sum += v
-	}
-	mean := sum / float64(len(rows))
-	if mean == 0 {
-		return 0
-	}
-	return (max - min) / mean
-}
-
-// FormatVariance renders the dataset-sensitivity study.
-func FormatVariance(rows []VarianceRow) string {
-	t := stats.NewTable(
-		"Dataset sensitivity: Table 2 means across perturbed data seeds",
-		"seed", "dyn B", "dyn M", "copy% B", "copy% M")
-	for _, r := range rows {
-		t.Row(int64(r.Seed), r.DynB, r.DynM, r.CopyPctB, r.CopyPctM)
-	}
-	t.Row("spread",
-		Spread(rows, func(r VarianceRow) float64 { return r.DynB }),
-		Spread(rows, func(r VarianceRow) float64 { return r.DynM }),
-		Spread(rows, func(r VarianceRow) float64 { return r.CopyPctB }),
-		Spread(rows, func(r VarianceRow) float64 { return r.CopyPctM }))
-	return t.String()
 }

@@ -48,22 +48,6 @@ func VMCost(scale, hotThreshold int) []VMCostRow {
 	return rows
 }
 
-// FormatVMCost renders the overhead analysis.
-func FormatVMCost(rows []VMCostRow) string {
-	t := stats.NewTable(
-		"VM software overhead (§4.1-4.2): interpretation + translation",
-		"bench", "interp insts", "trans V-insts", "interp cost", "xlate cost", "ovh/V-inst", "interp/src")
-	var ov, ips []float64
-	for _, r := range rows {
-		t.Row(r.Bench, int64(r.InterpInsts), int64(r.TransVInsts),
-			r.InterpCost, r.TranslateCost, r.OverheadPerV, r.InterpPerSrc)
-		ov = append(ov, r.OverheadPerV)
-		ips = append(ips, r.InterpPerSrc)
-	}
-	t.Row("Avg.", "", "", "", "", stats.Mean(ov), stats.Mean(ips))
-	return t.String()
-}
-
 // RASRow is one dual-address-RAS size point (extension ablation: the paper
 // proposes the structure but does not size it).
 type RASRow struct {
@@ -100,15 +84,4 @@ func RASSweep(scale, hotThreshold int, sizes []int) []RASRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// FormatRASSweep renders the RAS sizing ablation.
-func FormatRASSweep(rows []RASRow) string {
-	t := stats.NewTable(
-		"Ablation: dual-address RAS size (eon + vortex, modified ISA)",
-		"entries", "hit rate", "IPC", "expansion")
-	for _, r := range rows {
-		t.Row(r.Size, r.HitRate, r.IPC, r.ExpandR)
-	}
-	return t.String()
 }

@@ -11,8 +11,8 @@ import (
 	"github.com/ildp/accdbt/internal/workload"
 )
 
-// Default sweep points for the parameterised ablations. `ildpbench` uses
-// the same values for its text and -json modes so the two always agree.
+// Default sweep points for the parameterised ablations, bound to their
+// drivers in defs.go.
 var (
 	// DefaultThresholdSweep is the hot-trace threshold ablation's sweep.
 	DefaultThresholdSweep = []int{5, 10, 25, 50, 100, 200}
@@ -41,9 +41,10 @@ type RunOptions struct {
 	Metrics *metrics.Registry
 }
 
-// Run executes the requested experiments and assembles the versioned
-// report that `ildpbench -json` emits. The Records are deterministic for
-// a fixed (scale, threshold); Timings are wall-clock and are not.
+// Run executes the requested experiments through their tableDefs
+// drivers and assembles the versioned report `ildpbench` prints: as
+// Tables in text mode, encoded with -json. The Records are deterministic
+// for a fixed (scale, threshold); Timings are wall-clock and are not.
 func Run(opts RunOptions) (*Report, error) {
 	if opts.Scale < 1 {
 		opts.Scale = 1
@@ -63,37 +64,14 @@ func Run(opts RunOptions) (*Report, error) {
 
 	var recs []Record
 	for _, exp := range opts.Experiments {
-		switch exp {
-		case "table2":
-			recs = append(recs, table2Records(experiments.Table2(opts.Scale, opts.Threshold))...)
-		case "overhead":
-			recs = append(recs, overheadRecords(experiments.Overhead(opts.Scale, opts.Threshold))...)
-		case "fig4":
-			recs = append(recs, fig4Records(experiments.Fig4(opts.Scale, opts.Threshold))...)
-		case "fig5":
-			recs = append(recs, fig5Records(experiments.Fig5(opts.Scale, opts.Threshold))...)
-		case "fig6":
-			recs = append(recs, fig6Records(experiments.Fig6(opts.Scale, opts.Threshold))...)
-		case "fig7":
-			recs = append(recs, fig7Records(experiments.Fig7(opts.Scale, opts.Threshold))...)
-		case "fig8":
-			recs = append(recs, fig8Records(experiments.Fig8(opts.Scale, opts.Threshold))...)
-		case "fig9":
-			recs = append(recs, fig9Records(experiments.Fig9(opts.Scale, opts.Threshold))...)
-		case "fusion":
-			recs = append(recs, fusionRecords(experiments.Fusion(opts.Scale, opts.Threshold))...)
-		case "threshold":
-			recs = append(recs, thresholdRecords(experiments.Threshold(opts.Scale, DefaultThresholdSweep))...)
-		case "superblock":
-			recs = append(recs, superblockRecords(experiments.Superblock(opts.Scale, opts.Threshold, DefaultSuperblockSweep))...)
-		case "vmcost":
-			recs = append(recs, vmcostRecords(experiments.VMCost(opts.Scale, opts.Threshold))...)
-		case "ras":
-			recs = append(recs, rasRecords(experiments.RASSweep(opts.Scale, opts.Threshold, DefaultRASSweep))...)
-		case "variance":
-			recs = append(recs, varianceRecords(experiments.Variance(opts.Scale, opts.Threshold, DefaultVarianceSeeds))...)
-		default:
+		d, ok := defFor(exp)
+		if !ok || d.rows == nil {
 			return nil, fmt.Errorf("report: unknown experiment %q", exp)
+		}
+		for _, rw := range d.rows(opts) {
+			for i, c := range d.cols {
+				recs = append(recs, Record{Exp: exp, Series: c.key, Bench: rw.bench, Value: rw.vals[i], Unit: c.unit})
+			}
 		}
 	}
 
@@ -133,217 +111,6 @@ func timingsFrom(reg *metrics.Registry) []Timing {
 			Name:   strings.TrimPrefix(name, prefix),
 			Millis: gauges[name],
 		})
-	}
-	return out
-}
-
-// rec builds one cell record, resolving the unit from the table
-// definitions so emitted units can't drift from defs.go.
-func rec(exp, series, bench string, v float64) Record {
-	unit := ""
-	if d, ok := defFor(exp); ok {
-		for _, c := range d.cols {
-			if c.key == series {
-				unit = c.unit
-				break
-			}
-		}
-	}
-	return Record{Exp: exp, Series: series, Bench: bench, Value: v, Unit: unit}
-}
-
-func table2Records(rows []experiments.Table2Row) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("table2", "dyn_b", r.Bench, r.RelDynB),
-			rec("table2", "dyn_m", r.Bench, r.RelDynM),
-			rec("table2", "copy_pct_b", r.Bench, r.CopyPctB),
-			rec("table2", "copy_pct_m", r.Bench, r.CopyPctM),
-			rec("table2", "static_b", r.Bench, r.RelStaticB),
-			rec("table2", "static_m", r.Bench, r.RelStaticM),
-			rec("table2", "xlate_inst", r.Bench, r.Overhead),
-		)
-	}
-	return out
-}
-
-func overheadRecords(rows []experiments.OverheadRow) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("overhead", "insts_per_inst", r.Bench, r.PerInst),
-			rec("overhead", "fragments", r.Bench, float64(r.Fragments)),
-			rec("overhead", "src_insts", r.Bench, float64(r.SrcInsts)),
-		)
-	}
-	return out
-}
-
-func fig4Records(rows []experiments.Fig4Row) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("fig4", "original", r.Bench, r.Original),
-			rec("fig4", "no_pred", r.Bench, r.NoPred),
-			rec("fig4", "sw_pred_no_ras", r.Bench, r.SWPred),
-			rec("fig4", "sw_pred_ras", r.Bench, r.SWPredRAS),
-		)
-	}
-	return out
-}
-
-func fig5Records(rows []experiments.Fig5Row) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("fig5", "no_pred", r.Bench, r.NoPred),
-			rec("fig5", "sw_pred_no_ras", r.Bench, r.SWPred),
-			rec("fig5", "sw_pred_ras", r.Bench, r.SWPredRAS),
-		)
-	}
-	return out
-}
-
-func fig6Records(rows []experiments.Fig6Row) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("fig6", "orig_no_ras", r.Bench, r.OrigNoRAS),
-			rec("fig6", "orig_ras", r.Bench, r.OrigRAS),
-			rec("fig6", "straight_no_ras", r.Bench, r.StraightNoRAS),
-			rec("fig6", "straight_ras", r.Bench, r.StraightRAS),
-		)
-	}
-	return out
-}
-
-func fig7Records(rows []experiments.Fig7Row) []Record {
-	var out []Record
-	for i := range rows {
-		r := &rows[i]
-		out = append(out,
-			rec("fig7", "no_user", r.Bench, r.Fractions[ildp.UsageNoUser]),
-			rec("fig7", "no_user_global", r.Bench, r.Fractions[ildp.UsageNoUserGlobal]),
-			rec("fig7", "local", r.Bench, r.Fractions[ildp.UsageLocal]),
-			rec("fig7", "local_global", r.Bench, r.Fractions[ildp.UsageLocalGlobal]),
-			rec("fig7", "temp", r.Bench, r.Fractions[ildp.UsageTemp]),
-			rec("fig7", "comm", r.Bench, r.Fractions[ildp.UsageComm]),
-			rec("fig7", "liveout", r.Bench, r.Fractions[ildp.UsageLiveOut]),
-			rec("fig7", "global_pct", r.Bench, 100*r.GlobalFraction()),
-		)
-	}
-	return out
-}
-
-func fig8Records(rows []experiments.Fig8Row) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("fig8", "original", r.Bench, r.Original),
-			rec("fig8", "straightened", r.Bench, r.Straight),
-			rec("fig8", "ildp_basic", r.Bench, r.Basic),
-			rec("fig8", "ildp_modified", r.Bench, r.Modified),
-			rec("fig8", "native_iisa", r.Bench, r.NativeIISA),
-		)
-	}
-	return out
-}
-
-func fig9Records(rows []experiments.Fig9Row) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("fig9", "acc8", r.Bench, r.Acc8),
-			rec("fig9", "base", r.Bench, r.Base),
-			rec("fig9", "small_d", r.Bench, r.SmallD),
-			rec("fig9", "comm2", r.Bench, r.Comm2),
-			rec("fig9", "pe6", r.Bench, r.PE6),
-			rec("fig9", "pe4", r.Bench, r.PE4),
-		)
-	}
-	return out
-}
-
-func fusionRecords(rows []experiments.FusionRow) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("fusion", "expand_split", r.Bench, r.SplitExpand),
-			rec("fusion", "expand_fused", r.Bench, r.FusedExpand),
-			rec("fusion", "ipc_split", r.Bench, r.SplitIPC),
-			rec("fusion", "ipc_fused", r.Bench, r.FusedIPC),
-			rec("fusion", "static_split", r.Bench, r.SplitStaticB),
-			rec("fusion", "static_fused", r.Bench, r.FusedStaticB),
-		)
-	}
-	return out
-}
-
-func thresholdRecords(rows []experiments.ThresholdRow) []Record {
-	var out []Record
-	for _, r := range rows {
-		bench := fmt.Sprint(r.Threshold)
-		out = append(out,
-			rec("threshold", "trans_fraction", bench, r.TransFraction),
-			rec("threshold", "cost_share", bench, r.CostShare),
-			rec("threshold", "fragments", bench, r.Fragments),
-		)
-	}
-	return out
-}
-
-func superblockRecords(rows []experiments.SuperblockRow) []Record {
-	var out []Record
-	for _, r := range rows {
-		bench := fmt.Sprint(r.MaxSize)
-		out = append(out,
-			rec("superblock", "ipc", bench, r.IPC),
-			rec("superblock", "fragments", bench, r.Fragments),
-			rec("superblock", "exits", bench, r.Exits),
-		)
-	}
-	return out
-}
-
-func vmcostRecords(rows []experiments.VMCostRow) []Record {
-	var out []Record
-	for _, r := range rows {
-		out = append(out,
-			rec("vmcost", "interp_insts", r.Bench, float64(r.InterpInsts)),
-			rec("vmcost", "trans_v_insts", r.Bench, float64(r.TransVInsts)),
-			rec("vmcost", "interp_cost", r.Bench, float64(r.InterpCost)),
-			rec("vmcost", "xlate_cost", r.Bench, float64(r.TranslateCost)),
-			rec("vmcost", "ovh_per_v", r.Bench, r.OverheadPerV),
-			rec("vmcost", "interp_per_src", r.Bench, r.InterpPerSrc),
-		)
-	}
-	return out
-}
-
-func rasRecords(rows []experiments.RASRow) []Record {
-	var out []Record
-	for _, r := range rows {
-		bench := fmt.Sprint(r.Size)
-		out = append(out,
-			rec("ras", "hit_rate", bench, r.HitRate),
-			rec("ras", "ipc", bench, r.IPC),
-			rec("ras", "expansion", bench, r.ExpandR),
-		)
-	}
-	return out
-}
-
-func varianceRecords(rows []experiments.VarianceRow) []Record {
-	var out []Record
-	for _, r := range rows {
-		bench := fmt.Sprint(r.Seed)
-		out = append(out,
-			rec("variance", "dyn_b", bench, r.DynB),
-			rec("variance", "dyn_m", bench, r.DynM),
-			rec("variance", "copy_pct_b", bench, r.CopyPctB),
-			rec("variance", "copy_pct_m", bench, r.CopyPctM),
-		)
 	}
 	return out
 }

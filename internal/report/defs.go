@@ -1,6 +1,10 @@
 package report
 
 import (
+	"fmt"
+
+	"github.com/ildp/accdbt/internal/experiments"
+	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/stats"
 )
 
@@ -28,20 +32,41 @@ type columnDef struct {
 
 // tableDef describes one experiment's table: ID, rendered title, the
 // row-key column header, the aggregate-row label ("" = no aggregate
-// row), and the columns in render order. The same definitions drive the
-// emitter (record building), the validator, and the renderer, so the
-// three cannot drift apart.
+// row), the columns in render order, and the driver that measures it.
+// The same definitions drive the runner, the validator, and the
+// renderer, so the three cannot drift apart.
 type tableDef struct {
 	exp       string
 	title     string
 	rowHeader string
 	aggLabel  string
 	cols      []columnDef
-	// external marks an experiment measured by an external driver
-	// (ildpload's serving benchmark) rather than report.Run: its
-	// records validate and render like any other, but ExperimentIDs
-	// omits it so `ildpbench -experiment=all` doesn't try to run it.
-	external bool
+	// rows runs the experiment. Nil marks an experiment measured by an
+	// external driver (ildpload's serving benchmark): its records
+	// validate and render like any other, but ExperimentIDs omits it so
+	// `ildpbench -experiment=all` doesn't try to run it.
+	rows func(RunOptions) []row
+}
+
+// row is one table row: its key (a workload name or a sweep point) and
+// its values in cols order.
+type row struct {
+	bench string
+	vals  []float64
+}
+
+// rowsOf adapts a typed experiments driver to a tableDef's rows: drive
+// runs the experiment at a (scale, threshold), cells turns one typed
+// row into a row.
+func rowsOf[T any](drive func(scale, threshold int) []T, cells func(T) row) func(RunOptions) []row {
+	return func(o RunOptions) []row {
+		typed := drive(o.Scale, o.Threshold)
+		out := make([]row, len(typed))
+		for i, t := range typed {
+			out[i] = cells(t)
+		}
+		return out
+	}
 }
 
 // tableDefs lists every experiment in canonical render order.
@@ -60,6 +85,10 @@ var tableDefs = []tableDef{
 			{key: "static_m", header: "static M", unit: "ratio", agg: aggMean},
 			{key: "xlate_inst", header: "xlate inst", unit: "insts", agg: aggMean},
 		},
+		rows: rowsOf(experiments.Table2, func(r experiments.Table2Row) row {
+			return row{r.Bench, []float64{r.RelDynB, r.RelDynM, r.CopyPctB, r.CopyPctM,
+				r.RelStaticB, r.RelStaticM, r.Overhead}}
+		}),
 	},
 	{
 		exp:       "overhead",
@@ -71,6 +100,9 @@ var tableDefs = []tableDef{
 			{key: "fragments", header: "fragments", unit: "count", agg: aggNone, integer: true},
 			{key: "src_insts", header: "src insts", unit: "insts", agg: aggNone, integer: true},
 		},
+		rows: rowsOf(experiments.Overhead, func(r experiments.OverheadRow) row {
+			return row{r.Bench, []float64{r.PerInst, float64(r.Fragments), float64(r.SrcInsts)}}
+		}),
 	},
 	{
 		exp:       "fig4",
@@ -83,6 +115,9 @@ var tableDefs = []tableDef{
 			{key: "sw_pred_no_ras", header: "sw_pred.no_ras", unit: "per1000", agg: aggMean},
 			{key: "sw_pred_ras", header: "sw_pred.ras", unit: "per1000", agg: aggMean},
 		},
+		rows: rowsOf(experiments.Fig4, func(r experiments.Fig4Row) row {
+			return row{r.Bench, []float64{r.Original, r.NoPred, r.SWPred, r.SWPredRAS}}
+		}),
 	},
 	{
 		exp:       "fig5",
@@ -94,6 +129,9 @@ var tableDefs = []tableDef{
 			{key: "sw_pred_no_ras", header: "sw_pred.no_ras", unit: "ratio", agg: aggMean},
 			{key: "sw_pred_ras", header: "sw_pred.ras", unit: "ratio", agg: aggMean},
 		},
+		rows: rowsOf(experiments.Fig5, func(r experiments.Fig5Row) row {
+			return row{r.Bench, []float64{r.NoPred, r.SWPred, r.SWPredRAS}}
+		}),
 	},
 	{
 		exp:       "fig6",
@@ -106,6 +144,9 @@ var tableDefs = []tableDef{
 			{key: "straight_no_ras", header: "straight/noRAS", unit: "ipc", agg: aggGeo},
 			{key: "straight_ras", header: "straight/RAS", unit: "ipc", agg: aggGeo},
 		},
+		rows: rowsOf(experiments.Fig6, func(r experiments.Fig6Row) row {
+			return row{r.Bench, []float64{r.OrigNoRAS, r.OrigRAS, r.StraightNoRAS, r.StraightRAS}}
+		}),
 	},
 	{
 		exp:       "fig7",
@@ -121,6 +162,12 @@ var tableDefs = []tableDef{
 			{key: "liveout", header: "liveout", unit: "fraction"},
 			{key: "global_pct", header: "global%", unit: "percent"},
 		},
+		rows: rowsOf(experiments.Fig7, func(r experiments.Fig7Row) row {
+			f := r.Fractions
+			return row{r.Bench, []float64{f[ildp.UsageNoUser], f[ildp.UsageNoUserGlobal],
+				f[ildp.UsageLocal], f[ildp.UsageLocalGlobal], f[ildp.UsageTemp],
+				f[ildp.UsageComm], f[ildp.UsageLiveOut], 100 * r.GlobalFraction()}}
+		}),
 	},
 	{
 		exp:       "fig8",
@@ -134,6 +181,9 @@ var tableDefs = []tableDef{
 			{key: "ildp_modified", header: "ILDP modified", unit: "ipc", agg: aggGeo},
 			{key: "native_iisa", header: "native I-ISA", unit: "ipc", agg: aggGeo},
 		},
+		rows: rowsOf(experiments.Fig8, func(r experiments.Fig8Row) row {
+			return row{r.Bench, []float64{r.Original, r.Straight, r.Basic, r.Modified, r.NativeIISA}}
+		}),
 	},
 	{
 		exp:       "fig9",
@@ -148,6 +198,9 @@ var tableDefs = []tableDef{
 			{key: "pe6", header: "6 PE", unit: "ipc", agg: aggGeo},
 			{key: "pe4", header: "4 PE", unit: "ipc", agg: aggGeo},
 		},
+		rows: rowsOf(experiments.Fig9, func(r experiments.Fig9Row) row {
+			return row{r.Bench, []float64{r.Acc8, r.Base, r.SmallD, r.Comm2, r.PE6, r.PE4}}
+		}),
 	},
 	{
 		exp:       "fusion",
@@ -162,6 +215,10 @@ var tableDefs = []tableDef{
 			{key: "static_split", header: "static split", unit: "ratio", agg: aggNone},
 			{key: "static_fused", header: "static fused", unit: "ratio", agg: aggNone},
 		},
+		rows: rowsOf(experiments.Fusion, func(r experiments.FusionRow) row {
+			return row{r.Bench, []float64{r.SplitExpand, r.FusedExpand, r.SplitIPC, r.FusedIPC,
+				r.SplitStaticB, r.FusedStaticB}}
+		}),
 	},
 	{
 		exp:       "threshold",
@@ -172,6 +229,11 @@ var tableDefs = []tableDef{
 			{key: "cost_share", header: "xlate cost / V-inst", unit: "insts"},
 			{key: "fragments", header: "fragments", unit: "count"},
 		},
+		rows: rowsOf(func(scale, _ int) []experiments.ThresholdRow {
+			return experiments.Threshold(scale, DefaultThresholdSweep)
+		}, func(r experiments.ThresholdRow) row {
+			return row{fmt.Sprint(r.Threshold), []float64{r.TransFraction, r.CostShare, r.Fragments}}
+		}),
 	},
 	{
 		exp:       "superblock",
@@ -182,6 +244,11 @@ var tableDefs = []tableDef{
 			{key: "fragments", header: "fragments", unit: "count"},
 			{key: "exits", header: "VM exits", unit: "count"},
 		},
+		rows: rowsOf(func(scale, threshold int) []experiments.SuperblockRow {
+			return experiments.Superblock(scale, threshold, DefaultSuperblockSweep)
+		}, func(r experiments.SuperblockRow) row {
+			return row{fmt.Sprint(r.MaxSize), []float64{r.IPC, r.Fragments, r.Exits}}
+		}),
 	},
 	{
 		exp:       "vmcost",
@@ -196,6 +263,10 @@ var tableDefs = []tableDef{
 			{key: "ovh_per_v", header: "ovh/V-inst", unit: "insts", agg: aggMean},
 			{key: "interp_per_src", header: "interp/src", unit: "insts", agg: aggMean},
 		},
+		rows: rowsOf(experiments.VMCost, func(r experiments.VMCostRow) row {
+			return row{r.Bench, []float64{float64(r.InterpInsts), float64(r.TransVInsts),
+				float64(r.InterpCost), float64(r.TranslateCost), r.OverheadPerV, r.InterpPerSrc}}
+		}),
 	},
 	{
 		exp:       "ras",
@@ -206,6 +277,11 @@ var tableDefs = []tableDef{
 			{key: "ipc", header: "IPC", unit: "ipc"},
 			{key: "expansion", header: "expansion", unit: "ratio"},
 		},
+		rows: rowsOf(func(scale, threshold int) []experiments.RASRow {
+			return experiments.RASSweep(scale, threshold, DefaultRASSweep)
+		}, func(r experiments.RASRow) row {
+			return row{fmt.Sprint(r.Size), []float64{r.HitRate, r.IPC, r.ExpandR}}
+		}),
 	},
 	{
 		exp:       "variance",
@@ -218,12 +294,16 @@ var tableDefs = []tableDef{
 			{key: "copy_pct_b", header: "copy% B", unit: "percent", agg: aggSpread},
 			{key: "copy_pct_m", header: "copy% M", unit: "percent", agg: aggSpread},
 		},
+		rows: rowsOf(func(scale, threshold int) []experiments.VarianceRow {
+			return experiments.Variance(scale, threshold, DefaultVarianceSeeds)
+		}, func(r experiments.VarianceRow) row {
+			return row{fmt.Sprint(r.Seed), []float64{r.DynB, r.DynM, r.CopyPctB, r.CopyPctM}}
+		}),
 	},
 	{
 		exp:       "serve",
 		title:     "Serving benchmark: multi-tenant scheduler throughput and quantum latency (ildpload)",
 		rowHeader: "scenario",
-		external:  true,
 		cols: []columnDef{
 			{key: "sessions", header: "sessions", unit: "count", integer: true},
 			{key: "workers", header: "workers", unit: "count", integer: true},
@@ -252,7 +332,7 @@ func defFor(exp string) (tableDef, bool) {
 func ExperimentIDs() []string {
 	out := make([]string, 0, len(tableDefs))
 	for _, d := range tableDefs {
-		if !d.external {
+		if d.rows != nil {
 			out = append(out, d.exp)
 		}
 	}
@@ -270,21 +350,7 @@ func aggregate(kind aggKind, xs []float64) (float64, bool) {
 	case aggGeo:
 		return stats.GeoMean(xs), true
 	case aggSpread:
-		min, max, sum := xs[0], xs[0], 0.0
-		for _, x := range xs {
-			if x < min {
-				min = x
-			}
-			if x > max {
-				max = x
-			}
-			sum += x
-		}
-		mean := sum / float64(len(xs))
-		if mean == 0 {
-			return 0, true
-		}
-		return (max - min) / mean, true
+		return stats.Spread(xs), true
 	default:
 		return 0, false
 	}

@@ -18,36 +18,35 @@ const (
 )
 
 // RenderBlock renders the full generated region for a report: markers,
-// a provenance line naming the source report, and every present
-// experiment's table (in canonical order) inside one code fence. The
-// tables are byte-identical to `ildpbench`'s text output for the same
-// run, because both sides render through internal/stats.Table with the
-// shared definitions of defs.go.
+// a provenance line naming the source report, and the report's Tables
+// inside one code fence, so the block is byte-identical to `ildpbench`'s
+// text output for the same run.
 func (r *Report) RenderBlock(source string) string {
 	var b strings.Builder
 	b.WriteString(BeginMarker + "\n")
 	fmt.Fprintf(&b, "Generated from %s (%s, scale %d, threshold %d, chain %s, %d accumulators).\n",
 		source, r.Meta.Generator, r.Meta.Scale, r.Meta.Threshold, r.Meta.Chain, r.Meta.NumAcc)
 	b.WriteString("\n```\n")
-	first := true
-	for _, exp := range r.experiments() {
-		d, ok := defFor(exp)
-		if !ok {
-			continue
-		}
-		if !first {
-			b.WriteString("\n")
-		}
-		first = false
-		b.WriteString(renderTable(d, r.recordsFor(exp)))
-	}
+	b.WriteString(strings.Join(r.Tables(), "\n"))
 	b.WriteString("```\n")
 	b.WriteString(EndMarker + "\n")
 	return b.String()
 }
 
-// renderTable renders one experiment's records as the same text table
-// its experiments.Format* function prints.
+// Tables renders every present experiment's table, in canonical order,
+// through internal/stats.Table with the definitions of defs.go: the text
+// `ildpbench` prints and RenderBlock fences.
+func (r *Report) Tables() []string {
+	var out []string
+	for _, exp := range r.experiments() {
+		d, _ := defFor(exp)
+		out = append(out, renderTable(d, r.recordsFor(exp)))
+	}
+	return out
+}
+
+// renderTable renders one experiment's records as a text table with an
+// optional aggregate row.
 func renderTable(d tableDef, recs []Record) string {
 	// Benches in first-seen order (the emitters write row-major, so this
 	// is the driver's row order); cell values indexed by series+bench.

@@ -1,9 +1,10 @@
 // Package report defines the machine-readable experiment report that
 // `ildpbench -json` emits and `ildpreport` consumes: a versioned schema
 // with one record per paper table/figure cell plus run metadata, a
-// deterministic JSON encoding, table definitions shared by the emitter
-// and the renderer, and the regeneration of EXPERIMENTS.md's generated
-// block and the BENCH_experiments.json trajectory file.
+// deterministic JSON encoding, one definition per table (its columns and
+// its driver) shared by the runner, the validator and the text renderer,
+// and the regeneration of EXPERIMENTS.md's generated block and the
+// BENCH_experiments.json trajectory file.
 //
 // The point of the package is that "the reproduction's shape matches
 // the paper" stops being prose: every cell of §4's tables and figures

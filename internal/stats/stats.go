@@ -35,6 +35,22 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// Spread returns (max-min)/mean of xs, the relative spread the
+// dataset-sensitivity study reports; it is 0 for no values or a zero
+// mean.
+func Spread(xs []float64) float64 {
+	mean := Mean(xs)
+	if mean == 0 {
+		return 0
+	}
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs {
+		lo = math.Min(lo, x)
+		hi = math.Max(hi, x)
+	}
+	return (hi - lo) / mean
+}
+
 // Table accumulates rows and renders an aligned text table.
 type Table struct {
 	Title   string

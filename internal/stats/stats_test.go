@@ -32,6 +32,15 @@ func TestMean(t *testing.T) {
 	}
 }
 
+func TestSpread(t *testing.T) {
+	if got := Spread([]float64{1, 3, 2}); math.Abs(got-1) > 1e-9 {
+		t.Errorf("Spread(1,3,2) = %f, want 1", got)
+	}
+	if Spread(nil) != 0 || Spread([]float64{-1, 1}) != 0 {
+		t.Error("Spread with no values or a zero mean != 0")
+	}
+}
+
 // Property: GeoMean <= Mean for positive inputs (AM-GM inequality).
 func TestAMGMProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
