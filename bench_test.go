@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/ildp/accdbt"
+	"github.com/ildp/accdbt/internal/alphaprog"
 	"github.com/ildp/accdbt/internal/experiments"
 	"github.com/ildp/accdbt/internal/fragstore"
 	"github.com/ildp/accdbt/internal/mem"
@@ -181,6 +182,60 @@ func BenchmarkDBTExecution(b *testing.B) {
 		insts += v.Stats.TotalVInsts()
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "MVinsts/s")
+}
+
+// BenchmarkWarmExecution measures translated execution: the twelve
+// kernels at scale 4, each in a fresh VM attached to a fragment store
+// that already holds every superblock (loaded through the codec, as a
+// -cachefile warm start), with no trace sink. ns/iinst is host time per
+// executed I-instruction. It includes the interpretation before each
+// superblock turns hot; interp-frac is that share of retired
+// V-instructions.
+func BenchmarkWarmExecution(b *testing.B) {
+	const scale = 4
+	var progs []*alphaprog.Program
+	seed := fragstore.New()
+	run := func(prog *alphaprog.Program, store *fragstore.Store) *vm.VM {
+		cfg := vm.DefaultConfig()
+		cfg.HotThreshold = benchThreshold
+		cfg.Store = store
+		v := vm.New(mem.New(), cfg)
+		if err := v.LoadProgram(prog); err != nil {
+			b.Fatal(err)
+		}
+		if err := v.Run(0); err != nil {
+			b.Fatal(err)
+		}
+		return v
+	}
+	for _, name := range workload.Names() {
+		spec, err := workload.ByName(name, scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, spec.MustProgram())
+		run(progs[len(progs)-1], seed)
+	}
+	warm, rep, err := fragstore.Decode(seed.Encode(), fragstore.LoadOptions{})
+	if err != nil || rep.Dropped() != 0 {
+		b.Fatalf("reloading store: %v (%v)", err, rep)
+	}
+	b.ResetTimer()
+	var iinsts, interp, vinsts, misses uint64
+	for i := 0; i < b.N; i++ {
+		for _, prog := range progs {
+			v := run(prog, warm)
+			iinsts += v.Stats.TransIInsts
+			interp += v.Stats.InterpInsts
+			vinsts += v.Stats.TotalVInsts()
+			misses += v.Stats.StoreMisses
+		}
+	}
+	if misses != 0 {
+		b.Fatalf("warm store missed %d superblocks", misses)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iinsts), "ns/iinst")
+	b.ReportMetric(float64(interp)/float64(vinsts), "interp-frac")
 }
 
 // BenchmarkTranslator measures superblock translation throughput.

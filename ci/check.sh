@@ -44,9 +44,17 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (vm, tcache, fragstore, metrics, telemetry, serve)"
+echo "== go test -race (vm, tcache, fragstore, metrics, telemetry, serve, mem, emu)"
+# mem and emu are here because mem.Memory holds mutable state on its
+# read path (the last-page cache).
 go test -race ./internal/vm/... ./internal/tcache/... ./internal/fragstore/... \
-    ./internal/metrics/... ./internal/telemetry/... ./internal/serve/...
+    ./internal/metrics/... ./internal/telemetry/... ./internal/serve/... \
+    ./internal/mem/... ./internal/emu/...
+
+echo "== warm translated-execution benchmark smoke (one iteration)"
+# BenchmarkWarmExecution fails if the warm store misses; one iteration
+# keeps the benchmark building and running.
+go test -run '^$' -bench '^BenchmarkWarmExecution$' -benchtime 1x .
 
 echo "== chaos smoke (short soak under the race detector)"
 # A fixed-seed slice of the differential chaos oracle: fault-injected

@@ -501,6 +501,9 @@ func parseInst(r *codec.Reader, in *ildp.Inst) {
 	in.Class = ildp.Class(r.U8())
 	in.VCredit = r.U8()
 	in.Usage = ildp.UsageClass(r.U8())
+	if in.Class > ildp.ClassSpecial || in.Usage > ildp.UsageNoUserGlobal {
+		r.Fail(codec.ErrCanonical, "instruction class out of range")
+	}
 }
 
 // parseSrc parses one source-operand record.

@@ -64,6 +64,11 @@ func (f *AlignmentFault) Error() string {
 // memory.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
+	// lastPN and last cache the most recently accessed page. Pages are
+	// never unmapped except by LoadSnapshot, which clears the cache, so
+	// a cached page is always the mapped one.
+	lastPN uint64
+	last   *[PageSize]byte
 	// Strict, when true, makes access to unmapped pages fault rather than
 	// allocate.
 	Strict bool
@@ -78,10 +83,13 @@ type Memory struct {
 func New() *Memory { return &Memory{pages: map[uint64]*[PageSize]byte{}} }
 
 func (m *Memory) page(addr uint64, write bool, allocate bool) (*[PageSize]byte, error) {
+	pn := addr >> PageBits
+	if m.last != nil && m.lastPN == pn {
+		return m.last, nil
+	}
 	if m.pages == nil {
 		m.pages = map[uint64]*[PageSize]byte{}
 	}
-	pn := addr >> PageBits
 	p, ok := m.pages[pn]
 	if !ok {
 		if m.Strict && !allocate {
@@ -93,6 +101,7 @@ func (m *Memory) page(addr uint64, write bool, allocate bool) (*[PageSize]byte, 
 		p = new([PageSize]byte)
 		m.pages[pn] = p
 	}
+	m.lastPN, m.last = pn, p
 	return p, nil
 }
 
@@ -173,6 +182,7 @@ func (m *Memory) Snapshot() map[uint64][PageSize]byte {
 // previously mapped page not in the snapshot is unmapped. The snapshot
 // is copied, so later writes to the memory do not alias it.
 func (m *Memory) LoadSnapshot(pages map[uint64][PageSize]byte) {
+	m.last = nil
 	m.pages = make(map[uint64]*[PageSize]byte, len(pages))
 	for pn, data := range pages {
 		p := data

@@ -38,6 +38,9 @@ type Fragment struct {
 	PEI        []uint64
 	PEIRecover [][]translate.RegAcc
 
+	// tallies[n] counts Insts[:n]; see Tally.
+	tallies []Tally
+
 	// Strands, ExitLive, and EndLive carry the translation metadata the
 	// static fragment verifier checks installed code against (see
 	// translate.Result for their semantics). Strands is nil for
@@ -84,6 +87,41 @@ type Fragment struct {
 	strandN, strandMax int
 	strandsDone        bool
 }
+
+// Tally is what executing a run of I-instructions adds to the VM's
+// per-instruction counters. Every visit to a fragment executes a prefix
+// of its instructions, so the executor adds one prefix Tally when the
+// visit ends instead of counting instruction by instruction.
+type Tally struct {
+	IInsts, VInsts, Copies uint32
+	Class                  [ildp.ClassSpecial + 1]uint32
+	Usage                  [ildp.UsageNoUserGlobal + 1]uint32 // UsageNone stays zero
+}
+
+// prefixTallies returns t with t[n] tallying insts[:n].
+func prefixTallies(insts []ildp.Inst) []Tally {
+	t := make([]Tally, len(insts)+1)
+	for i := range insts {
+		in, n := &insts[i], t[i]
+		n.IInsts++
+		n.VInsts += uint32(in.VCredit)
+		n.Class[in.Class]++
+		if in.Usage != ildp.UsageNone {
+			n.Usage[in.Usage]++
+		}
+		if in.Kind == ildp.KindCopyToGPR || in.Kind == ildp.KindCopyFromGPR {
+			n.Copies++
+		}
+		t[i+1] = n
+	}
+	return t
+}
+
+// Tally returns the counts of Insts[:n], the first n instructions of a
+// visit. Installed instructions change only in fields a tally ignores:
+// exit patching swaps a branch between its linked and unlinked kinds,
+// and injected faults flip operand, address and opcode fields.
+func (f *Fragment) Tally(n int) *Tally { return &f.tallies[n] }
 
 // snapshotPristine captures the fragment's current instruction stream and
 // PEI table as the integrity baseline.
@@ -146,13 +184,14 @@ func (f *Fragment) StrandStats() (n, maxLen int) {
 // Cache is the translation cache. It is unbounded, as in the paper (§4.1:
 // SPEC-sized programs fit comfortably; management overhead is negligible).
 type Cache struct {
-	form     ildp.Form
-	frags    []*Fragment
-	byVPC    map[uint64]int32
-	next     uint64
-	pending  map[uint64][]patchSite // V-target -> unlinked exit sites
-	dispatch []ildp.Inst
-	dispAddr []uint64
+	form      ildp.Form
+	frags     []*Fragment
+	byVPC     map[uint64]int32
+	next      uint64
+	pending   map[uint64][]patchSite // V-target -> unlinked exit sites
+	dispatch  []ildp.Inst
+	dispAddr  []uint64
+	dispTally Tally
 
 	// Patches counts call-translator exits converted to direct branches.
 	Patches int
@@ -236,12 +275,17 @@ func (c *Cache) buildDispatch() {
 		c.dispAddr = append(c.dispAddr, c.next)
 		c.next += uint64(c.dispatch[i].EncodedSize(c.form))
 	}
+	c.dispTally = prefixTallies(c.dispatch)[len(c.dispatch)]
 	// Round up to a line-ish boundary.
 	c.next = (c.next + 63) &^ 63
 }
 
 // Dispatch returns the dispatch routine instructions and their I-addresses.
 func (c *Cache) Dispatch() ([]ildp.Inst, []uint64) { return c.dispatch, c.dispAddr }
+
+// DispatchTally returns the counts of one run of the dispatch routine,
+// which always executes in full.
+func (c *Cache) DispatchTally() *Tally { return &c.dispTally }
 
 // Lookup returns the fragment translated from the given V-ISA address, or
 // nil (the PC translation lookup table of Fig. 3).
@@ -419,6 +463,7 @@ func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
 		Insts:        res.Insts,
 		PEI:          res.PEI,
 		PEIRecover:   res.PEIRecover,
+		tallies:      prefixTallies(res.Insts),
 		Strands:      res.Strands,
 		ExitLive:     res.ExitLive,
 		EndLive:      res.EndLive,

@@ -37,42 +37,40 @@ func (v *VM) profChain(kind prof.ChainKind) {
 // links, chaining code, the dual-address RAS, and the shared dispatch
 // routine, until control exits back to the VM. It returns the V-ISA
 // address at which interpretation (or further lookup) should continue.
+//
+// The loop does no per-instruction bookkeeping. It builds trace records
+// only when a Sink is attached. A visit to a fragment always executes a
+// prefix of its instructions, so the visit's counters are added in one
+// step from the fragment's install-time Tally when the visit ends (leave),
+// which happens before anything can observe Stats. A trapping
+// instruction's PEI index is found only when it traps.
 func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
-	frag.ExecCount++
-	v.Stats.FragEntries++
-	v.profEnter(frag)
 	idx := 0
-	peiIdx := 0
-
+	// An *emu.SemanticsError panic unwinds through here to Run's recover
+	// with the visit still open. Close it; like a trapping instruction,
+	// the faulting one is not counted.
+	defer func() {
+		if v.visit != nil {
+			v.leave(idx)
+		}
+	}()
 	enterFrag := func(f *tcache.Fragment) {
-		frag = f
-		idx = 0
-		peiIdx = 0
-		frag.ExecCount++
-		v.Stats.FragEntries++
-		v.profEnter(frag)
+		frag, idx = f, 0
+		v.enter(f)
 	}
+	enterFrag(frag)
+	sink := v.cfg.Sink
+	var rec trace.Rec
 
 	for {
 		if idx >= len(frag.Insts) {
+			v.leave(idx)
 			return 0, fmt.Errorf("vm: fell off end of fragment %d (V %#x)", frag.ID, frag.VStart)
 		}
 		inst := &frag.Insts[idx]
-		iaddr := frag.IAddrs[idx]
-		size := frag.Sizes[idx]
-		isPEI := peiPoint(inst)
-
-		v.Stats.TransIInsts++
-		v.Stats.TransVInsts += uint64(inst.VCredit)
-		v.Stats.ClassCounts[inst.Class]++
-		if inst.Usage != ildp.UsageNone {
-			v.Stats.UsageDyn[inst.Usage]++
+		if sink != nil {
+			rec = v.newRec(inst, frag.IAddrs[idx], frag.Sizes[idx])
 		}
-		if inst.Kind == ildp.KindCopyToGPR || inst.Kind == ildp.KindCopyFromGPR {
-			v.Stats.CopiesExecuted++
-		}
-
-		rec := v.newRec(inst, iaddr, size)
 
 		switch inst.Kind {
 		case ildp.KindALU:
@@ -97,7 +95,7 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
 			val, err := emu.LoadMem(v.mem, inst.Op, addr)
 			if err != nil {
-				return 0, v.preciseTrap(frag, peiIdx, inst, err)
+				return 0, v.preciseTrap(frag, idx, inst, err)
 			}
 			rec.MemAddr = addr
 			if inst.Op == alpha.OpLDQU {
@@ -114,7 +112,7 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
 			data := v.readSrc(inst, inst.SrcB)
 			if err := emu.StoreMem(v.mem, inst.Op, addr, data); err != nil {
-				return 0, v.preciseTrap(frag, peiIdx, inst, err)
+				return 0, v.preciseTrap(frag, idx, inst, err)
 			}
 			rec.MemAddr = addr
 			if inst.Op == alpha.OpSTQU {
@@ -157,36 +155,24 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 					v.profChain(prof.ChainSWPredHit)
 				}
 			}
-			if taken {
-				next, exitV, err := v.takeBranch(inst, &rec)
-				if err != nil {
-					return 0, err
-				}
-				if next == nil {
-					v.finishRec(&rec, true)
-					v.profExit(prof.ExitVM)
-					return exitV, nil
-				}
-				v.finishRec(&rec, false)
-				if isPEI {
-					peiIdx++
-				}
-				enterFrag(next)
-				continue
+			if !taken {
+				break
 			}
+			v.leave(idx + 1)
+			next, exitV := v.takeBranch(inst, &rec)
+			if next == nil {
+				return exitV, nil
+			}
+			enterFrag(next)
+			continue
 
 		case ildp.KindBranch, ildp.KindCallTrans:
 			rec.Taken = true
-			next, exitV, err := v.takeBranch(inst, &rec)
-			if err != nil {
-				return 0, err
-			}
+			v.leave(idx + 1)
+			next, exitV := v.takeBranch(inst, &rec)
 			if next == nil {
-				v.finishRec(&rec, true)
-				v.profExit(prof.ExitVM)
 				return exitV, nil
 			}
-			v.finishRec(&rec, false)
 			enterFrag(next)
 			continue
 
@@ -200,12 +186,12 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 					rec.Taken = true
 					rec.PredHit = true
 					rec.Target = f.IAddr
-					if !v.fragUsable(f) {
-						v.finishRec(&rec, true)
-						return entry.v, nil
+					v.leave(idx + 1)
+					next, exitV := v.chain(f, &rec, nil)
+					if next == nil {
+						return exitV, nil
 					}
-					v.finishRec(&rec, false)
-					enterFrag(f)
+					enterFrag(next)
 					continue
 				}
 			}
@@ -220,55 +206,54 @@ func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
 			// Dispatch body work; the lookup happens at the final jump.
 
 		case ildp.KindJumpInd:
-			target := v.readGPR(ildp.RegJTarget)
-			v.Stats.DispatchRuns++
-			rec.Taken = true
-			if f := v.tc.Lookup(target); f != nil {
-				v.Stats.DispatchHits++
-				v.profChain(prof.ChainDispatchHit)
-				rec.Target = f.IAddr
-				if !v.fragUsable(f) {
-					v.finishRec(&rec, true)
-					return target, nil
-				}
-				v.finishRec(&rec, false)
-				enterFrag(f)
-				continue
+			v.leave(idx + 1)
+			next, exitV := v.jumpInd(&rec, nil)
+			if next == nil {
+				return exitV, nil
 			}
-			v.profChain(prof.ChainDispatchMiss)
-			v.finishRec(&rec, true)
-			v.profExit(prof.ExitVM)
-			return target, nil
+			enterFrag(next)
+			continue
 
 		default:
+			v.leave(idx)
 			return 0, fmt.Errorf("vm: cannot execute %v", inst.Kind)
 		}
 
-		v.finishRec(&rec, false)
-		if isPEI {
-			peiIdx++
+		if sink != nil {
+			v.emitRec(&rec, false)
 		}
 		idx++
 	}
 }
 
-// takeBranch resolves a taken control transfer: into another fragment,
-// into the shared dispatch routine, or out to the VM (call-translator).
-// A nil fragment with err == nil means exit to the VM at exitV.
-func (v *VM) takeBranch(inst *ildp.Inst, rec *trace.Rec) (*tcache.Fragment, uint64, error) {
+// enter opens a visit to f: control reaches its first instruction.
+func (v *VM) enter(f *tcache.Fragment) {
+	f.ExecCount++
+	v.Stats.FragEntries++
+	v.visit = f
+	v.profEnter(f)
+}
+
+// leave closes the open visit after its first n instructions and adds
+// their counters to Stats. Every path out of a visit — a transfer, a
+// trap, an error, a recovered panic — calls it before Stats can be seen.
+// An instruction that faults is not counted: it retires nothing and
+// emits no record, so Stats and the trace stay in step.
+func (v *VM) leave(n int) {
+	v.Stats.add(v.visit.Tally(n))
+	v.visit = nil
+}
+
+// takeBranch resolves a taken control transfer whose record is rec:
+// into another fragment, through the shared dispatch routine, or out to
+// the VM (call-translator). It emits rec. A nil fragment means exit to
+// the VM at exitV.
+func (v *VM) takeBranch(inst *ildp.Inst, rec *trace.Rec) (*tcache.Fragment, uint64) {
 	switch {
 	case inst.Frag == ildp.FragDispatch:
 		v.cfg.Prof.EnterDispatch(v.Stats.TransIInsts, v.Stats.TransVInsts)
-		f, exitV, err := v.runDispatch()
-		if err != nil {
-			return nil, 0, err
-		}
-		if f != nil {
-			rec.Target = dispatchEntry(v.tc)
-			return f, 0, nil
-		}
 		rec.Target = dispatchEntry(v.tc)
-		return nil, exitV, nil
+		return v.runDispatch(rec)
 	case inst.Frag >= 0:
 		f := v.tc.Frag(inst.Frag)
 		if f == nil || f.VStart != inst.VAddr {
@@ -277,60 +262,102 @@ func (v *VM) takeBranch(inst *ildp.Inst, rec *trace.Rec) (*tcache.Fragment, uint
 			// the VM at the architected target, which the patch preserved.
 			v.Stats.StaleLinks++
 			v.noteRecovery("stale link", inst.VAddr)
-			return nil, inst.VAddr, nil
+			return v.exitVM(inst.VAddr, rec, nil)
 		}
 		v.profChain(prof.ChainDirect)
 		rec.Target = f.IAddr
-		if !v.fragUsable(f) {
-			return nil, f.VStart, nil
-		}
-		return f, 0, nil
+		return v.chain(f, rec, nil)
 	default:
 		// Call-translator: exit to the VM at the V-ISA target.
-		return nil, inst.VAddr, nil
+		return v.exitVM(inst.VAddr, rec, nil)
 	}
 }
 
-// runDispatch executes the shared dispatch routine (its 20 instructions
-// enter the trace) and performs the PC-translation-table lookup at its
-// final indirect jump.
-func (v *VM) runDispatch() (*tcache.Fragment, uint64, error) {
+// runDispatch executes the shared dispatch routine, entered by the branch
+// whose record is from. Its instructions enter the trace, and the
+// PC-translation-table lookup happens at its final indirect jump. The
+// routine always runs in full, so its counters are added up front.
+func (v *VM) runDispatch(from *trace.Rec) (*tcache.Fragment, uint64) {
 	insts, addrs := v.tc.Dispatch()
-	for i := range insts {
-		inst := &insts[i]
-		v.Stats.TransIInsts++
-		v.Stats.ClassCounts[inst.Class]++
-		rec := v.newRec(inst, addrs[i], uint8(inst.EncodedSize(ildp.Modified)))
-		if inst.Kind == ildp.KindJumpInd {
-			target := v.readGPR(ildp.RegJTarget)
-			v.Stats.DispatchRuns++
-			rec.Taken = true
-			if f := v.tc.Lookup(target); f != nil {
-				v.Stats.DispatchHits++
-				v.profChain(prof.ChainDispatchHit)
-				rec.Target = f.IAddr
-				if !v.fragUsable(f) {
-					v.finishRec(&rec, true)
-					return nil, target, nil
-				}
-				v.finishRec(&rec, false)
-				return f, 0, nil
+	v.Stats.add(v.tc.DispatchTally())
+	last := len(insts) - 1
+	var rec trace.Rec
+	if v.cfg.Sink != nil {
+		for i := range insts {
+			rec = v.newRec(&insts[i], addrs[i], uint8(insts[i].EncodedSize(ildp.Modified)))
+			if i < last {
+				v.emitRec(&rec, false)
 			}
-			// The caller's exit-to-VM path closes the dispatch frame.
-			v.profChain(prof.ChainDispatchMiss)
-			v.finishRec(&rec, true)
-			return nil, target, nil
 		}
-		v.finishRec(&rec, false)
 	}
-	return nil, 0, fmt.Errorf("vm: dispatch routine has no terminal jump")
+	return v.jumpInd(&rec, from)
 }
 
-// preciseTrap recovers the precise V-ISA state for a trap inside
-// translated code: the trapping V-PC comes from the PEI table, and any
+// jumpInd performs the PC-translation-table lookup of an indirect jump
+// through ildp.RegJTarget, whose record is rec; from is the record of the
+// branch into the dispatch routine, or nil. It chains into the target's
+// fragment or exits to the VM.
+func (v *VM) jumpInd(rec, from *trace.Rec) (*tcache.Fragment, uint64) {
+	target := v.readGPR(ildp.RegJTarget)
+	v.Stats.DispatchRuns++
+	rec.Taken = true
+	f := v.tc.Lookup(target)
+	if f == nil {
+		v.profChain(prof.ChainDispatchMiss)
+		return v.exitVM(target, rec, from)
+	}
+	v.Stats.DispatchHits++
+	v.profChain(prof.ChainDispatchHit)
+	rec.Target = f.IAddr
+	return v.chain(f, rec, from)
+}
+
+// chain decides a chained entry into f from translated code. The
+// transfer's records (rec, then from) are emitted before Poll sees the
+// boundary, so an observer finds Stats and the trace in step; a refused
+// entry emits them as the episode's last and exits to the VM at f's
+// V-start.
+func (v *VM) chain(f *tcache.Fragment, rec, from *trace.Rec) (*tcache.Fragment, uint64) {
+	if !v.admit(f) {
+		next, exitV := v.exitVM(f.VStart, rec, from)
+		v.poll()
+		return next, exitV
+	}
+	if v.cfg.Sink != nil {
+		v.emitRec(rec, false)
+		v.emitRec(from, false)
+	}
+	v.poll()
+	return f, 0
+}
+
+// exitVM ends an episode of translated execution at V-address exitV: the
+// transfer's records (rec, then from) are emitted as the episode's last,
+// and the profiler frame closes with ExitVM. It returns a nil fragment
+// and exitV, for takeBranch's callers.
+func (v *VM) exitVM(exitV uint64, rec, from *trace.Rec) (*tcache.Fragment, uint64) {
+	if v.cfg.Sink != nil {
+		v.emitRec(rec, true)
+		v.emitRec(from, true)
+	}
+	v.profExit(prof.ExitVM)
+	return nil, exitV
+}
+
+// preciseTrap recovers the precise V-ISA state for a trap at
+// frag.Insts[idx]: the trapping V-PC comes from the PEI table, and any
 // architected registers whose current values live only in accumulators
-// are materialised from the accumulator file (§2.2).
-func (v *VM) preciseTrap(frag *tcache.Fragment, peiIdx int, inst *ildp.Inst, cause error) error {
+// are materialised from the accumulator file (§2.2). The visit executed
+// exactly Insts[:idx] before the trap, so the PEI index is the number of
+// PEI points among them.
+func (v *VM) preciseTrap(frag *tcache.Fragment, idx int, inst *ildp.Inst, cause error) error {
+	v.leave(idx)
+	peiIdx := 0
+	for i := range frag.Insts[:idx] {
+		if peiPoint(&frag.Insts[i]) {
+			peiIdx++
+		}
+	}
 	if peiIdx >= len(frag.PEI) {
 		return fmt.Errorf("vm: PEI index %d out of range in fragment %d", peiIdx, frag.ID)
 	}
@@ -474,11 +501,12 @@ func recClass(inst *ildp.Inst) trace.Class {
 	return trace.ClassALU
 }
 
-// finishRec completes and emits a trace record. endOfRun marks the final
-// record of a translated-execution episode (the timing models drain and
-// restart with an empty pipeline across mode switches, as in §4.1).
-func (v *VM) finishRec(rec *trace.Rec, endOfRun bool) {
-	if v.cfg.Sink == nil {
+// emitRec completes and emits a trace record to the attached Sink; callers
+// check that one is attached. A nil rec is skipped. endOfRun marks the
+// final record of a translated-execution episode (the timing models drain
+// and restart with an empty pipeline across mode switches, as in §4.1).
+func (v *VM) emitRec(rec *trace.Rec, endOfRun bool) {
+	if rec == nil {
 		return
 	}
 	if endOfRun {

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the VM's self-healing layer: the per-entry integrity
-// re-check and fault-injection decision point (fragUsable), the recovery
+// re-check and fault-injection decision point (admit), the recovery
 // bookkeeping shared by every recovery path (noteRecovery), the
 // retranslate-with-backoff / quarantine policy for failed translations
 // (translateFailed), and the injected cache-capacity shrink. The design
@@ -21,25 +21,38 @@ import (
 // shrinkFloor is the smallest capacity an injected shrink can impose.
 const shrinkFloor = 4 << 10
 
-// fragUsable runs the entry-time fault-injection draw and the paranoid
-// integrity re-check for a fragment about to be entered (from the VM
-// top level or from a chained transfer inside translated code). It
-// returns false when the fragment must not run this time; the caller
-// falls back to interpretation at the fragment's V-start, which
-// guarantees forward progress — the next entry attempt redraws.
+// fragUsable decides an entry into f from the VM's top-level loop (see
+// admit), then lets the Poll hook observe the boundary.
 func (v *VM) fragUsable(f *tcache.Fragment) bool {
-	// Preemption poll: a chained hot loop can stay inside translated code
+	ok := v.admit(f)
+	v.poll()
+	return ok
+}
+
+// poll calls the Poll observation hook, if one is attached. Besides the
+// Run loop top it runs at every fragment entry, once the entry is
+// decided: a chained hot loop can stay inside translated code
+// indefinitely, and must not starve the telemetry plane for the whole
+// loop's lifetime.
+func (v *VM) poll() {
+	if poll := v.cfg.Poll; poll != nil {
+		poll()
+	}
+}
+
+// admit runs the preemption checks, the entry-time fault-injection draw
+// and the paranoid integrity re-check for a fragment about to be entered
+// (from the VM top level or from a chained transfer inside translated
+// code). It returns false when the fragment must not run this time; the
+// caller falls back to interpretation at the fragment's V-start, which
+// guarantees forward progress — the next entry attempt redraws.
+func (v *VM) admit(f *tcache.Fragment) bool {
+	// Preemption: a chained hot loop can stay inside translated code
 	// indefinitely, so the budget and the stop hook must also be visible
 	// at chained and dispatched entries, not just at the Run loop top.
 	// Refusing the entry exits to the VM at this fragment's V-start — a
 	// precise V-instruction boundary — and stopCause makes Run convert
 	// the refusal into a *PreemptError there.
-	if poll := v.cfg.Poll; poll != nil {
-		// Observation hook: like Stop below, it must fire at chained and
-		// dispatched entries too, or a chained hot loop could starve the
-		// telemetry plane for the whole loop's lifetime.
-		poll()
-	}
 	if v.budget > 0 && int64(v.Stats.TotalVInsts()) >= v.budget {
 		v.stopCause = ErrBudget
 		return false

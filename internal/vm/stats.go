@@ -2,6 +2,7 @@ package vm
 
 import (
 	"github.com/ildp/accdbt/internal/metrics"
+	"github.com/ildp/accdbt/internal/tcache"
 	"github.com/ildp/accdbt/internal/translate"
 )
 
@@ -77,6 +78,20 @@ type Stats struct {
 func (s *Stats) Recoveries() uint64 {
 	return s.ReverifyFails + s.SpuriousTraps + s.ForcedEvicts + s.TransFailures +
 		s.StaleLinks + s.WatchdogTrips
+}
+
+// add counts a run of executed translated instructions, tallied at
+// install.
+func (s *Stats) add(t *tcache.Tally) {
+	s.TransIInsts += uint64(t.IInsts)
+	s.TransVInsts += uint64(t.VInsts)
+	for c, n := range t.Class {
+		s.ClassCounts[c] += uint64(n)
+	}
+	for u, n := range t.Usage {
+		s.UsageDyn[u] += uint64(n)
+	}
+	s.CopiesExecuted += uint64(t.Copies)
 }
 
 // TotalVInsts returns all V-ISA instructions architecturally retired.

@@ -276,6 +276,11 @@ type VM struct {
 	budget    int64
 	stopCause error
 
+	// visit is the fragment translated code is executing, whose
+	// instructions are not yet counted in Stats; nil outside a visit
+	// (see execTranslated).
+	visit *tcache.Fragment
+
 	// testMutateResult, when set, corrupts each translation before the
 	// verifier sees it — the test hook proving paranoid mode rejects bad
 	// installs.
@@ -386,9 +391,7 @@ func (v *VM) Run(maxVInsts int64) (err error) {
 		if maxVInsts > 0 && int64(v.Stats.TotalVInsts()) >= maxVInsts {
 			return v.preempt(ErrBudget)
 		}
-		if poll := v.cfg.Poll; poll != nil {
-			poll()
-		}
+		v.poll()
 		if stop := v.cfg.Stop; stop != nil && stop() {
 			return v.preempt(ErrPreempted)
 		}
