@@ -56,6 +56,11 @@ echo "== warm translated-execution benchmark smoke (one iteration)"
 # keeps the benchmark building and running.
 go test -run '^$' -bench '^BenchmarkWarmExecution$' -benchtime 1x .
 
+echo "== interpreter benchmark smoke (one iteration)"
+# BenchmarkInterpreter is the interpreter's ns-per-V-instruction row;
+# one iteration keeps it building and running.
+go test -run '^$' -bench '^BenchmarkInterpreter$' -benchtime 1x .
+
 echo "== chaos smoke (short soak under the race detector)"
 # A fixed-seed slice of the differential chaos oracle: fault-injected
 # runs must stay bit-identical to the pure interpreter with the race
@@ -73,6 +78,12 @@ echo "== kill-and-resume smoke (short sweep under the race detector)"
 go test -race -short -run 'TestKillResume|TestStopHook|TestBudgetIs|TestResumeFrom|TestWatchdog|TestPreemptionInvisible' \
     ./internal/experiments/ ./internal/vm/
 go run ./cmd/ildpchaos -kill -seeds 4 -seed-base 5001 -machines ildp-modified
+
+echo "== instruction decoder fuzz (5s)"
+# Every word either decodes to an operation whose canonical re-encoding
+# decodes back to the same instruction and is a fixed point, or decodes
+# to OpInvalid/OpUnsupported and is refused by the encoder.
+go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/alpha/
 
 echo "== checkpoint decoder fuzz (5s)"
 # The fuzz invariant: arbitrary bytes either decode to a state whose

@@ -409,7 +409,7 @@ func (i *Inst) Dest() Reg {
 
 // Sources returns the architected source registers of the instruction.
 // R31 entries are omitted (reads of R31 are free). The result is at most
-// two registers appended to dst.
+// three registers (a CMOV also reads its destination) appended to dst.
 func (i *Inst) Sources(dst []Reg) []Reg {
 	add := func(r Reg) {
 		if r != RegZero {

@@ -97,11 +97,10 @@ func TestDecodeKnownEncodings(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTripMem(t *testing.T) {
-	for op := range memOps {
-		_ = op
-	}
-	ops := []Op{OpLDA, OpLDAH, OpLDBU, OpLDWU, OpLDL, OpLDQ, OpLDQU, OpSTB, OpSTW, OpSTL, OpSTQ}
-	for _, op := range ops {
+	for _, op := range memOps {
+		if op == OpInvalid {
+			continue
+		}
 		w, err := EncodeMem(op, 5, 30, -256)
 		if err != nil {
 			t.Fatalf("EncodeMem(%v): %v", op, err)

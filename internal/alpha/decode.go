@@ -37,8 +37,11 @@ const (
 	opcBGT     = 0x3F
 )
 
+// The decode tables below are indexed by opcode or function code.
+// OpInvalid, the zero Op, marks an absent entry.
+
 // memOps maps memory-format primary opcodes to operations.
-var memOps = map[uint32]Op{
+var memOps = [64]Op{
 	opcLDA: OpLDA, opcLDAH: OpLDAH,
 	opcLDBU: OpLDBU, opcLDQU: OpLDQU, opcLDWU: OpLDWU,
 	opcSTW: OpSTW, opcSTB: OpSTB, opcSTQU: OpSTQU,
@@ -47,43 +50,43 @@ var memOps = map[uint32]Op{
 }
 
 // branchOps maps branch-format primary opcodes to operations.
-var branchOps = map[uint32]Op{
+var branchOps = [64]Op{
 	opcBR: OpBR, opcBSR: OpBSR,
 	opcBLBC: OpBLBC, opcBEQ: OpBEQ, opcBLT: OpBLT, opcBLE: OpBLE,
 	opcBLBS: OpBLBS, opcBNE: OpBNE, opcBGE: OpBGE, opcBGT: OpBGT,
 }
 
-// inta/intl/ints/intm function code tables (opcode 0x10..0x13).
-var intaOps = map[uint32]Op{
-	0x00: OpADDL, 0x02: OpS4ADDL, 0x12: OpS8ADDL,
-	0x09: OpSUBL, 0x0B: OpS4SUBL, 0x1B: OpS8SUBL,
-	0x20: OpADDQ, 0x22: OpS4ADDQ, 0x32: OpS8ADDQ,
-	0x29: OpSUBQ, 0x2B: OpS4SUBQ, 0x3B: OpS8SUBQ,
-	0x2D: OpCMPEQ, 0x4D: OpCMPLT, 0x6D: OpCMPLE,
-	0x1D: OpCMPULT, 0x3D: OpCMPULE, 0x0F: OpCMPBGE,
-}
-
-var intlOps = map[uint32]Op{
-	0x00: OpAND, 0x08: OpBIC, 0x20: OpBIS, 0x28: OpORNOT,
-	0x40: OpXOR, 0x48: OpEQV,
-	0x24: OpCMOVEQ, 0x26: OpCMOVNE, 0x44: OpCMOVLT, 0x46: OpCMOVGE,
-	0x64: OpCMOVLE, 0x66: OpCMOVGT, 0x14: OpCMOVLBS, 0x16: OpCMOVLBC,
-	0x61: OpAMASK, 0x6C: OpIMPLVER,
-}
-
-var intsOps = map[uint32]Op{
-	0x39: OpSLL, 0x34: OpSRL, 0x3C: OpSRA,
-	0x06: OpEXTBL, 0x16: OpEXTWL, 0x26: OpEXTLL, 0x36: OpEXTQL,
-	0x5A: OpEXTWH, 0x6A: OpEXTLH, 0x7A: OpEXTQH,
-	0x0B: OpINSBL, 0x1B: OpINSWL, 0x2B: OpINSLL, 0x3B: OpINSQL,
-	0x57: OpINSWH, 0x67: OpINSLH, 0x77: OpINSQH,
-	0x02: OpMSKBL, 0x12: OpMSKWL, 0x22: OpMSKLL, 0x32: OpMSKQL,
-	0x52: OpMSKWH, 0x62: OpMSKLH, 0x72: OpMSKQH,
-	0x30: OpZAP, 0x31: OpZAPNOT,
-}
-
-var intmOps = map[uint32]Op{
-	0x00: OpMULL, 0x20: OpMULQ, 0x30: OpUMULH,
+// operateTables holds the 7-bit function-code table of each operate
+// opcode, INTA, INTL, INTS and INTM (0x10..0x13), at index opc-opcINTA.
+var operateTables = [4][128]Op{
+	opcINTA - opcINTA: {
+		0x00: OpADDL, 0x02: OpS4ADDL, 0x12: OpS8ADDL,
+		0x09: OpSUBL, 0x0B: OpS4SUBL, 0x1B: OpS8SUBL,
+		0x20: OpADDQ, 0x22: OpS4ADDQ, 0x32: OpS8ADDQ,
+		0x29: OpSUBQ, 0x2B: OpS4SUBQ, 0x3B: OpS8SUBQ,
+		0x2D: OpCMPEQ, 0x4D: OpCMPLT, 0x6D: OpCMPLE,
+		0x1D: OpCMPULT, 0x3D: OpCMPULE, 0x0F: OpCMPBGE,
+	},
+	opcINTL - opcINTA: {
+		0x00: OpAND, 0x08: OpBIC, 0x20: OpBIS, 0x28: OpORNOT,
+		0x40: OpXOR, 0x48: OpEQV,
+		0x24: OpCMOVEQ, 0x26: OpCMOVNE, 0x44: OpCMOVLT, 0x46: OpCMOVGE,
+		0x64: OpCMOVLE, 0x66: OpCMOVGT, 0x14: OpCMOVLBS, 0x16: OpCMOVLBC,
+		0x61: OpAMASK, 0x6C: OpIMPLVER,
+	},
+	opcINTS - opcINTA: {
+		0x39: OpSLL, 0x34: OpSRL, 0x3C: OpSRA,
+		0x06: OpEXTBL, 0x16: OpEXTWL, 0x26: OpEXTLL, 0x36: OpEXTQL,
+		0x5A: OpEXTWH, 0x6A: OpEXTLH, 0x7A: OpEXTQH,
+		0x0B: OpINSBL, 0x1B: OpINSWL, 0x2B: OpINSLL, 0x3B: OpINSQL,
+		0x57: OpINSWH, 0x67: OpINSLH, 0x77: OpINSQH,
+		0x02: OpMSKBL, 0x12: OpMSKWL, 0x22: OpMSKLL, 0x32: OpMSKQL,
+		0x52: OpMSKWH, 0x62: OpMSKLH, 0x72: OpMSKQH,
+		0x30: OpZAP, 0x31: OpZAPNOT,
+	},
+	opcINTM - opcINTA: {
+		0x00: OpMULL, 0x20: OpMULQ, 0x30: OpUMULH,
+	},
 }
 
 // miscOps maps opcode 0x18 function codes (held in the displacement field).
@@ -91,11 +94,6 @@ var miscOps = map[uint32]Op{
 	0x0000: OpTRAPB, 0x0400: OpEXCB,
 	0x4000: OpMB, 0x4400: OpWMB, 0xC000: OpRPCC,
 	0x8000: OpFETCH, 0xA000: OpFETCHM, 0xE800: OpECB, 0xF800: OpWH64,
-}
-
-// operateTables indexes the function-code table for each operate opcode.
-var operateTables = map[uint32]map[uint32]Op{
-	opcINTA: intaOps, opcINTL: intlOps, opcINTS: intsOps, opcINTM: intmOps,
 }
 
 // jump hint type values in disp[15:14] for opcode 0x1A.
@@ -144,11 +142,9 @@ func Decode(w Word) Inst {
 		inst.Hint = uint16(disp & 0x3FFF)
 		return inst
 
-	case opc >= 0x10 && opc <= 0x13:
-		table := operateTables[opc]
-		fn := (uint32(w) >> 5) & 0x7F
-		op, ok := table[fn]
-		if !ok {
+	case opc >= opcINTA && opc <= opcINTM:
+		op := operateTables[opc-opcINTA][(w>>5)&0x7F]
+		if op == OpInvalid {
 			inst.Op = OpUnsupported
 			inst.Format = FormatOperate
 			return inst
@@ -166,14 +162,14 @@ func Decode(w Word) Inst {
 		return inst
 
 	default:
-		if op, ok := memOps[opc]; ok {
+		if op := memOps[opc]; op != OpInvalid {
 			inst.Op = op
 			inst.Format = FormatMemory
 			inst.Ra, inst.Rb = ra, rb
 			inst.Disp = signExtend(uint32(w)&0xFFFF, 16)
 			return inst
 		}
-		if op, ok := branchOps[opc]; ok {
+		if op := branchOps[opc]; op != OpInvalid {
 			inst.Op = op
 			inst.Format = FormatBranch
 			inst.Ra = ra

@@ -13,14 +13,20 @@ var encTable = map[Op]encInfo{}
 
 func init() {
 	for opc, op := range memOps {
-		encTable[op] = encInfo{opcode: opc, format: FormatMemory}
+		if op != OpInvalid {
+			encTable[op] = encInfo{opcode: uint32(opc), format: FormatMemory}
+		}
 	}
 	for opc, op := range branchOps {
-		encTable[op] = encInfo{opcode: opc, format: FormatBranch}
+		if op != OpInvalid {
+			encTable[op] = encInfo{opcode: uint32(opc), format: FormatBranch}
+		}
 	}
-	for opc, table := range operateTables {
+	for i, table := range operateTables {
 		for fn, op := range table {
-			encTable[op] = encInfo{opcode: opc, fn: fn, format: FormatOperate}
+			if op != OpInvalid {
+				encTable[op] = encInfo{opcode: opcINTA + uint32(i), fn: uint32(fn), format: FormatOperate}
+			}
 		}
 	}
 	for fn, op := range miscOps {

@@ -54,7 +54,24 @@ type CPU struct {
 	// lockFlag models LDx_L/STx_C on a uniprocessor.
 	lockFlag bool
 	lockAddr uint64
+
+	// memo caches decoded instructions, direct-mapped by a Fibonacci
+	// hash of the instruction word. Decode is a pure function of the
+	// word, and FetchDecode reads the word from memory on every step, so
+	// a store that rewrites code changes the key and needs no
+	// invalidation. An entry whose Op is OpInvalid is empty.
+	memo [memoSlots]alpha.Inst
 }
+
+// memoSlots is the size of the decode memo, 7 KiB per CPU. Over the
+// twelve kernels at scale 2, 91% of fetches hit at 256 slots (parser,
+// the worst, 76%) and 95% at 1024; a server holds one memo per resident
+// CPU, so the table stays small.
+const memoSlots = 256
+
+// memoIndex is the memo slot of instruction word w: the top eight bits
+// of its Fibonacci hash.
+func memoIndex(w uint32) uint32 { return (w * 0x9E3779B1) >> 24 }
 
 // New returns a CPU with the given memory, PC 0, and all registers zero.
 func New(m *mem.Memory) *CPU {
@@ -93,13 +110,19 @@ func (c *CPU) WriteReg(r alpha.Reg, v uint64) {
 }
 
 // FetchDecode fetches and decodes the instruction at PC without executing
-// it.
-func (c *CPU) FetchDecode() (alpha.Inst, error) {
-	w, err := c.Mem.Read32(c.PC)
+// it. The result points into the CPU's decode memo: it stays valid until
+// the next FetchDecode on this CPU, which may overwrite it. Callers that
+// keep the instruction longer copy it.
+func (c *CPU) FetchDecode() (*alpha.Inst, error) {
+	w, err := c.Mem.Fetch32(c.PC)
 	if err != nil {
-		return alpha.Inst{}, &Trap{PC: c.PC, Cause: err}
+		return nil, &Trap{PC: c.PC, Cause: err}
 	}
-	return alpha.Decode(alpha.Word(w)), nil
+	e := &c.memo[memoIndex(w)]
+	if e.Raw != alpha.Word(w) || e.Op == alpha.OpInvalid {
+		*e = alpha.Decode(alpha.Word(w))
+	}
+	return e, nil
 }
 
 // Step fetches, decodes, and executes one instruction.
@@ -128,7 +151,7 @@ func (c *CPU) Run(max int64) error {
 // Exec executes a single decoded instruction, updating PC and state. A
 // returned error is always a *Trap; architected state is exactly the state
 // before the faulting instruction (precise).
-func (c *CPU) Exec(inst alpha.Inst) error {
+func (c *CPU) Exec(inst *alpha.Inst) error {
 	pc := c.PC
 	next := pc + alpha.InstBytes
 
@@ -189,7 +212,7 @@ func (c *CPU) Exec(inst alpha.Inst) error {
 	return nil
 }
 
-func (c *CPU) execMemory(inst alpha.Inst, pc uint64) error {
+func (c *CPU) execMemory(inst *alpha.Inst, pc uint64) error {
 	switch inst.Op {
 	case alpha.OpLDA:
 		c.WriteReg(inst.Ra, c.ReadReg(inst.Rb)+uint64(int64(inst.Disp)))
@@ -297,7 +320,7 @@ func (c *CPU) execMemory(inst alpha.Inst, pc uint64) error {
 	return nil
 }
 
-func (c *CPU) execPAL(inst alpha.Inst, pc uint64) error {
+func (c *CPU) execPAL(inst *alpha.Inst, pc uint64) error {
 	switch inst.PALFn {
 	case alpha.PALHalt:
 		c.Halted = true

@@ -1,0 +1,169 @@
+package mem
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+)
+
+// TestFetch32FaultParity checks that Fetch32 fails exactly as Read32
+// does, with the same error type and value and the same effect on the
+// page count, for an unmapped Strict page, a misaligned address and a
+// relaxed-mode Limit overflow; and that a relaxed fetch of a fresh page
+// allocates it as a read would.
+func TestFetch32FaultParity(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(m *Memory)
+		addr  uint64
+		want  any // pointer to the expected error type
+	}{
+		{"strict-unmapped", func(m *Memory) { m.Strict = true; m.Map(0x1000, PageSize) }, 0x8000, new(*AccessFault)},
+		{"misaligned", func(m *Memory) { m.Map(0x1000, PageSize) }, 0x1002, new(*AlignmentFault)},
+		{"misaligned-cached", func(m *Memory) { m.Map(0x1000, PageSize); m.Fetch32(0x1000) }, 0x1006, new(*AlignmentFault)},
+		{"limit", func(m *Memory) { m.Limit = 1; m.Write64(0x1000, 1) }, 0x5000, new(*ResourceFault)},
+		{"relaxed-allocates", func(m *Memory) {}, 0x7000, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rm, fm := New(), New()
+			tc.setup(rm)
+			tc.setup(fm)
+			rv, rerr := rm.Read32(tc.addr)
+			fv, ferr := fm.Fetch32(tc.addr)
+			if !reflect.DeepEqual(rerr, ferr) || rv != fv {
+				t.Fatalf("Fetch32 = %d, %#v; Read32 = %d, %#v", fv, ferr, rv, rerr)
+			}
+			if tc.want == nil {
+				if ferr != nil {
+					t.Fatalf("Fetch32: %v", ferr)
+				}
+			} else if !errors.As(ferr, tc.want) {
+				t.Fatalf("Fetch32 error %T, want %T", ferr, reflect.ValueOf(tc.want).Elem().Interface())
+			}
+			if rm.PageCount() != fm.PageCount() {
+				t.Fatalf("pages after Fetch32 %d, after Read32 %d", fm.PageCount(), rm.PageCount())
+			}
+		})
+	}
+}
+
+// TestFetch32SeesWrites checks that a store to the page in the fetch
+// slot is visible to the next fetch: the slot caches the page, not its
+// bytes.
+func TestFetch32SeesWrites(t *testing.T) {
+	m := New()
+	m.Strict = true
+	m.Map(0x4000, PageSize)
+	m.Map(0x9000, PageSize)
+	if err := m.Write32(0x4010, 0x11111111); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Fetch32(0x4010); err != nil || v != 0x11111111 {
+		t.Fatalf("first fetch = %#x, %v", v, err)
+	}
+	// A data access elsewhere, then a store to the fetched page.
+	if _, err := m.Read64(0x9000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write32(0x4010, 0x22222222); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Fetch32(0x4010); err != nil || v != 0x22222222 {
+		t.Fatalf("fetch after store = %#x, %v; want 0x22222222", v, err)
+	}
+}
+
+// TestLoadSnapshotDropsFetchPage checks that LoadSnapshot clears the
+// fetch slot: a Strict fetch from a page the snapshot lacks faults
+// instead of returning stale bytes, and a page it holds fetches the
+// snapshot's bytes.
+func TestLoadSnapshotDropsFetchPage(t *testing.T) {
+	m := New()
+	m.Strict = true
+	m.Map(0x5000, PageSize)
+	m.Map(0x9000, PageSize)
+	if err := m.Write32(0x9000, 7); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	if err := m.Write32(0x5000, 42); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Fetch32(0x5000); err != nil || v != 42 {
+		t.Fatalf("fetch = %d, %v", v, err)
+	}
+	delete(snap, 0x5000>>PageBits)
+	m.LoadSnapshot(snap)
+	var af *AccessFault
+	if v, err := m.Fetch32(0x5000); !errors.As(err, &af) {
+		t.Fatalf("fetch of a page the snapshot dropped = %d, %v; want an AccessFault", v, err)
+	}
+
+	if err := m.Write32(0x9000, 9); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Fetch32(0x9000); err != nil || v != 9 {
+		t.Fatalf("fetch = %d, %v", v, err)
+	}
+	m.LoadSnapshot(snap)
+	if v, err := m.Fetch32(0x9000); err != nil || v != 7 {
+		t.Fatalf("fetch after restore = %d, %v; want the snapshot's 7", v, err)
+	}
+}
+
+// TestLittleEndianPageEnd round-trips 2-, 4- and 8-byte values at the
+// last aligned offset of a page and checks their byte order.
+func TestLittleEndianPageEnd(t *testing.T) {
+	const page = 0x3000
+	var v uint64 = 0x0807060504030201
+	for _, size := range []int{2, 4, 8} {
+		m := New()
+		addr := uint64(page + PageSize - size)
+		var got uint64
+		var err error
+		switch size {
+		case 2:
+			if err = m.Write16(addr, uint16(v)); err == nil {
+				var x uint16
+				x, err = m.Read16(addr)
+				got = uint64(x)
+			}
+		case 4:
+			if err = m.Write32(addr, uint32(v)); err == nil {
+				var x uint32
+				x, err = m.Read32(addr)
+				got = uint64(x)
+				if f, ferr := m.Fetch32(addr); ferr != nil || f != x {
+					t.Fatalf("Fetch32 = %#x, %v; Read32 = %#x", f, ferr, x)
+				}
+			}
+		case 8:
+			if err = m.Write64(addr, v); err == nil {
+				got, err = m.Read64(addr)
+			}
+		}
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		want := v
+		if size < 8 {
+			want &= 1<<(8*size) - 1
+		}
+		if got != want {
+			t.Fatalf("size %d: read back %#x", size, got)
+		}
+		b, err := m.Read8s(addr, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range b {
+			if x != byte(i+1) {
+				t.Fatalf("size %d: byte %d = %#x, want %#x (little-endian)", size, i, x, i+1)
+			}
+		}
+		if m.PageCount() != 1 {
+			t.Fatalf("size %d: access touched %d pages, want 1", size, m.PageCount())
+		}
+	}
+}

@@ -6,7 +6,10 @@
 // tests).
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Page geometry.
 const (
@@ -64,11 +67,16 @@ func (f *AlignmentFault) Error() string {
 // memory.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
-	// lastPN and last cache the most recently accessed page. Pages are
-	// never unmapped except by LoadSnapshot, which clears the cache, so
-	// a cached page is always the mapped one.
-	lastPN uint64
-	last   *[PageSize]byte
+	// Two one-page slots cache page lookups: last holds the page of the
+	// most recent data access, fetch that of the most recent Fetch32.
+	// Instruction fetch and data accesses alternate between text and
+	// data pages, so one shared slot would miss on nearly every access.
+	// Pages are never unmapped except by LoadSnapshot, which clears both
+	// slots, so a cached page is always the mapped one.
+	lastPN  uint64
+	last    *[PageSize]byte
+	fetchPN uint64
+	fetch   *[PageSize]byte
 	// Strict, when true, makes access to unmapped pages fault rather than
 	// allocate.
 	Strict bool
@@ -82,11 +90,23 @@ type Memory struct {
 // New returns an empty relaxed-mode memory.
 func New() *Memory { return &Memory{pages: map[uint64]*[PageSize]byte{}} }
 
+// page returns the page holding addr through the data slot.
 func (m *Memory) page(addr uint64, write bool, allocate bool) (*[PageSize]byte, error) {
-	pn := addr >> PageBits
-	if m.last != nil && m.lastPN == pn {
-		return m.last, nil
+	if p := m.last; p != nil && m.lastPN == addr>>PageBits {
+		return p, nil
 	}
+	p, err := m.lookup(addr, write, allocate)
+	if err != nil {
+		return nil, err
+	}
+	m.lastPN, m.last = addr>>PageBits, p
+	return p, nil
+}
+
+// lookup finds the page holding addr in the page map, allocating it
+// when the mode and the Limit allow. It leaves both slots untouched.
+func (m *Memory) lookup(addr uint64, write bool, allocate bool) (*[PageSize]byte, error) {
+	pn := addr >> PageBits
 	if m.pages == nil {
 		m.pages = map[uint64]*[PageSize]byte{}
 	}
@@ -101,7 +121,6 @@ func (m *Memory) page(addr uint64, write bool, allocate bool) (*[PageSize]byte, 
 		p = new([PageSize]byte)
 		m.pages[pn] = p
 	}
-	m.lastPN, m.last = pn, p
 	return p, nil
 }
 
@@ -182,7 +201,7 @@ func (m *Memory) Snapshot() map[uint64][PageSize]byte {
 // previously mapped page not in the snapshot is unmapped. The snapshot
 // is copied, so later writes to the memory do not alias it.
 func (m *Memory) LoadSnapshot(pages map[uint64][PageSize]byte) {
-	m.last = nil
+	m.last, m.fetch = nil, nil
 	m.pages = make(map[uint64]*[PageSize]byte, len(pages))
 	for pn, data := range pages {
 		p := data
@@ -241,12 +260,14 @@ func (m *Memory) read(addr uint64, size int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	off := addr & pageMask
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(p[off+uint64(i)])
+	b := p[addr&pageMask:]
+	switch size {
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b)), nil
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b)), nil
 	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // write stores a naturally-aligned little-endian value of the given size.
@@ -258,9 +279,14 @@ func (m *Memory) write(addr uint64, size int, v uint64) error {
 	if err != nil {
 		return err
 	}
-	off := addr & pageMask
-	for i := 0; i < size; i++ {
-		p[off+uint64(i)] = byte(v >> (8 * i))
+	b := p[addr&pageMask:]
+	switch size {
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
 	}
 	return nil
 }
@@ -280,6 +306,24 @@ func (m *Memory) Read32(addr uint64) (uint32, error) {
 // Read64 loads an aligned little-endian 64-bit value.
 func (m *Memory) Read64(addr uint64) (uint64, error) {
 	return m.read(addr, 8)
+}
+
+// Fetch32 is Read32 for instruction fetch: the same value, faults and
+// effects (alignment, Strict, Limit, relaxed allocation), but its page
+// is cached in the fetch slot, so fetches and data accesses on
+// different pages do not evict each other.
+func (m *Memory) Fetch32(addr uint64) (uint32, error) {
+	if addr&3 != 0 {
+		return 0, &AlignmentFault{Addr: addr, Size: 4}
+	}
+	if m.fetch == nil || m.fetchPN != addr>>PageBits {
+		p, err := m.lookup(addr, false, false)
+		if err != nil {
+			return 0, err
+		}
+		m.fetchPN, m.fetch = addr>>PageBits, p
+	}
+	return binary.LittleEndian.Uint32(m.fetch[addr&pageMask:]), nil
 }
 
 // Write16 stores an aligned little-endian 16-bit value.

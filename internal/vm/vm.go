@@ -455,7 +455,8 @@ func (v *VM) noteCandidate(pc uint64) {
 }
 
 // interpStep interprets one instruction, profiling and (when hot)
-// recording the executed path for superblock formation.
+// recording the executed path for superblock formation. inst points
+// into the CPU's decode memo, so the recorded superblock keeps a copy.
 func (v *VM) interpStep() error {
 	pc := v.cpu.PC
 	inst, err := v.cpu.FetchDecode()
@@ -465,7 +466,7 @@ func (v *VM) interpStep() error {
 
 	// Trap-class instructions end superblock collection before executing
 	// (§3.1); they are always interpreted.
-	if v.recording && isTraceBarrier(&inst) {
+	if v.recording && isTraceBarrier(inst) {
 		if err := v.finishRecording(translate.EndTrap, pc); err != nil {
 			return err
 		}
@@ -496,7 +497,7 @@ func (v *VM) interpStep() error {
 	next := v.cpu.PC
 
 	if v.cfg.InterpSink != nil {
-		rec := alphaRec(&inst, pc, next)
+		rec := alphaRec(inst, pc, next)
 		rec.MemAddr = memAddr
 		v.cfg.InterpSink.Append(rec)
 	}
@@ -504,7 +505,7 @@ func (v *VM) interpStep() error {
 	taken := inst.IsBranch() && next != pc+alpha.InstBytes
 
 	if v.recording {
-		rec := translate.SBInst{PC: pc, Inst: inst}
+		rec := translate.SBInst{PC: pc, Inst: *inst}
 		if inst.IsCondBranch() {
 			rec.Taken = taken
 		}
@@ -733,8 +734,8 @@ func alphaRec(inst *alpha.Inst, pc, next uint64) trace.Rec {
 		SrcAcc: trace.NoAcc,
 		DstAcc: trace.NoAcc,
 	}
-	var srcs []alpha.Reg
-	srcs = inst.Sources(srcs)
+	var buf [3]alpha.Reg
+	srcs := inst.Sources(buf[:0])
 	for i, r := range srcs {
 		if i >= 2 {
 			break
