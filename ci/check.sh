@@ -5,9 +5,12 @@
 #   ./ci/check.sh
 #
 # Steps, in order: formatting, vet, build, the full test suite, the
-# race detector over the packages with real concurrency exposure, the
-# docs gate (EXPERIMENTS.md's generated block must match the committed
-# report), and small-scale smokes of the JSON and text report paths.
+# race detector over the packages with real concurrency exposure, CLI
+# smokes, a grep guard against second copies of the machine builder
+# and the chain-name parser, a cross-check of `ildpvm -timing` against
+# Fig. 8, the docs gate (EXPERIMENTS.md's generated block must match
+# the committed report), and small-scale smokes of the JSON and text
+# report paths.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -564,6 +567,57 @@ fi
 kill -TERM "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
 rm -rf "$chaos_dir"
+
+echo "== one home per run decision (grep guard)"
+# The timing models are built only by the machine builder in
+# internal/experiments (the public facade, the examples and the
+# benchmark drive them directly), and chaining-mode names are parsed
+# only in internal/translate. A copy anywhere else fails the gate.
+model_copies=$(grep -rn --include='*.go' -E 'uarch\.New(OoO|ILDP)\(' . | grep -v '_test\.go:' \
+    | grep -v -E '^\./(internal/experiments/|accdbt\.go:|examples/|bench/|\.bench_build/)' || true)
+chain_copies=$(grep -rn --include='*.go' 'case "sw_pred' . | grep -v '_test\.go:' \
+    | grep -v -E '^\./(internal/translate/|\.bench_build/)' || true)
+if [ -n "$model_copies$chain_copies" ]; then
+    echo "timing models or chain names handled outside their one home:" >&2
+    printf '%s\n%s\n' "$model_copies" "$chain_copies" >&2
+    exit 1
+fi
+
+echo "== ildpvm -timing agrees with Fig. 8, and reports no NaN"
+# ildpvm builds its timing models with the same machine builder as the
+# paper tables, so at scale 1 its gzip IPCs must equal Fig. 8's
+# gzip row: straightened V-IPC for -form straighten, ILDP-modified
+# V-IPC and native I-ISA IPC for the default form. A run preempted
+# before it retires anything must still print numbers, not NaN.
+vm_dir=$(mktemp -d)
+go build -o "$vm_dir/ildpvm" ./cmd/ildpvm
+go build -o "$vm_dir/ildpbench" ./cmd/ildpbench
+fig8_gzip=$("$vm_dir/ildpbench" -experiment=fig8 -scale=1 | awk '$1 == "gzip"')
+want_straight=$(echo "$fig8_gzip" | awk '{ print $3 }')
+want_modified=$(echo "$fig8_gzip" | awk '{ print $5, $6 }')
+# vm_ipc ARGS... -> "V-IPC native-IPC" from ildpvm -workload gzip -timing.
+vm_ipc() {
+    "$vm_dir/ildpvm" -workload gzip -timing "$@" \
+        | sed -n 's/^  cycles [0-9]*, V-IPC \([0-9.]*\), native IPC \([0-9.]*\)$/\1 \2/p'
+}
+got_modified=$(vm_ipc)
+got_straight=$(vm_ipc -form straighten | cut -d' ' -f1)
+if [ -z "$want_modified" ] || [ "$got_modified" != "$want_modified" ] \
+    || [ "$got_straight" != "$want_straight" ]; then
+    echo "ildpvm -timing disagrees with ildpbench -experiment=fig8 on gzip:" >&2
+    echo "  modified (V-IPC native): ildpvm '$got_modified', fig8 '$want_modified'" >&2
+    echo "  straightened V-IPC:      ildpvm '$got_straight', fig8 '$want_straight'" >&2
+    exit 1
+fi
+nan_out=$("$vm_dir/ildpvm" -workload gzip -deadline 1ns) || true
+case "$nan_out" in
+*NaN*)
+    echo "ildpvm -deadline 1ns printed NaN:" >&2
+    echo "$nan_out" >&2
+    exit 1
+    ;;
+esac
+rm -rf "$vm_dir"
 
 echo "== docs gate (ildpreport -check)"
 go run ./cmd/ildpreport -check

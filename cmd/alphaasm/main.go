@@ -12,7 +12,7 @@ import (
 	"os"
 
 	"github.com/ildp/accdbt/internal/alpha"
-	"github.com/ildp/accdbt/internal/alpha/alphaasm"
+	"github.com/ildp/accdbt/internal/workload"
 )
 
 func main() {
@@ -23,11 +23,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: alphaasm [-o out.img] [-list] input.s")
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := alphaasm.Assemble(string(src))
+	prog, _, err := workload.Load("", flag.Arg(0), "", 1)
 	if err != nil {
 		fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"os"
 
 	"github.com/ildp/accdbt/internal/alpha"
-	"github.com/ildp/accdbt/internal/alphaprog"
+	"github.com/ildp/accdbt/internal/workload"
 )
 
 func main() {
@@ -20,12 +20,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: alphadis prog.img")
 		os.Exit(2)
 	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	prog, err := alphaprog.Load(f)
+	prog, _, err := workload.Load("", "", flag.Arg(0), 1)
 	if err != nil {
 		fatal(err)
 	}

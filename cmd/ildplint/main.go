@@ -31,8 +31,6 @@ import (
 	"os"
 
 	"github.com/ildp/accdbt/internal/alpha"
-	"github.com/ildp/accdbt/internal/alpha/alphaasm"
-	"github.com/ildp/accdbt/internal/alphaprog"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/iverify"
 	"github.com/ildp/accdbt/internal/mem"
@@ -73,36 +71,29 @@ func main() {
 		return
 	}
 	if *list {
-		for _, name := range workload.Names() {
-			s, _ := workload.ByName(name, 1)
-			fmt.Printf("  %-8s %s\n", name, s.Description)
-		}
+		workload.List(os.Stdout)
 		return
 	}
 
 	cfg := vm.DefaultConfig()
 	cfg.HotThreshold = *threshold
 	cfg.NumAcc = *numAcc
-	switch *chain {
-	case "no_pred":
-		cfg.Chain = translate.NoPred
-	case "sw_pred.no_ras":
-		cfg.Chain = translate.SWPred
-	case "sw_pred.ras":
-		cfg.Chain = translate.SWPredRAS
-	default:
-		fatal(fmt.Errorf("unknown chaining mode %q", *chain))
+	var err error
+	if cfg.Chain, err = translate.ParseChainMode(*chain); err != nil {
+		fatal(err)
 	}
-	switch *form {
-	case "basic":
-		cfg.Form = ildp.Basic
-	case "modified":
-		cfg.Form = ildp.Modified
-	default:
-		fatal(fmt.Errorf("unknown form %q (straightened code carries no I-ISA invariants)", *form))
+	if cfg.Form, err = ildp.ParseForm(*form); err != nil {
+		fatal(fmt.Errorf("%w; straightened code carries no I-ISA invariants", err))
 	}
 
-	prog, name := loadProgram(*wl, *srcFile, *imgFile, *scale)
+	prog, name, err := workload.Load(*wl, *srcFile, *imgFile, *scale)
+	if errors.Is(err, workload.ErrNoProgram) {
+		fmt.Fprintln(os.Stderr, "ildplint:", err)
+		os.Exit(2)
+	}
+	if err != nil {
+		fatal(err)
+	}
 	v := vm.New(mem.New(), cfg)
 	if err := v.LoadProgram(prog); err != nil {
 		fatal(err)
@@ -210,45 +201,6 @@ func main() {
 	if dirty > 0 || disproved > 0 {
 		os.Exit(1)
 	}
-}
-
-func loadProgram(wl, src, img string, scale int) (*alphaprog.Program, string) {
-	switch {
-	case wl != "":
-		spec, err := workload.ByName(wl, scale)
-		if err != nil {
-			fatal(err)
-		}
-		p, err := spec.Program()
-		if err != nil {
-			fatal(err)
-		}
-		return p, wl
-	case src != "":
-		text, err := os.ReadFile(src)
-		if err != nil {
-			fatal(err)
-		}
-		p, err := alphaasm.Assemble(string(text))
-		if err != nil {
-			fatal(err)
-		}
-		return p, src
-	case img != "":
-		f, err := os.Open(img)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		p, err := alphaprog.Load(f)
-		if err != nil {
-			fatal(err)
-		}
-		return p, img
-	}
-	fmt.Fprintln(os.Stderr, "ildplint: one of -workload, -src, or -img is required (see -list)")
-	os.Exit(2)
-	return nil, ""
 }
 
 func fatal(err error) {

@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,10 +35,11 @@ import (
 	"time"
 
 	"github.com/ildp/accdbt/internal/checkpoint"
-	"github.com/ildp/accdbt/internal/emu"
+	"github.com/ildp/accdbt/internal/experiments"
 	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/report"
 	"github.com/ildp/accdbt/internal/serve"
+	"github.com/ildp/accdbt/internal/vm"
 	"github.com/ildp/accdbt/internal/workload"
 )
 
@@ -245,33 +247,14 @@ func verifyAgainstOracle(st *checkpoint.State, name string, scale int, seed uint
 	if err != nil {
 		return err
 	}
-	prog, err := spec.Program()
+	_, oracle, err := experiments.RunOracle(spec, 1_000_000_000)
 	if err != nil {
 		return err
 	}
-	cpu := emu.New(mem.New())
-	if err := cpu.LoadProgram(prog); err != nil {
-		return err
-	}
-	if err := cpu.Run(1_000_000_000); err != nil {
-		return err
-	}
-	if st.Halted != cpu.Halted || st.ExitStatus != cpu.ExitStatus {
-		return fmt.Errorf("halted/exit = %v/%d, want %v/%d", st.Halted, st.ExitStatus, cpu.Halted, cpu.ExitStatus)
-	}
-	if st.PC != cpu.PC {
-		return fmt.Errorf("PC = %#x, want %#x", st.PC, cpu.PC)
-	}
-	if st.Reg != cpu.Reg {
-		return fmt.Errorf("register file differs")
-	}
-	if string(st.Console) != cpu.ConsoleString() {
-		return fmt.Errorf("console differs")
-	}
-	m := mem.New()
-	m.LoadSnapshot(st.Pages)
-	if ok, addr := mem.Equal(m, cpu.Mem); !ok {
-		return fmt.Errorf("memory differs at %#x", addr)
+	served := vm.New(mem.New(), vm.DefaultConfig())
+	served.Restore(st)
+	if d := experiments.DiffState(served.CPU(), oracle); d != "" {
+		return errors.New(d)
 	}
 	return nil
 }

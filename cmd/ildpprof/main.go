@@ -51,10 +51,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range workload.Names() {
-			s, _ := workload.ByName(name, 1)
-			fmt.Printf("  %-8s %s\n", name, s.Description)
-		}
+		workload.List(os.Stdout)
 		return
 	}
 	if *wl == "" {
@@ -67,29 +64,13 @@ func main() {
 		fatal(err)
 	}
 
-	var mach experiments.Machine
-	switch *machine {
-	case "original":
-		mach = experiments.Original
-	case "straightened":
-		mach = experiments.Straightened
-	case "ildp-basic":
-		mach = experiments.ILDPBasic
-	case "ildp-modified":
-		mach = experiments.ILDPModified
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machine))
+	mach, err := experiments.ParseMachine(*machine)
+	if err != nil {
+		fatal(err)
 	}
-	var cm translate.ChainMode
-	switch *chain {
-	case "no_pred":
-		cm = translate.NoPred
-	case "sw_pred.no_ras":
-		cm = translate.SWPred
-	case "sw_pred.ras":
-		cm = translate.SWPredRAS
-	default:
-		fatal(fmt.Errorf("unknown chaining mode %q", *chain))
+	cm, err := translate.ParseChainMode(*chain)
+	if err != nil {
+		fatal(err)
 	}
 
 	p := prof.New(prof.Config{Capacity: *events, SampleEvery: *sample})

@@ -59,10 +59,10 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/ildp/accdbt/internal/alpha/alphaasm"
 	"github.com/ildp/accdbt/internal/alphaprog"
 	"github.com/ildp/accdbt/internal/checkpoint"
 	"github.com/ildp/accdbt/internal/emu"
+	"github.com/ildp/accdbt/internal/experiments"
 	"github.com/ildp/accdbt/internal/faultinject"
 	"github.com/ildp/accdbt/internal/flight"
 	"github.com/ildp/accdbt/internal/fragstore"
@@ -125,10 +125,7 @@ func main() {
 	}
 
 	if *list {
-		for _, name := range workload.Names() {
-			s, _ := workload.ByName(name, 1)
-			fmt.Printf("  %-8s %s\n", name, s.Description)
-		}
+		workload.List(os.Stdout)
 		return
 	}
 
@@ -148,7 +145,14 @@ func main() {
 		resumeRaw = data
 		name = *resumeFile
 	} else {
-		prog, name = loadProgram(*wl, *srcFile, *imgFile, *scale)
+		prog, name, err = workload.Load(*wl, *srcFile, *imgFile, *scale)
+		if errors.Is(err, workload.ErrNoProgram) {
+			logger.Error(err.Error())
+			os.Exit(2)
+		}
+		if err != nil {
+			fatal(err)
+		}
 	}
 
 	cfg := vm.DefaultConfig()
@@ -163,25 +167,22 @@ func main() {
 		defer timer.Stop()
 		cfg.Stop = expired.Load
 	}
-	switch *chain {
-	case "no_pred":
-		cfg.Chain = translate.NoPred
-	case "sw_pred.no_ras":
-		cfg.Chain = translate.SWPred
-	case "sw_pred.ras":
-		cfg.Chain = translate.SWPredRAS
-	default:
-		fatal(fmt.Errorf("unknown chaining mode %q", *chain))
+	if cfg.Chain, err = translate.ParseChainMode(*chain); err != nil {
+		fatal(err)
 	}
-	switch *form {
-	case "basic":
-		cfg.Form = ildp.Basic
-	case "modified":
-		cfg.Form = ildp.Modified
-	case "straighten":
-		cfg.Straighten = true
-	default:
-		fatal(fmt.Errorf("unknown form %q", *form))
+	// -form straighten names the straightening-only machine, not an
+	// I-ISA form. The label names the machine in the report and the
+	// telemetry session.
+	machine, label := experiments.Straightened, "straightened"
+	if *form != "straighten" {
+		f, err := ildp.ParseForm(*form)
+		if err != nil {
+			fatal(fmt.Errorf("%w, or straighten", err))
+		}
+		machine, label = experiments.ILDPBasic, f.String()
+		if f == ildp.Modified {
+			machine = experiments.ILDPModified
+		}
 	}
 
 	if *chaos != "" {
@@ -227,26 +228,12 @@ func main() {
 		cfg.Prof = profiler
 	}
 
-	var ooo *uarch.OoO
-	var core *uarch.ILDP
-	if *timing {
-		if cfg.Straighten {
-			mc := uarch.DefaultOoO()
-			mc.UseHWRAS = false
-			mc.DualRASTrace = cfg.Chain == translate.SWPredRAS
-			ooo = uarch.NewOoO(mc)
-			ooo.SetProfiler(profiler)
-			cfg.Sink = ooo
-		} else {
-			mc := uarch.DefaultILDP()
-			mc.PEs = *pes
-			mc.CommLat = *commLat
-			mc.CacheOpts.Replicas = *pes
-			mc.DualRASTrace = cfg.Chain == translate.SWPredRAS
-			core = uarch.NewILDP(mc)
-			core.SetProfiler(profiler)
-			cfg.Sink = core
-		}
+	model, err := experiments.RunSpec{
+		Machine: machine, Chain: cfg.Chain, PEs: *pes, CommLat: *commLat,
+		Timing: *timing, Prof: profiler,
+	}.Build(&cfg)
+	if err != nil {
+		fatal(err)
 	}
 
 	var plane *telemetry.Plane
@@ -254,7 +241,7 @@ func main() {
 	if *serve != "" {
 		plane = telemetry.New(telemetry.Options{Logger: logger})
 		sess = plane.Register(telemetry.SessionConfig{
-			Name: name, Workload: name, Machine: machineName(cfg),
+			Name: name, Workload: name, Machine: label,
 			Registry: reg, Store: store,
 		})
 		cfg.Poll = sess.Poll
@@ -297,7 +284,7 @@ func main() {
 		sess.Finish()
 	}
 
-	report(name, v, cfg)
+	report(name, label, v, cfg.Chain)
 	if pe != nil {
 		cause := "deadline"
 		if errors.Is(pe, vm.ErrBudget) {
@@ -314,13 +301,13 @@ func main() {
 			s.Recoveries(), s.ReverifyFails, s.SpuriousTraps, s.ForcedEvicts,
 			s.TransFailures, s.StaleLinks, s.Quarantines, s.FallbackInsts, s.RecoveryCost)
 	}
-	if ooo != nil {
-		r := ooo.Finish()
+	if model.OoO != nil {
+		r := model.OoO.Finish()
 		printTiming("out-of-order superscalar", r)
 		r.Publish(reg, "uarch.ooo")
 	}
-	if core != nil {
-		r := core.Finish()
+	if model.ILDP != nil {
+		r := model.ILDP.Finish()
 		printTiming(fmt.Sprintf("ILDP %d-PE", *pes), r)
 		r.Publish(reg, "uarch.ildp")
 	}
@@ -417,76 +404,28 @@ func writeBundle(path string, v *vm.VM, cfg vm.Config, runErr error,
 	fmt.Printf("bundle:             %s failure recorded -> %s\n", kind, path)
 }
 
-func loadProgram(wl, src, img string, scale int) (*alphaprog.Program, string) {
-	switch {
-	case wl != "":
-		spec, err := workload.ByName(wl, scale)
-		if err != nil {
-			fatal(err)
-		}
-		p, err := spec.Program()
-		if err != nil {
-			fatal(err)
-		}
-		return p, wl
-	case src != "":
-		text, err := os.ReadFile(src)
-		if err != nil {
-			fatal(err)
-		}
-		p, err := alphaasm.Assemble(string(text))
-		if err != nil {
-			fatal(err)
-		}
-		return p, src
-	case img != "":
-		f, err := os.Open(img)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		p, err := alphaprog.Load(f)
-		if err != nil {
-			fatal(err)
-		}
-		return p, img
-	}
-	logger.Error("one of -workload, -src, or -img is required (see -list)")
-	os.Exit(2)
-	return nil, ""
-}
-
-// machineName names the configured I-ISA form the way the report and
-// the telemetry session label do.
-func machineName(cfg vm.Config) string {
-	if cfg.Straighten {
-		return "straightened"
-	}
-	return cfg.Form.String()
-}
-
-func report(name string, v *vm.VM, cfg vm.Config) {
+func report(name, label string, v *vm.VM, chain translate.ChainMode) {
 	s := &v.Stats
-	fmt.Printf("program:            %s (%s, %v)\n", name, machineName(cfg), cfg.Chain)
+	fmt.Printf("program:            %s (%s, %v)\n", name, label, chain)
 	fmt.Printf("exit status:        %d, console %q\n", v.CPU().ExitStatus, v.CPU().ConsoleString())
 	fmt.Printf("V-insts total:      %d (interpreted %d, translated %d, %.1f%% translated)\n",
 		s.TotalVInsts(), s.InterpInsts, s.TransVInsts,
-		100*float64(s.TransVInsts)/float64(s.TotalVInsts()))
+		100*float64(s.TransVInsts)/float64(max(s.TotalVInsts(), 1)))
 	fmt.Printf("I-insts executed:   %d (expansion %.2fx)\n", s.TransIInsts,
-		float64(s.TransIInsts)/float64(max64(s.TransVInsts, 1)))
+		float64(s.TransIInsts)/float64(max(s.TransVInsts, 1)))
 	fmt.Printf("fragments:          %d (%d source insts, %d NOPs removed, %d branches straightened)\n",
 		s.Fragments, s.SrcInstsTranslated, s.NOPsRemoved, s.BranchElims)
 	fmt.Printf("translation cost:   %d work units (%.0f per source inst)\n",
-		s.TranslateCost, float64(s.TranslateCost)/float64(max64i(s.SrcInstsTranslated, 1)))
+		s.TranslateCost, float64(s.TranslateCost)/float64(max(s.SrcInstsTranslated, 1)))
 	fmt.Printf("copies executed:    %d (%.1f%% of I-insts)\n", s.CopiesExecuted,
-		100*float64(s.CopiesExecuted)/float64(max64(s.TransIInsts, 1)))
+		100*float64(s.CopiesExecuted)/float64(max(s.TransIInsts, 1)))
 	fmt.Printf("chaining:           %d dispatch runs (%d hit), sw-pred %d/%d hit, dual-RAS %d/%d hit, %d patches\n",
 		s.DispatchRuns, s.DispatchHits,
 		s.SWPredHits, s.SWPredHits+s.SWPredMisses,
 		s.RASHits, s.RASHits+s.RASMisses, v.TCache().Patches)
 	fmt.Printf("static code:        %d I-bytes for %d V-bytes (%.2fx)\n",
 		s.StaticCodeBytes, s.StaticSrcBytes,
-		float64(s.StaticCodeBytes)/float64(max64i(s.StaticSrcBytes, 1)))
+		float64(s.StaticCodeBytes)/float64(max(s.StaticSrcBytes, 1)))
 }
 
 func printTiming(machine string, r uarch.Result) {
@@ -520,20 +459,6 @@ func dumpFragments(v *vm.VM, n int) {
 			fmt.Printf("  %#010x: %s\n", f.IAddrs[i], f.Insts[i].String())
 		}
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64i(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -14,14 +14,7 @@ import (
 )
 
 func main() {
-	modes := []struct {
-		name string
-		mode accdbt.ChainMode
-	}{
-		{"no_pred       ", accdbt.NoPred},
-		{"sw_pred.no_ras", accdbt.SWPred},
-		{"sw_pred.ras   ", accdbt.SWPredRAS},
-	}
+	modes := []accdbt.ChainMode{accdbt.NoPred, accdbt.SWPred, accdbt.SWPredRAS}
 
 	for _, wl := range []string{"perlbmk", "vortex"} {
 		fmt.Printf("workload %s:\n", wl)
@@ -33,7 +26,7 @@ func main() {
 			}
 			out, err := accdbt.RunExperiment(accdbt.RunSpec{
 				Workload: w, Machine: accdbt.MachineILDPModified,
-				Chain: m.mode, Timing: true, HotThreshold: 25,
+				Chain: m, Timing: true, HotThreshold: 25,
 			})
 			if err != nil {
 				panic(err)
@@ -50,8 +43,8 @@ func main() {
 			if rasTotal > 0 {
 				rasPct = 100 * float64(s.RASHits) / float64(rasTotal)
 			}
-			fmt.Printf("  %s      %.2fx  %13d  %11.1f  %8.1f  %12.2f  %5.2f\n",
-				m.name, exp, s.DispatchRuns, swPct, rasPct,
+			fmt.Printf("  %-14v      %.2fx  %13d  %11.1f  %8.1f  %12.2f  %5.2f\n",
+				m, exp, s.DispatchRuns, swPct, rasPct,
 				out.Timing.MispredictsPer1000(), out.Timing.IPC())
 		}
 		fmt.Println()

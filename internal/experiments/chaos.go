@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/ildp/accdbt/internal/alpha"
-	"github.com/ildp/accdbt/internal/emu"
 	"github.com/ildp/accdbt/internal/faultinject"
 	"github.com/ildp/accdbt/internal/fragstore"
-	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/prof"
 	"github.com/ildp/accdbt/internal/uarch"
@@ -83,94 +80,41 @@ type ChaosOutcome struct {
 // error — it is reported in Outcome.Mismatch so harnesses can show the
 // seed and fault schedule that produced it.
 func RunChaos(spec ChaosSpec) (*ChaosOutcome, error) {
-	prog, err := spec.Workload.Program()
+	prog, oracle, err := RunOracle(spec.Workload, spec.MaxV)
 	if err != nil {
-		return nil, err
-	}
-
-	// The oracle: the same program, purely interpreted.
-	oracle := emu.New(mem.New())
-	if err := oracle.LoadProgram(prog); err != nil {
-		return nil, err
-	}
-	if err := oracle.Run(spec.MaxV); err != nil {
 		return nil, fmt.Errorf("chaos oracle (%s): %w", spec.Workload.Name, err)
 	}
 
-	cfg := vm.DefaultConfig()
-	cfg.Verify = true
-	cfg.Paranoid = true
-	cfg.SelfHeal = true
-	cfg.Metrics = spec.Metrics
-	cfg.Prof = spec.Prof
-	cfg.Store = spec.Store
-	cfg.Faults = &faultinject.Config{
-		Seed:          spec.Seed,
-		EntryRate:     spec.EntryRate,
-		TranslateRate: spec.TranslateRate,
-		Kinds:         spec.Kinds,
-		MaxFaults:     spec.MaxFaults,
-	}
-
-	ooo, ildpM, err := harnessMachine(spec.Machine, spec.Timing).machine(&cfg, spec.Prof)
+	rs := harnessMachine(spec.Machine, spec.Timing)
+	rs.MaxV, rs.Metrics, rs.Prof = spec.MaxV, spec.Metrics, spec.Prof
+	rs.Tune, rs.Attach = spec.Tune, spec.Attach
+	r, err := rs.execute(prog, nil, func(cfg *vm.Config) {
+		cfg.Verify = true
+		cfg.Paranoid = true
+		cfg.SelfHeal = true
+		cfg.Store = spec.Store
+		cfg.Faults = &faultinject.Config{
+			Seed:          spec.Seed,
+			EntryRate:     spec.EntryRate,
+			TranslateRate: spec.TranslateRate,
+			Kinds:         spec.Kinds,
+			MaxFaults:     spec.MaxFaults,
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	if tune := spec.Tune; tune != nil {
-		tune(&cfg)
-	}
-	v := vm.New(mem.New(), cfg)
-	if err := v.LoadProgram(prog); err != nil {
-		return nil, err
-	}
-	if attach := spec.Attach; attach != nil {
-		attach(v)
-	}
-	if err := v.Run(spec.MaxV); err != nil {
+	if r.err != nil {
 		return nil, fmt.Errorf("chaos: seed %d, %s on %v: unrecovered fault: %w",
-			spec.Seed, spec.Workload.Name, spec.Machine, err)
+			spec.Seed, spec.Workload.Name, spec.Machine, r.err)
 	}
 
-	out := &ChaosOutcome{Spec: spec, VM: v.Stats}
-	if ooo != nil {
-		out.Timing = ooo.Finish()
-	}
-	if ildpM != nil {
-		out.Timing = ildpM.Finish()
-	}
-	spec.Prof.Finish()
-	out.Faults = v.Injector().Counts()
-	out.Decisions = v.Injector().Decisions()
-	out.Mismatch = diffState(v.CPU(), oracle)
+	out := &ChaosOutcome{Spec: spec, VM: r.out.VM, Timing: r.out.Timing}
+	out.Faults = r.vm.Injector().Counts()
+	out.Decisions = r.vm.Injector().Decisions()
+	out.Mismatch = DiffState(r.vm.CPU(), oracle)
 	if spec.Metrics != nil {
 		out.VM.Publish(spec.Metrics)
 	}
 	return out, nil
-}
-
-// diffState compares the faulted run's final architected state against
-// the oracle's and returns the first divergence ("" when bit-identical).
-func diffState(got, want *emu.CPU) string {
-	if got.Halted != want.Halted {
-		return fmt.Sprintf("halted: got %v, want %v", got.Halted, want.Halted)
-	}
-	if got.ExitStatus != want.ExitStatus {
-		return fmt.Sprintf("exit status: got %d, want %d", got.ExitStatus, want.ExitStatus)
-	}
-	if got.PC != want.PC {
-		return fmt.Sprintf("PC: got %#x, want %#x", got.PC, want.PC)
-	}
-	for r := alpha.Reg(0); r < alpha.NumRegs; r++ {
-		if got.Reg[r] != want.Reg[r] {
-			return fmt.Sprintf("R%d: got %#x, want %#x", r, got.Reg[r], want.Reg[r])
-		}
-	}
-	if got.ConsoleString() != want.ConsoleString() {
-		return fmt.Sprintf("console: got %q, want %q", got.ConsoleString(), want.ConsoleString())
-	}
-	if ok, addr := mem.Equal(got.Mem, want.Mem); !ok {
-		return fmt.Sprintf("memory differs at %#x", addr)
-	}
-	return ""
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ildp/accdbt/internal/stats"
@@ -260,5 +262,30 @@ func TestRunSpecErrors(t *testing.T) {
 	}
 	if _, err := Run(RunSpec{Workload: w, Machine: Machine(99)}); err == nil {
 		t.Error("bad machine accepted")
+	}
+}
+
+func TestParseMachine(t *testing.T) {
+	all := []Machine{Original, Straightened, ILDPBasic, ILDPModified}
+	for _, m := range all {
+		got, err := ParseMachine(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMachine(%q) = %v, %v; want %v", m, got, err, m)
+		}
+	}
+	_, err := ParseMachine("ildp")
+	if err == nil || !strings.Contains(err.Error(), "original, straightened, ildp-basic, ildp-modified") {
+		t.Errorf("unknown machine: err = %v, want the valid names listed", err)
+	}
+
+	if got, err := ParseMachines("all"); err != nil || !reflect.DeepEqual(got, all) {
+		t.Errorf(`ParseMachines("all") = %v, %v; want %v`, got, err, all)
+	}
+	want := []Machine{ILDPModified, Original}
+	if got, err := ParseMachines("ildp-modified, original"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseMachines(list) = %v, %v; want %v", got, err, want)
+	}
+	if _, err := ParseMachines("original,bogus"); err == nil || !strings.Contains(err.Error(), "or all") {
+		t.Errorf("ParseMachines with an unknown name: err = %v, want the valid names and all", err)
 	}
 }

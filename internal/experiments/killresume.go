@@ -7,9 +7,7 @@ import (
 	"sort"
 
 	"github.com/ildp/accdbt/internal/checkpoint"
-	"github.com/ildp/accdbt/internal/emu"
 	"github.com/ildp/accdbt/internal/fragstore"
-	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/prof"
 	"github.com/ildp/accdbt/internal/vm"
@@ -100,17 +98,9 @@ func splitmix64(state *uint64) uint64 {
 // final-state divergence is not an error — it is reported in
 // Outcome.Mismatch.
 func RunKillResume(spec KillResumeSpec) (*KillResumeOutcome, error) {
-	prog, err := spec.Workload.Program()
-	if err != nil {
-		return nil, err
-	}
-
 	// The oracle: the same program, purely interpreted, never disturbed.
-	oracle := emu.New(mem.New())
-	if err := oracle.LoadProgram(prog); err != nil {
-		return nil, err
-	}
-	if err := oracle.Run(spec.MaxV); err != nil {
+	prog, oracle, err := RunOracle(spec.Workload, spec.MaxV)
+	if err != nil {
 		return nil, fmt.Errorf("kill-resume oracle (%s): %w", spec.Workload.Name, err)
 	}
 	total := oracle.InstCount
@@ -142,72 +132,52 @@ func RunKillResume(spec KillResumeSpec) (*KillResumeOutcome, error) {
 
 	out := &KillResumeOutcome{Spec: spec, KillTargets: targets}
 
+	rs := harnessMachine(spec.Machine, spec.Timing)
+	rs.MaxV, rs.Metrics, rs.Tune = spec.MaxV, spec.Metrics, spec.Tune
+	// The stop hook reads the running segment's VM, which Attach hands
+	// over before the run.
+	var v *vm.VM
+	rs.Attach = func(vv *vm.VM) {
+		v = vv
+		if spec.Attach != nil {
+			spec.Attach(vv)
+		}
+	}
 	var st *checkpoint.State // nil = first segment boots from the program image
 	ti := 0
 	for {
-		cfg := vm.DefaultConfig()
-		cfg.Metrics = spec.Metrics
-		cfg.Store = spec.Store
-		var p *prof.Profiler
 		if spec.Timing {
-			p = prof.New(prof.Config{})
-			cfg.Prof = p
+			rs.Prof = prof.New(prof.Config{})
 		}
-		ooo, ildpM, err := harnessMachine(spec.Machine, spec.Timing).machine(&cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		// The stop hook captures the VM pointer (assigned below — vm.New
-		// copies cfg, so the closure must not capture a Stats value) and
-		// this segment's target; -1 disarms the hook for the final
-		// segment.
-		var vv *vm.VM
+		// -1 disarms the stop hook for the final segment.
 		target := int64(-1)
 		if ti < len(targets) {
 			target = int64(targets[ti])
 		}
-		cfg.Stop = func() bool {
-			return target >= 0 && int64(vv.Stats.TotalVInsts()) >= target
-		}
-		if tune := spec.Tune; tune != nil {
-			tune(&cfg)
-		}
-		vv = vm.New(mem.New(), cfg)
-		if st == nil {
-			if err := vv.LoadProgram(prog); err != nil {
-				return nil, err
+		r, err := rs.execute(prog, st, func(cfg *vm.Config) {
+			cfg.Store = spec.Store
+			cfg.Stop = func() bool {
+				return target >= 0 && int64(v.Stats.TotalVInsts()) >= target
 			}
-		} else {
-			vv.Restore(st)
-		}
-		if attach := spec.Attach; attach != nil {
-			attach(vv)
+		})
+		if err != nil {
+			return nil, err
 		}
 		out.Segments++
 
-		runErr := vv.Run(spec.MaxV)
-
 		if spec.Timing {
-			var cycles int64
-			if ooo != nil {
-				cycles = ooo.Finish().Cycles
-			}
-			if ildpM != nil {
-				cycles = ildpM.Finish().Cycles
-			}
-			p.Finish()
-			if err := p.Profile().CheckConservation(cycles); err != nil {
+			if err := rs.Prof.Profile().CheckConservation(r.out.Timing.Cycles); err != nil {
 				return nil, fmt.Errorf("kill-resume seed %d segment %d: %w",
 					spec.Seed, out.Segments, err)
 			}
 		}
 
-		if runErr == nil {
+		if r.err == nil {
 			// The segment ran to completion (a kill target can go unhit
 			// when the program halts inside a translated fragment that
 			// retired past it).
-			out.VM = vv.Stats
-			out.Mismatch = diffState(vv.CPU(), oracle)
+			out.VM = r.out.VM
+			out.Mismatch = DiffState(v.CPU(), oracle)
 			if out.Mismatch == "" && out.VM.TotalVInsts() != total {
 				out.Mismatch = fmt.Sprintf("retired V-insts: got %d, want %d (oracle)",
 					out.VM.TotalVInsts(), total)
@@ -216,13 +186,13 @@ func RunKillResume(spec KillResumeSpec) (*KillResumeOutcome, error) {
 		}
 
 		var pe *vm.PreemptError
-		if !errors.As(runErr, &pe) {
+		if !errors.As(r.err, &pe) {
 			return nil, fmt.Errorf("kill-resume seed %d, %s on %v: unexpected error: %w",
-				spec.Seed, spec.Workload.Name, spec.Machine, runErr)
+				spec.Seed, spec.Workload.Name, spec.Machine, r.err)
 		}
-		if pe.PC != vv.CPU().PC {
+		if pe.PC != v.CPU().PC {
 			return nil, fmt.Errorf("kill-resume seed %d: preempt PC %#x != architected PC %#x",
-				spec.Seed, pe.PC, vv.CPU().PC)
+				spec.Seed, pe.PC, v.CPU().PC)
 		}
 		out.Kills++
 
@@ -230,8 +200,8 @@ func RunKillResume(spec KillResumeSpec) (*KillResumeOutcome, error) {
 		// deterministic, and Encode(Decode(b)) == b. The next segment
 		// restores from the *decoded* state so the full serialization
 		// path is what actually carries execution forward.
-		b1 := checkpoint.Encode(vv.Checkpoint())
-		if b2 := checkpoint.Encode(vv.Checkpoint()); !bytes.Equal(b1, b2) {
+		b1 := checkpoint.Encode(v.Checkpoint())
+		if b2 := checkpoint.Encode(v.Checkpoint()); !bytes.Equal(b1, b2) {
 			return nil, fmt.Errorf("kill-resume seed %d: checkpoint encoding not deterministic", spec.Seed)
 		}
 		dec, err := checkpoint.Decode(b1)
@@ -247,7 +217,7 @@ func RunKillResume(spec KillResumeSpec) (*KillResumeOutcome, error) {
 		// Fragments retire in bulk, so the segment may have run past
 		// several targets at once; every target at or below the restored
 		// retirement count is already behind us.
-		for ti < len(targets) && targets[ti] <= vv.Stats.TotalVInsts() {
+		for ti < len(targets) && targets[ti] <= v.Stats.TotalVInsts() {
 			ti++
 		}
 	}

@@ -9,7 +9,10 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
+	"github.com/ildp/accdbt/internal/alphaprog"
+	"github.com/ildp/accdbt/internal/checkpoint"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/metrics"
@@ -44,6 +47,33 @@ func (m Machine) String() string {
 		return machineNames[m]
 	}
 	return "machine?"
+}
+
+// ParseMachine returns the machine String spells as name.
+func ParseMachine(name string) (Machine, error) {
+	for m, n := range machineNames {
+		if n == name {
+			return Machine(m), nil
+		}
+	}
+	return 0, fmt.Errorf("experiments: unknown machine %q (want %s)", name, strings.Join(machineNames[:], ", "))
+}
+
+// ParseMachines parses a comma-separated list of machine names, or
+// "all" for every machine in §4.1's order.
+func ParseMachines(list string) ([]Machine, error) {
+	if list == "all" {
+		list = strings.Join(machineNames[:], ",")
+	}
+	var out []Machine
+	for _, name := range strings.Split(list, ",") {
+		m, err := ParseMachine(strings.TrimSpace(name))
+		if err != nil {
+			return nil, fmt.Errorf("%w, or all", err)
+		}
+		out = append(out, m)
+	}
+	return out, nil
 }
 
 // RunSpec describes one simulation run.
@@ -97,68 +127,23 @@ type Outcome struct {
 
 // Run executes one simulation.
 func Run(spec RunSpec) (*Outcome, error) {
-	if spec.NumAcc <= 0 {
-		spec.NumAcc = ildp.DefaultAccumulators
-	}
-	if spec.PEs <= 0 {
-		spec.PEs = 8
-	}
-	if spec.HotThreshold <= 0 {
-		spec.HotThreshold = vm.DefaultHotThreshold
-	}
-
 	prog, err := spec.Workload.Program()
 	if err != nil {
 		return nil, err
 	}
-
-	cfg := vm.DefaultConfig()
-	cfg.Chain = spec.Chain
-	cfg.NumAcc = spec.NumAcc
-	cfg.HotThreshold = spec.HotThreshold
-	cfg.FuseMemOps = spec.FuseMem
-	cfg.Metrics = spec.Metrics
-	cfg.Prof = spec.Prof
-	if spec.MaxSB > 0 {
-		cfg.MaxSuperblock = spec.MaxSB
-	}
-	if spec.RASSize > 0 {
-		cfg.RASSize = spec.RASSize
-	}
-
-	ooo, ildpM, err := spec.machine(&cfg, spec.Prof)
+	r, err := spec.execute(prog, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	if tune := spec.Tune; tune != nil {
-		tune(&cfg)
+	if r.err != nil {
+		return nil, fmt.Errorf("%s on %v: %w", spec.Workload.Name, spec.Machine, r.err)
 	}
-	v := vm.New(mem.New(), cfg)
-	if err := v.LoadProgram(prog); err != nil {
-		return nil, err
-	}
-	if attach := spec.Attach; attach != nil {
-		attach(v)
-	}
-	if err := v.Run(spec.MaxV); err != nil {
-		return nil, fmt.Errorf("%s on %v: %w", spec.Workload.Name, spec.Machine, err)
-	}
-
-	out := &Outcome{Spec: spec, VM: v.Stats}
-	if ooo != nil {
-		out.Timing = ooo.Finish()
-	}
-	if ildpM != nil {
-		out.Timing = ildpM.Finish()
-		out.PEDist = ildpM.PEDistribution()
-	}
-	spec.Prof.Finish()
+	out := &r.out
 	if spec.Metrics != nil {
 		out.VM.Publish(spec.Metrics)
 		if spec.Timing {
 			prefix := "uarch.ildp"
-			if ooo != nil {
+			if r.model.OoO != nil {
 				prefix = "uarch.ooo"
 			}
 			out.Timing.Publish(spec.Metrics, prefix)
@@ -167,15 +152,93 @@ func Run(spec RunSpec) (*Outcome, error) {
 	return out, nil
 }
 
-// machine configures cfg for s.Machine and, when s.Timing is set, builds
-// and attaches the matching timing model with p as its profiler. At
-// most one of the two results is non-nil. Run, RunChaos and
-// RunKillResume all build their machines here, so every harness models
-// them identically.
-func (s RunSpec) machine(cfg *vm.Config, p *prof.Profiler) (*uarch.OoO, *uarch.ILDP, error) {
-	var ooo *uarch.OoO
-	var ildpM *uarch.ILDP
+// run is one executed RunSpec: its Outcome, the VM as the run left it,
+// the machine's timing model, and the error vm.Run returned.
+type run struct {
+	out   Outcome
+	vm    *vm.VM
+	model Model
+	err   error
+}
 
+// execute is the one path from a RunSpec to a finished run, shared by
+// Run, RunChaos and every RunKillResume segment. It builds the VM
+// configuration and the machine, applies the caller's own settings
+// (edit) and then Tune, boots the VM from prog — or restores it from
+// st when st is non-nil — hands it to Attach, runs it to s.MaxV, and
+// finishes the timing model and then the profiler. The returned error
+// means the run never started; the run's own error is in run.err.
+func (s RunSpec) execute(prog *alphaprog.Program, st *checkpoint.State, edit func(*vm.Config)) (*run, error) {
+	if s.NumAcc <= 0 {
+		s.NumAcc = ildp.DefaultAccumulators
+	}
+	if s.PEs <= 0 {
+		s.PEs = 8
+	}
+	if s.HotThreshold <= 0 {
+		s.HotThreshold = vm.DefaultHotThreshold
+	}
+
+	cfg := vm.DefaultConfig()
+	cfg.Chain = s.Chain
+	cfg.NumAcc = s.NumAcc
+	cfg.HotThreshold = s.HotThreshold
+	cfg.FuseMemOps = s.FuseMem
+	cfg.Metrics = s.Metrics
+	cfg.Prof = s.Prof
+	if s.MaxSB > 0 {
+		cfg.MaxSuperblock = s.MaxSB
+	}
+	if s.RASSize > 0 {
+		cfg.RASSize = s.RASSize
+	}
+	model, err := s.Build(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	if edit != nil {
+		edit(&cfg)
+	}
+	if s.Tune != nil {
+		s.Tune(&cfg)
+	}
+
+	v := vm.New(mem.New(), cfg)
+	if st != nil {
+		v.Restore(st)
+	} else if err := v.LoadProgram(prog); err != nil {
+		return nil, err
+	}
+	if s.Attach != nil {
+		s.Attach(v)
+	}
+	r := &run{vm: v, model: model, err: v.Run(s.MaxV)}
+	r.out = Outcome{Spec: s, VM: v.Stats}
+	switch {
+	case model.OoO != nil:
+		r.out.Timing = model.OoO.Finish()
+	case model.ILDP != nil:
+		r.out.Timing = model.ILDP.Finish()
+		r.out.PEDist = model.ILDP.PEDistribution()
+	}
+	s.Prof.Finish()
+	return r, nil
+}
+
+// Model is the timing model a machine was built with: the out-of-order
+// superscalar or the ILDP core. At most one is set, and neither when
+// the run is untimed.
+type Model struct {
+	OoO  *uarch.OoO
+	ILDP *uarch.ILDP
+}
+
+// Build configures cfg for s.Machine and, when s.Timing is set, builds
+// and attaches the matching timing model with s.Prof as its profiler.
+// It is the one machine builder: Run, the harnesses and ildpvm all
+// model their machines here, so they model them identically.
+func (s RunSpec) Build(cfg *vm.Config) (Model, error) {
+	var m Model
 	switch s.Machine {
 	case Original:
 		// No DBT: interpret everything; the timing model sees the native
@@ -184,22 +247,19 @@ func (s RunSpec) machine(cfg *vm.Config, p *prof.Profiler) (*uarch.OoO, *uarch.I
 		if s.Timing {
 			mc := uarch.DefaultOoO()
 			mc.UseHWRAS = !s.NoHWRAS
-			ooo = uarch.NewOoO(mc)
-			cfg.InterpSink = ooo
+			m.OoO = uarch.NewOoO(mc)
+			cfg.InterpSink = m.OoO
 		}
 	case Straightened:
 		cfg.Straighten = true
 		if s.Timing {
 			mc := uarch.DefaultOoO()
 			mc.UseHWRAS = false
+			// Fig. 6's "straightened without RAS" pairs sw_pred chaining
+			// with no return prediction; callers normally pass SWPred.
 			mc.DualRASTrace = s.Chain == translate.SWPredRAS && !s.NoHWRAS
-			if s.NoHWRAS && s.Chain == translate.SWPredRAS {
-				// Fig. 6's "straightened without RAS" pairs sw_pred chaining
-				// with no return prediction; callers normally pass SWPred.
-				mc.DualRASTrace = false
-			}
-			ooo = uarch.NewOoO(mc)
-			cfg.Sink = ooo
+			m.OoO = uarch.NewOoO(mc)
+			cfg.Sink = m.OoO
 		}
 	case ILDPBasic, ILDPModified:
 		cfg.Form = ildp.Basic
@@ -216,21 +276,19 @@ func (s RunSpec) machine(cfg *vm.Config, p *prof.Profiler) (*uarch.OoO, *uarch.I
 				mc.CacheOpts.DSizeBytes = 8 << 10
 				mc.CacheOpts.DWays = 2
 			}
-			ildpM = uarch.NewILDP(mc)
-			cfg.Sink = ildpM
+			m.ILDP = uarch.NewILDP(mc)
+			cfg.Sink = m.ILDP
 		}
 	default:
-		return nil, nil, fmt.Errorf("experiments: unknown machine %v", s.Machine)
+		return m, fmt.Errorf("experiments: unknown machine %v", s.Machine)
 	}
-	if p != nil {
-		if ooo != nil {
-			ooo.SetProfiler(p)
-		}
-		if ildpM != nil {
-			ildpM.SetProfiler(p)
-		}
+	if m.OoO != nil {
+		m.OoO.SetProfiler(s.Prof)
 	}
-	return ooo, ildpM, nil
+	if m.ILDP != nil {
+		m.ILDP.SetProfiler(s.Prof)
+	}
+	return m, nil
 }
 
 // harnessMachine is the machine the differential harnesses (chaos,

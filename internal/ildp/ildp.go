@@ -19,6 +19,7 @@ package ildp
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/ildp/accdbt/internal/alpha"
 )
@@ -61,11 +62,23 @@ const (
 	Modified
 )
 
+var formNames = [...]string{"basic", "modified"}
+
 func (f Form) String() string {
 	if f == Basic {
-		return "basic"
+		return formNames[Basic]
 	}
-	return "modified"
+	return formNames[Modified]
+}
+
+// ParseForm returns the form String spells as name.
+func ParseForm(name string) (Form, error) {
+	for f, n := range formNames {
+		if n == name {
+			return Form(f), nil
+		}
+	}
+	return 0, fmt.Errorf("ildp: unknown I-ISA form %q (want %s)", name, strings.Join(formNames[:], ", "))
 }
 
 // SrcKind classifies an instruction source operand.

@@ -176,3 +176,16 @@ func TestProducesResult(t *testing.T) {
 		}
 	}
 }
+
+func TestParseForm(t *testing.T) {
+	for _, f := range []Form{Basic, Modified} {
+		got, err := ParseForm(f.String())
+		if err != nil || got != f {
+			t.Errorf("ParseForm(%q) = %v, %v; want %v", f, got, err, f)
+		}
+	}
+	_, err := ParseForm("straighten")
+	if err == nil || !strings.Contains(err.Error(), "basic, modified") {
+		t.Errorf("unknown form: err = %v, want the valid names listed", err)
+	}
+}

@@ -15,6 +15,7 @@ package translate
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/ildp/accdbt/internal/alpha"
 	"github.com/ildp/accdbt/internal/ildp"
@@ -45,6 +46,16 @@ func (m ChainMode) String() string {
 		return chainNames[m]
 	}
 	return fmt.Sprintf("chain(%d)", uint8(m))
+}
+
+// ParseChainMode returns the chaining mode String spells as name.
+func ParseChainMode(name string) (ChainMode, error) {
+	for m, n := range chainNames {
+		if n == name {
+			return ChainMode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("translate: unknown chaining mode %q (want %s)", name, strings.Join(chainNames[:], ", "))
 }
 
 // Config controls translation.

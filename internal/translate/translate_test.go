@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/ildp/accdbt/internal/alpha"
@@ -545,5 +546,18 @@ func TestNoUserDefBeforePEIGetsGPRHome(t *testing.T) {
 				t.Errorf("PEI %d still expects r17 in accumulator %d", i, p.Acc)
 			}
 		}
+	}
+}
+
+func TestParseChainMode(t *testing.T) {
+	for _, m := range []ChainMode{NoPred, SWPred, SWPredRAS} {
+		got, err := ParseChainMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseChainMode(%q) = %v, %v; want %v", m, got, err, m)
+		}
+	}
+	_, err := ParseChainMode("sw_pred")
+	if err == nil || !strings.Contains(err.Error(), "no_pred, sw_pred.no_ras, sw_pred.ras") {
+		t.Errorf("unknown chaining mode: err = %v, want the valid names listed", err)
 	}
 }

@@ -1,6 +1,11 @@
 package workload
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ildp/accdbt/internal/alpha"
@@ -157,5 +162,60 @@ func TestScaleGrowsWork(t *testing.T) {
 	c1, c3 := count(1), count(3)
 	if c3 < c1*2 {
 		t.Errorf("scale 3 (%d insts) should be at least twice scale 1 (%d)", c3, c1)
+	}
+}
+
+// TestLoad loads gzip the three ways a command line can name a program
+// and checks each yields the same image under the name given.
+func TestLoad(t *testing.T) {
+	spec, err := ByName("gzip", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := want.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src, bin := filepath.Join(dir, "gzip.s"), filepath.Join(dir, "gzip.img")
+	if err := os.WriteFile(src, []byte(spec.Source), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bin, img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, src, img, want string }{
+		{"gzip", "", "", "gzip"},
+		{"", src, "", src},
+		{"", "", bin, bin},
+	} {
+		p, name, err := Load(c.name, c.src, c.img, 1)
+		if err != nil {
+			t.Fatalf("Load(%q, %q, %q): %v", c.name, c.src, c.img, err)
+		}
+		var got bytes.Buffer
+		if err := p.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if name != c.want || !bytes.Equal(got.Bytes(), img.Bytes()) {
+			t.Errorf("Load(%q, %q, %q) = image of %d bytes named %q; want gzip's %d bytes named %q",
+				c.name, c.src, c.img, got.Len(), name, img.Len(), c.want)
+		}
+	}
+	if _, _, err := Load("", "", "", 1); !errors.Is(err, ErrNoProgram) {
+		t.Errorf("Load with nothing named: err = %v, want ErrNoProgram", err)
+	}
+	if _, _, err := Load("nosuch", "", "", 1); err == nil {
+		t.Error("Load of an unknown workload succeeded")
+	}
+
+	var list bytes.Buffer
+	List(&list)
+	if n := strings.Count(list.String(), "\n"); n != len(Names()) {
+		t.Errorf("List wrote %d lines, want one per workload (%d)", n, len(Names()))
 	}
 }
