@@ -9,6 +9,7 @@ package accdbt_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/ildp/accdbt"
@@ -313,8 +314,32 @@ func BenchmarkProfilerOverhead(b *testing.B) {
 	b.Run("on", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkTimingModelILDP measures ILDP timing-model throughput.
+// BenchmarkTimingModelILDP measures a timed run of gzip on the ILDP
+// machine: the VM emitting the modified-ISA trace into the ILDP model.
+// ns/rec is host time per trace record, VM included.
 func BenchmarkTimingModelILDP(b *testing.B) {
+	benchTimingModel(b, func(cfg *vm.Config) func() uarch.Result {
+		m := uarch.NewILDP(uarch.DefaultILDP())
+		cfg.Sink = m
+		return m.Finish
+	})
+}
+
+// BenchmarkTimingModelOoO measures a timed run of gzip on the Original
+// machine, the slowest per record: every instruction is interpreted
+// and its Alpha record feeds the superscalar model.
+func BenchmarkTimingModelOoO(b *testing.B) {
+	benchTimingModel(b, func(cfg *vm.Config) func() uarch.Result {
+		m := uarch.NewOoO(uarch.DefaultOoO())
+		cfg.HotThreshold = math.MaxInt32
+		cfg.InterpSink = m
+		return m.Finish
+	})
+}
+
+// benchTimingModel runs gzip once per iteration in a VM that attach
+// configures, and reports records per second and host ns per record.
+func benchTimingModel(b *testing.B, attach func(*vm.Config) func() uarch.Result) {
 	spec, err := workload.ByName("gzip", benchScale)
 	if err != nil {
 		b.Fatal(err)
@@ -323,10 +348,9 @@ func BenchmarkTimingModelILDP(b *testing.B) {
 	b.ResetTimer()
 	var recs uint64
 	for i := 0; i < b.N; i++ {
-		m := uarch.NewILDP(uarch.DefaultILDP())
 		cfg := vm.DefaultConfig()
 		cfg.HotThreshold = benchThreshold
-		cfg.Sink = m
+		finish := attach(&cfg)
 		v := vm.New(mem.New(), cfg)
 		if err := v.LoadProgram(prog); err != nil {
 			b.Fatal(err)
@@ -334,9 +358,10 @@ func BenchmarkTimingModelILDP(b *testing.B) {
 		if err := v.Run(0); err != nil {
 			b.Fatal(err)
 		}
-		recs += m.Finish().Insts
+		recs += finish().Insts
 	}
 	b.ReportMetric(float64(recs)/b.Elapsed().Seconds()/1e6, "Mrecs/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs), "ns/rec")
 }
 
 // benchSuperblock builds the Fig. 2 loop as a superblock for the

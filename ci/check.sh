@@ -64,6 +64,12 @@ echo "== interpreter benchmark smoke (one iteration)"
 # one iteration keeps it building and running.
 go test -run '^$' -bench '^BenchmarkInterpreter$' -benchtime 1x .
 
+echo "== timing-model benchmark smoke (one iteration each)"
+# BenchmarkTimingModelILDP and BenchmarkTimingModelOoO are the timed
+# runs' ns-per-record rows (gzip on the ILDP and Original machines);
+# one iteration keeps them building and running.
+go test -run '^$' -bench '^BenchmarkTimingModel(ILDP|OoO)$' -benchtime 1x .
+
 echo "== chaos smoke (short soak under the race detector)"
 # A fixed-seed slice of the differential chaos oracle: fault-injected
 # runs must stay bit-identical to the pure interpreter with the race

@@ -17,6 +17,7 @@ type Cache struct {
 	name     string
 	lineBits uint
 	sets     int
+	setMask  uint64 // sets-1 when sets is a power of two, else 0
 	ways     int
 	latency  int64
 	policy   Policy
@@ -68,10 +69,15 @@ func New(name string, size, lineSize, ways int, latency int64, policy Policy, ne
 	if sets <= 0 {
 		panic("cachesim: bad geometry for " + name)
 	}
+	var setMask uint64
+	if sets&(sets-1) == 0 {
+		setMask = uint64(sets - 1)
+	}
 	return &Cache{
 		name:     name,
 		lineBits: lineBits,
 		sets:     sets,
+		setMask:  setMask,
 		ways:     ways,
 		latency:  latency,
 		policy:   policy,
@@ -83,7 +89,10 @@ func New(name string, size, lineSize, ways int, latency int64, policy Policy, ne
 
 func (c *Cache) set(addr uint64) ([]line, uint64) {
 	block := addr >> c.lineBits
-	s := int(block) % c.sets
+	s := int(block & c.setMask)
+	if c.setMask == 0 {
+		s = int(block) % c.sets
+	}
 	return c.lines[s*c.ways : (s+1)*c.ways], block
 }
 
@@ -156,7 +165,8 @@ type Options struct {
 // DefaultOptions is the superscalar configuration: shared 32KB 4-way D$.
 func DefaultOptions() Options { return Options{DSizeBytes: 32 << 10, DWays: 4, Replicas: 1} }
 
-// NewHierarchy builds I/D/L2/memory per Table 1.
+// NewHierarchy builds I/D/L2/memory per Table 1. Zero options take
+// DefaultOptions' values.
 func NewHierarchy(opt Options) *Hierarchy {
 	memory := DefaultMemory()
 	l2 := New("L2", 1<<20, 128, 4, 8, Random, memory)
@@ -165,8 +175,15 @@ func NewHierarchy(opt Options) *Hierarchy {
 		L2:  l2,
 		Mem: memory,
 	}
+	def := DefaultOptions()
+	if opt.DSizeBytes <= 0 {
+		opt.DSizeBytes = def.DSizeBytes
+	}
+	if opt.DWays <= 0 {
+		opt.DWays = def.DWays
+	}
 	if opt.Replicas <= 0 {
-		opt.Replicas = 1
+		opt.Replicas = def.Replicas
 	}
 	for i := 0; i < opt.Replicas; i++ {
 		h.D = append(h.D, New("D$", opt.DSizeBytes, 64, opt.DWays, 2, Random, l2))

@@ -60,18 +60,19 @@ type CPU struct {
 	// word, and FetchDecode reads the word from memory on every step, so
 	// a store that rewrites code changes the key and needs no
 	// invalidation. An entry whose Op is OpInvalid is empty.
-	memo [memoSlots]alpha.Inst
+	memo [MemoSlots]alpha.Inst
 }
 
-// memoSlots is the size of the decode memo, 7 KiB per CPU. Over the
+// MemoSlots is the size of the decode memo, 7 KiB per CPU. Over the
 // twelve kernels at scale 2, 91% of fetches hit at 256 slots (parser,
 // the worst, 76%) and 95% at 1024; a server holds one memo per resident
-// CPU, so the table stays small.
-const memoSlots = 256
+// CPU, so the table stays small. Other per-word memos (the VM's
+// interpreted trace records) use the same size and index.
+const MemoSlots = 256
 
-// memoIndex is the memo slot of instruction word w: the top eight bits
+// MemoIndex is the memo slot of instruction word w: the top eight bits
 // of its Fibonacci hash.
-func memoIndex(w uint32) uint32 { return (w * 0x9E3779B1) >> 24 }
+func MemoIndex(w uint32) uint32 { return (w * 0x9E3779B1) >> 24 }
 
 // New returns a CPU with the given memory, PC 0, and all registers zero.
 func New(m *mem.Memory) *CPU {
@@ -118,7 +119,7 @@ func (c *CPU) FetchDecode() (*alpha.Inst, error) {
 	if err != nil {
 		return nil, &Trap{PC: c.PC, Cause: err}
 	}
-	e := &c.memo[memoIndex(w)]
+	e := &c.memo[MemoIndex(w)]
 	if e.Raw != alpha.Word(w) || e.Op == alpha.OpInvalid {
 		*e = alpha.Decode(alpha.Word(w))
 	}

@@ -55,7 +55,7 @@ search:
 			if err != nil {
 				t.Fatal(err)
 			}
-			if memoIndex(uint32(w)) == memoIndex(uint32(w1)) {
+			if MemoIndex(uint32(w)) == MemoIndex(uint32(w1)) {
 				w2, lit = w, uint8(l)
 				break search
 			}

@@ -571,12 +571,16 @@ func (p *Profiler) Evict(id int32, vstart uint64) {
 // element pe with the given issue and retire cycles, tagged with the
 // instruction's accumulator (strand), or 0xFF when it has none. The
 // delta from the previously seen retire cycle is attributed to the
-// active frame, so per-frame cycles always sum to total cycles.
+// active frame, so per-frame cycles always sum to total cycles. The
+// timing models call it on every record, so it is small enough to
+// inline: an unprofiled model pays the nil check and no call.
 func (p *Profiler) Retire(pe int, issue, retire int64, acc uint8) {
-	if p == nil {
-		return
+	if p != nil {
+		p.retire(pe, retire, acc)
 	}
-	_ = issue
+}
+
+func (p *Profiler) retire(pe int, retire int64, acc uint8) {
 	p.retires++
 	delta := retire - p.clock
 	if delta < 0 {

@@ -11,6 +11,7 @@ import (
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/prof"
+	"github.com/ildp/accdbt/internal/trace"
 	"github.com/ildp/accdbt/internal/translate"
 )
 
@@ -40,6 +41,14 @@ type Fragment struct {
 
 	// tallies[n] counts Insts[:n]; see Tally.
 	tallies []Tally
+
+	// Recs holds the static half of each instruction's trace record:
+	// every field but MemAddr, Taken, Target and PredHit. A VM with a
+	// trace sink builds it on its first visit to the fragment; it is
+	// nil until then. Exit patching swaps a branch only between kinds
+	// of the same trace class (CallTrans and Branch, CallTransCond and
+	// CondBranch), so the templates stay valid for the fragment's life.
+	Recs []trace.Rec
 
 	// Strands, ExitLive, and EndLive carry the translation metadata the
 	// static fragment verifier checks installed code against (see

@@ -32,18 +32,14 @@ type ILDP struct {
 	accReady [numAccTrack]int64
 	accBusy  [numAccTrack]int64
 
-	// Per-PE state.
-	lastIssue []int64   // last issue cycle (1 issue per PE per cycle)
-	fifo      [][]int64 // ring of issue cycles for FIFO occupancy
-	fifoHead  []uint64
-	steerRR   int
-	peInsts   []uint64 // distribution statistics
+	pes     []peState
+	steerRR int
 
-	// Retirement (shared ROB).
-	retire     []int64
-	head       uint64
-	lastRetire int64
-	retBusy    bookRing
+	// Retirement (shared ROB): the retire cycle of the last ROB entries,
+	// a ring whose next slot holds the oldest.
+	rob     []int64
+	robSlot int
+	ret     retireBW
 
 	storeDone map[uint64]int64
 
@@ -54,32 +50,36 @@ type ILDP struct {
 	res Result
 }
 
+// peState is one processing element: its issue FIFO and its L1 data
+// cache (its own replica, or the shared one).
+type peState struct {
+	lastIssue int64   // last issue cycle (1 issue per PE per cycle)
+	fifo      []int64 // ring of issue cycles for FIFO occupancy
+	fifoSlot  int     // next FIFO ring slot, which holds the oldest entry
+	dcache    *cachesim.Cache
+	insts     uint64 // distribution statistics
+}
+
 // SetProfiler attaches an execution profiler fed with per-record retire
 // timing. A nil profiler disables the feed.
 func (m *ILDP) SetProfiler(p *prof.Profiler) { m.prof = p }
 
-// NewILDP builds an ILDP model with the given configuration.
+// NewILDP builds an ILDP model with the given configuration. Zero
+// machine parameters take their Table 1 values (see Config.withDefaults).
 func NewILDP(cfg Config) *ILDP {
-	if cfg.PEs <= 0 {
-		cfg.PEs = 8
-	}
-	if cfg.FIFODepth <= 0 {
-		cfg.FIFODepth = 16
-	}
+	cfg = cfg.withDefaults()
 	hier := cachesim.NewHierarchy(cfg.CacheOpts)
 	m := &ILDP{
 		cfg:       cfg,
 		hier:      hier,
 		fe:        newFrontEnd(&cfg, hier.I),
-		lastIssue: make([]int64, cfg.PEs),
-		fifoHead:  make([]uint64, cfg.PEs),
-		peInsts:   make([]uint64, cfg.PEs),
-		retire:    make([]int64, cfg.ROB),
-		retBusy:   newBookRing(),
+		pes:       make([]peState, cfg.PEs),
+		rob:       make([]int64, cfg.ROB),
 		storeDone: map[uint64]int64{},
 	}
-	for i := 0; i < cfg.PEs; i++ {
-		m.fifo = append(m.fifo, make([]int64, cfg.FIFODepth))
+	for i := range m.pes {
+		m.pes[i].fifo = make([]int64, cfg.FIFODepth)
+		m.pes[i].dcache = hier.D[i%len(hier.D)]
 	}
 	for i := range m.accPE {
 		m.accPE[i] = -1
@@ -121,12 +121,14 @@ func (m *ILDP) newStrandPE(rec *trace.Rec) int {
 			continue
 		}
 		idx := gprIdx(r)
-		if m.gprPE[idx] >= 0 && m.gprReady[idx]+m.cfg.CommLat > m.lastIssue[m.gprPE[idx]] {
+		if m.gprPE[idx] >= 0 && m.gprReady[idx]+m.cfg.CommLat > m.pes[m.gprPE[idx]].lastIssue {
 			return int(m.gprPE[idx])
 		}
 	}
-	pe := m.steerRR % m.cfg.PEs
-	m.steerRR++
+	pe := m.steerRR
+	if m.steerRR++; m.steerRR == len(m.pes) {
+		m.steerRR = 0
+	}
 	return pe
 }
 
@@ -134,21 +136,19 @@ func (m *ILDP) newStrandPE(rec *trace.Rec) int {
 func (m *ILDP) Append(rec trace.Rec) {
 	fc := m.fe.fetch(&rec)
 	pe := m.steer(&rec)
-	m.peInsts[pe]++
+	p := &m.pes[pe]
+	p.insts++
 
-	// Rename/dispatch one stage after fetch; ROB and FIFO occupancy.
+	// Rename/dispatch one stage after fetch; ROB and FIFO occupancy. A
+	// ring slot not yet written holds cycle 0, and disp >= 1, so it
+	// never delays dispatch.
 	disp := fc + 1
-	if m.head >= uint64(m.cfg.ROB) {
-		if oldest := m.retire[m.head%uint64(len(m.retire))]; oldest+1 > disp {
-			disp = oldest + 1
-		}
+	if oldest := m.rob[m.robSlot]; oldest+1 > disp {
+		disp = oldest + 1
 	}
 	// The target FIFO must have a free slot: it drains one per issue.
-	fifoRing := m.fifo[pe]
-	if m.fifoHead[pe] >= uint64(len(fifoRing)) {
-		if old := fifoRing[m.fifoHead[pe]%uint64(len(fifoRing))]; old+1 > disp {
-			disp = old + 1
-		}
+	if old := p.fifo[p.fifoSlot]; old+1 > disp {
+		disp = old + 1
 	}
 	// A strand start rebinds its logical accumulator: it must wait until
 	// the previous strand holding the accumulator has drained its FIFO.
@@ -182,34 +182,28 @@ func (m *ILDP) Append(rec trace.Rec) {
 
 	// In-order issue from the PE's FIFO head: one per cycle, head-blocking.
 	issue := ready
-	if issue <= m.lastIssue[pe] {
-		issue = m.lastIssue[pe] + 1
+	if issue <= p.lastIssue {
+		issue = p.lastIssue + 1
 	}
-	m.lastIssue[pe] = issue
-	fifoRing[m.fifoHead[pe]%uint64(len(fifoRing))] = issue
-	m.fifoHead[pe]++
+	p.lastIssue = issue
+	p.fifo[p.fifoSlot] = issue
+	if p.fifoSlot++; p.fifoSlot == len(p.fifo) {
+		p.fifoSlot = 0
+	}
 
 	var done int64
 	switch rec.Class {
 	case trace.ClassNop:
 		done = issue
 	case trace.ClassLoad:
-		d := m.hier.D[0]
-		if len(m.hier.D) > 1 {
-			d = m.hier.D[pe%len(m.hier.D)]
-		}
-		lat := d.Access(rec.MemAddr, false)
+		lat := p.dcache.Access(rec.MemAddr, false)
 		m.res.DCacheStall += lat - 2
 		done = issue + lat
 		if sd, ok := m.storeDone[rec.MemAddr>>3]; ok && sd > done {
 			done = sd
 		}
 	case trace.ClassStore:
-		d := m.hier.D[0]
-		if len(m.hier.D) > 1 {
-			d = m.hier.D[pe%len(m.hier.D)]
-		}
-		d.Access(rec.MemAddr, true)
+		p.dcache.Access(rec.MemAddr, true)
 		done = issue + 1
 		m.storeDone[rec.MemAddr>>3] = done
 	case trace.ClassMul:
@@ -251,14 +245,11 @@ func (m *ILDP) Append(rec trace.Rec) {
 	}
 
 	// In-order retirement.
-	ret := done
-	if ret <= m.lastRetire {
-		ret = m.lastRetire
+	ret := m.ret.retire(done, m.cfg.Width)
+	m.rob[m.robSlot] = ret
+	if m.robSlot++; m.robSlot == len(m.rob) {
+		m.robSlot = 0
 	}
-	ret = m.retBusy.reserve(ret, uint16(m.cfg.Width))
-	m.lastRetire = ret
-	m.retire[m.head%uint64(len(m.retire))] = ret
-	m.head++
 
 	m.prof.Retire(pe, issue, ret, profAcc(&rec))
 
@@ -290,9 +281,9 @@ func (m *ILDP) resetPipeline(at int64) {
 		}
 		m.accPE[i] = -1
 	}
-	for i := 0; i < m.cfg.PEs; i++ {
-		if m.lastIssue[i] > at {
-			m.lastIssue[i] = at
+	for i := range m.pes {
+		if m.pes[i].lastIssue > at {
+			m.pes[i].lastIssue = at
 		}
 	}
 	for k := range m.storeDone {
@@ -303,15 +294,15 @@ func (m *ILDP) resetPipeline(at int64) {
 // PEDistribution returns the fraction of instructions steered to each PE.
 func (m *ILDP) PEDistribution() []float64 {
 	total := uint64(0)
-	for _, n := range m.peInsts {
-		total += n
+	for i := range m.pes {
+		total += m.pes[i].insts
 	}
-	out := make([]float64, len(m.peInsts))
+	out := make([]float64, len(m.pes))
 	if total == 0 {
 		return out
 	}
-	for i, n := range m.peInsts {
-		out[i] = float64(n) / float64(total)
+	for i := range m.pes {
+		out[i] = float64(m.pes[i].insts) / float64(total)
 	}
 	return out
 }
@@ -319,7 +310,7 @@ func (m *ILDP) PEDistribution() []float64 {
 // Finish returns the accumulated timing result.
 func (m *ILDP) Finish() Result {
 	r := m.res
-	r.Cycles = m.lastRetire + 1
+	r.Cycles = m.ret.last + 1
 	r.CondMispredicts = m.fe.condMiss
 	r.TargetMispredicts = m.fe.targetMiss
 	r.Misfetches = m.fe.misfetches

@@ -15,15 +15,14 @@ type OoO struct {
 
 	regReady [regSpace]int64 // completion cycle of each register's value
 
-	// retire ring: retireCycle of the last ROB entries, for window
-	// occupancy and in-order retirement.
-	retire     []int64
-	head       uint64 // total instructions retired so far
-	lastRetire int64
+	// The retire cycle of the last ROB entries, for window occupancy: a
+	// ring whose next slot holds the oldest.
+	rob     []int64
+	robSlot int
+	ret     retireBW
 
-	// FU contention and retire bandwidth: cycle-tagged booking rings.
-	fuBusy  bookRing
-	retBusy bookRing
+	// FU contention: a cycle-tagged booking ring.
+	fuBusy bookRing
 
 	// store-to-load dependences at 8-byte granularity.
 	storeDone map[uint64]int64
@@ -39,16 +38,17 @@ type OoO struct {
 // timing. A nil profiler disables the feed.
 func (m *OoO) SetProfiler(p *prof.Profiler) { m.prof = p }
 
-// NewOoO builds a superscalar model with the given configuration.
+// NewOoO builds a superscalar model with the given configuration. Zero
+// machine parameters take their Table 1 values (see Config.withDefaults).
 func NewOoO(cfg Config) *OoO {
+	cfg = cfg.withDefaults()
 	hier := cachesim.NewHierarchy(cfg.CacheOpts)
 	return &OoO{
 		cfg:       cfg,
 		hier:      hier,
 		fe:        newFrontEnd(&cfg, hier.I),
-		retire:    make([]int64, cfg.ROB),
+		rob:       make([]int64, cfg.ROB),
 		fuBusy:    newBookRing(),
-		retBusy:   newBookRing(),
 		storeDone: map[uint64]int64{},
 	}
 }
@@ -57,12 +57,12 @@ func NewOoO(cfg Config) *OoO {
 func (m *OoO) Append(rec trace.Rec) {
 	fc := m.fe.fetch(&rec)
 
-	// Dispatch one stage after fetch; wait for a ROB slot.
+	// Dispatch one stage after fetch; wait for a ROB slot. A slot not
+	// yet written holds cycle 0, and disp >= 1, so it never delays
+	// dispatch.
 	disp := fc + 1
-	if m.head >= uint64(m.cfg.ROB) {
-		if oldest := m.retire[m.head%uint64(len(m.retire))]; oldest+1 > disp {
-			disp = oldest + 1
-		}
+	if oldest := m.rob[m.robSlot]; oldest+1 > disp {
+		disp = oldest + 1
 	}
 
 	// Operand readiness.
@@ -117,14 +117,11 @@ func (m *OoO) Append(rec trace.Rec) {
 	}
 
 	// In-order retirement with bandwidth Width.
-	ret := done
-	if ret <= m.lastRetire {
-		ret = m.lastRetire
+	ret := m.ret.retire(done, m.cfg.Width)
+	m.rob[m.robSlot] = ret
+	if m.robSlot++; m.robSlot == len(m.rob) {
+		m.robSlot = 0
 	}
-	ret = m.retBusy.reserve(ret, uint16(m.cfg.Width))
-	m.lastRetire = ret
-	m.retire[m.head%uint64(len(m.retire))] = ret
-	m.head++
 
 	m.prof.Retire(0, issue, ret, profAcc(&rec))
 
@@ -159,7 +156,7 @@ func (m *OoO) resetPipeline(at int64) {
 // Finish returns the accumulated timing result.
 func (m *OoO) Finish() Result {
 	r := m.res
-	r.Cycles = m.lastRetire + 1
+	r.Cycles = m.ret.last + 1
 	r.CondMispredicts = m.fe.condMiss
 	r.TargetMispredicts = m.fe.targetMiss
 	r.Misfetches = m.fe.misfetches

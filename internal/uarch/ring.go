@@ -1,8 +1,9 @@
 package uarch
 
-// bookRing books per-cycle resource usage (function units, retire slots,
-// per-PE issue ports). Slots are tagged with the cycle they describe, so
-// reuse after wrap-around never sees stale counts.
+// bookRing books per-cycle resource usage (the superscalar's function
+// units), where requests arrive out of cycle order. Slots are tagged
+// with the cycle they describe, so reuse after wrap-around never sees
+// stale counts.
 type bookRing struct {
 	cycle []int64
 	count []uint16
@@ -29,4 +30,28 @@ func (b *bookRing) reserve(want int64, limit uint16) int64 {
 		}
 		want++
 	}
+}
+
+// retireBW books in-order retirement bandwidth. Each record retires no
+// earlier than the one before it, so retire cycles never decrease and
+// the only cycle that can still have a free slot is the last one: the
+// booking is that cycle and its count, not a ring.
+type retireBW struct {
+	last  int64 // the latest retire cycle
+	count int   // records retired in it
+}
+
+// retire returns the retire cycle of a record whose result is ready at
+// done, with at most width records retiring per cycle, and books it.
+func (r *retireBW) retire(done int64, width int) int64 {
+	switch {
+	case done > r.last:
+		r.last, r.count = done, 1
+	case r.count < width:
+		r.count++
+	default:
+		r.last++
+		r.count = 1
+	}
+	return r.last
 }

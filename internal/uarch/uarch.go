@@ -50,6 +50,28 @@ type Config struct {
 	CacheOpts cachesim.Options
 }
 
+// withDefaults returns cfg with each zero (or negative) machine
+// parameter set to its Table 1 value: Width 4, ROB 128, FUs 4, PEs 8
+// and FIFODepth 16.
+func (cfg Config) withDefaults() Config {
+	if cfg.Width <= 0 {
+		cfg.Width = 4
+	}
+	if cfg.ROB <= 0 {
+		cfg.ROB = 128
+	}
+	if cfg.FUs <= 0 {
+		cfg.FUs = 4
+	}
+	if cfg.PEs <= 0 {
+		cfg.PEs = 8
+	}
+	if cfg.FIFODepth <= 0 {
+		cfg.FIFODepth = 16
+	}
+	return cfg
+}
+
 // DefaultOoO returns the paper's superscalar baseline configuration.
 func DefaultOoO() Config {
 	return Config{

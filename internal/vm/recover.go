@@ -91,6 +91,9 @@ func (v *VM) admit(f *tcache.Fragment) bool {
 			// stays in lockstep with the reverify-failure count.
 			if v.inj.CorruptFragment(f) {
 				v.inj.Applied(k)
+				// Without Paranoid the corrupted code runs: rebuild its
+				// record templates from the flipped instructions.
+				f.Recs = nil
 			}
 		case faultinject.KindEvict:
 			v.inj.Applied(k)
