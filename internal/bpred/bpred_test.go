@@ -62,6 +62,15 @@ func TestGShareBadGeometryPanics(t *testing.T) {
 	NewGShare(1000, 12)
 }
 
+func TestBTBBadGeometryPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("non-power-of-two set count did not panic")
+		}
+	}()
+	NewBTB(24, 2) // 12 sets
+}
+
 func TestBTBHitAfterUpdate(t *testing.T) {
 	b := DefaultBTB()
 	if _, ok := b.Predict(0x2000); ok {
