@@ -1,6 +1,6 @@
 # Convenience targets; ci/check.sh is the canonical gate.
 
-.PHONY: build test check lint-example semcheck experiments profile chaos killresume fragstore telemetry monitor serve serve-report
+.PHONY: build test check lint-example semcheck experiments profile chaos killresume fragstore telemetry monitor serve
 
 build:
 	go build ./...
@@ -55,26 +55,25 @@ telemetry:
 	go test -race ./internal/telemetry/ -count 1
 	go test -run '^$$' -bench BenchmarkTelemetryOverhead -benchtime 10x ./internal/telemetry/
 
-# Run the live soak monitor: a continuous chaos sweep with the
-# telemetry plane on http://127.0.0.1:9844 (interrupt to stop).
+# Run the live soak monitor: a chaos sweep with the telemetry plane on
+# http://127.0.0.1:9844, one session per run (interrupt to stop).
 monitor:
-	go run ./cmd/ildpmon -addr 127.0.0.1:9844
+	go run ./cmd/ildpchaos -serve 127.0.0.1:9844 -seeds 0
 
 # Exercise the serving plane end to end: the scheduler test suite
 # (race detector on — admission, quotas, kill, crash barrier, spill,
 # drain/resume, and the 200-session differential soak) plus a verified
-# load drive through the real HTTP surface.
+# load drive through the real HTTP surface of a fresh ildpserve.
 serve:
 	go test -race ./internal/serve/ -count 1
-	go run ./cmd/ildpload -sessions 60 -clients 16 -verify 10
-
-# Regenerate the committed serving-benchmark report cited by
-# EXPERIMENTS.md note 14 (200 sessions over 32 clients, every 10th
-# final checkpoint differentially verified).
-serve-report:
-	go run ./cmd/ildpload -sessions 200 -clients 32 -workers 8 -verify 10 -json \
-		> reports/serve-load.json
-	go run ./cmd/ildpreport -validate -in reports/serve-load.json
+	@tmp=$$(mktemp -d); \
+	go build -o "$$tmp/ildpserve" ./cmd/ildpserve && go build -o "$$tmp/ildpload" ./cmd/ildpload || exit 1; \
+	"$$tmp/ildpserve" -addr 127.0.0.1:0 > "$$tmp/srv.txt" 2> "$$tmp/srv.log" & pid=$$!; \
+	trap 'kill $$pid; rm -rf "$$tmp"' EXIT; \
+	for _ in $$(seq 1 50); do \
+	    addr=$$(sed -n 's#^serving: *http://##p' "$$tmp/srv.txt"); [ -n "$$addr" ] && break; sleep 0.1; \
+	done; \
+	"$$tmp/ildpload" -addr "$$addr" -sessions 60 -clients 16 -verify 10
 
 # Exercise the persistent fragment store end to end: the store and VM
 # test suites (race detector on), a decoder fuzz slice, and a cold ->

@@ -9,8 +9,8 @@
 # smokes, a grep guard against second copies of the machine builder
 # and the chain-name parser, a cross-check of `ildpvm -timing` against
 # Fig. 8, the docs gate (EXPERIMENTS.md's generated block must match
-# the committed report), and small-scale smokes of the JSON and text
-# report paths.
+# the committed report), the scale-2 report pin, and small-scale smokes
+# of the JSON and text report paths.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -87,6 +87,64 @@ echo "== kill-and-resume smoke (short sweep under the race detector)"
 go test -race -short -run 'TestKillResume|TestStopHook|TestBudgetIs|TestResumeFrom|TestWatchdog|TestPreemptionInvisible' \
     ./internal/experiments/ ./internal/vm/
 go run ./cmd/ildpchaos -kill -seeds 4 -seed-base 5001 -machines ildp-modified
+
+echo "== ildpchaos -serve smoke (endless sweep with the telemetry plane)"
+# An endless sweep (-seeds 0) serving the telemetry plane must expose
+# nonzero vm_interp_insts samples, then stop on SIGTERM with exit 0 and
+# its summary line. Serving must not change a finite sweep's stdout
+# beyond the serving line.
+mon_dir=$(mktemp -d)
+go build -o "$mon_dir/ildpchaos" ./cmd/ildpchaos
+"$mon_dir/ildpchaos" -serve 127.0.0.1:0 -seeds 0 \
+    > "$mon_dir/sweep.txt" 2> "$mon_dir/sweep.log" &
+mon_pid=$!
+port=""
+for _ in $(seq 1 50); do
+    port=$(sed -n 's#^telemetry: *serving on http://127\.0\.0\.1:##p' "$mon_dir/sweep.txt")
+    [ -n "$port" ] && break
+    sleep 0.1
+done
+[ -n "$port" ] || {
+    echo "ildpchaos -serve never reported its address:" >&2
+    cat "$mon_dir/sweep.txt" "$mon_dir/sweep.log" >&2
+    kill "$mon_pid" 2>/dev/null || true
+    exit 1
+}
+mon_ok=0
+for _ in $(seq 1 50); do
+    metrics_out=$(curl -fsS "http://127.0.0.1:$port/metrics")
+    if echo "$metrics_out" | awk '/^vm_interp_insts\{/ { if ($NF + 0 > 0) ok = 1 } END { exit ok ? 0 : 1 }'; then
+        mon_ok=1
+        break
+    fi
+    sleep 0.1
+done
+[ "$mon_ok" -eq 1 ] || {
+    echo "ildpchaos -serve never exposed nonzero vm_interp_insts samples:" >&2
+    echo "$metrics_out" >&2
+    kill "$mon_pid" 2>/dev/null || true
+    exit 1
+}
+kill -TERM "$mon_pid"
+wait "$mon_pid" || {
+    echo "ildpchaos -serve exited nonzero on SIGTERM:" >&2
+    cat "$mon_dir/sweep.txt" "$mon_dir/sweep.log" >&2
+    exit 1
+}
+grep -q "^chaos: [0-9]*/[0-9]* runs green on gzip" "$mon_dir/sweep.txt" || {
+    echo "interrupted ildpchaos -serve printed no summary line:" >&2
+    cat "$mon_dir/sweep.txt" >&2
+    exit 1
+}
+"$mon_dir/ildpchaos" -seeds 4 -v > "$mon_dir/plain.txt"
+"$mon_dir/ildpchaos" -seeds 4 -v -serve 127.0.0.1:0 2> /dev/null \
+    | grep -v '^telemetry: *serving on ' > "$mon_dir/served.txt"
+cmp "$mon_dir/plain.txt" "$mon_dir/served.txt" || {
+    echo "ildpchaos -serve changed the sweep's output:" >&2
+    diff "$mon_dir/plain.txt" "$mon_dir/served.txt" >&2 || true
+    exit 1
+}
+rm -rf "$mon_dir"
 
 echo "== instruction decoder fuzz (5s)"
 # Every word either decodes to an operation whose canonical re-encoding
@@ -248,6 +306,7 @@ echo "== ildpserve smoke (submit two guests, drain mid-run, resume)"
 srv_dir=$(mktemp -d)
 go build -o "$srv_dir/ildpserve" ./cmd/ildpserve
 go build -o "$srv_dir/ildpvm" ./cmd/ildpvm
+go build -o "$srv_dir/ildpload" ./cmd/ildpload
 
 # jfield FILE KEY -> value of the first `"KEY": value` in indented JSON.
 jfield() {
@@ -380,6 +439,22 @@ if [ "$got" != "$want" ]; then
     kill "$srv_pid" 2>/dev/null || true
     exit 1
 fi
+# A verified load drive through the successor: 24 sessions over 8
+# clients, every 8th final checkpoint compared against the interpreter
+# oracle (ildpload exits nonzero on any divergence).
+"$srv_dir/ildpload" -addr "127.0.0.1:$sport" -sessions 24 -clients 8 -verify 8 \
+    > "$srv_dir/load.txt" || {
+    echo "ildpload against the successor ildpserve failed:" >&2
+    cat "$srv_dir/load.txt" >&2
+    kill "$srv_pid" 2>/dev/null || true
+    exit 1
+}
+grep -q "^verified: *3 of 24 final states" "$srv_dir/load.txt" || {
+    echo "ildpload did not verify its sampled sessions:" >&2
+    cat "$srv_dir/load.txt" >&2
+    kill "$srv_pid" 2>/dev/null || true
+    exit 1
+}
 kill -TERM "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
 rm -rf "$srv_dir"
@@ -628,6 +703,19 @@ rm -rf "$vm_dir"
 echo "== docs gate (ildpreport -check)"
 go run ./cmd/ildpreport -check
 
+echo "== scale-2 report pin (ildpbench -experiment=all -scale=2)"
+# The committed report must regenerate byte-identically, apart from its
+# wall-clock "timings" block, which is cut from both sides.
+pin_dir=$(mktemp -d)
+go run ./cmd/ildpbench -experiment=all -scale=2 -json > "$pin_dir/scale2.json"
+sed '/"timings"/,$d' reports/experiments-scale2.json > "$pin_dir/want.json"
+sed '/"timings"/,$d' "$pin_dir/scale2.json" > "$pin_dir/got.json"
+diff "$pin_dir/want.json" "$pin_dir/got.json" || {
+    echo "ildpbench -experiment=all -scale=2 no longer matches reports/experiments-scale2.json" >&2
+    exit 1
+}
+rm -rf "$pin_dir"
+
 echo "== json report smoke (scale-1 table2)"
 go run ./cmd/ildpbench -experiment=table2 -scale=1 -json \
     | go run ./cmd/ildpreport -validate -in -
@@ -650,10 +738,6 @@ rc=0
     exit 1
 }
 rm -rf "$bench_dir"
-
-echo "== serving load smoke (ildpload -> ildpreport)"
-go run ./cmd/ildpload -sessions 24 -clients 8 -workers 4 -verify 8 -json \
-    | go run ./cmd/ildpreport -validate -in -
 
 echo "== profiler smoke (ildpprof selfcheck + trace schema)"
 # -selfcheck verifies cycle conservation against the timing model, that

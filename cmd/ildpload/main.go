@@ -1,22 +1,16 @@
 // Command ildpload is the serving load driver: it simulates many
-// concurrent clients submitting guest programs to an ildpserve
-// instance, long-polling each session to completion, retrying typed
-// 429 backpressure with backoff, and optionally differentially
-// verifying a sample of final checkpoints against the pure-interpreter
-// oracle. It reports sessions/sec and the scheduler's quantum/wait
-// latency quantiles — as text, or with -json as a schema-versioned
-// report (experiment "serve") that `ildpreport -validate` accepts and
-// EXPERIMENTS.md cites.
-//
-// By default the driver spins up an in-process server on a loopback
-// port so a single command measures the whole stack; -addr targets an
-// already-running ildpserve instead (its -workers flag is then only a
-// label for the report row).
+// concurrent clients submitting guest programs to a running ildpserve,
+// long-polling each session to completion, retrying typed 429
+// backpressure with backoff, and optionally differentially verifying a
+// sample of final checkpoints against the pure-interpreter oracle. It
+// prints sessions/sec and the scheduler's quantum/wait latency
+// quantiles. Serving throughput as a tracked number is the benchmark's
+// serve-http workload; this tool's job is the -verify drive.
 //
 // Usage:
 //
-//	ildpload -sessions 200 -clients 32 -workers 8
-//	ildpload -sessions 500 -clients 64 -verify 20 -json > reports/serve-load.json
+//	ildpserve &
+//	ildpload -sessions 200 -clients 32 -verify 10
 //	ildpload -addr 127.0.0.1:9855 -sessions 1000
 package main
 
@@ -26,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -37,23 +30,18 @@ import (
 	"github.com/ildp/accdbt/internal/checkpoint"
 	"github.com/ildp/accdbt/internal/experiments"
 	"github.com/ildp/accdbt/internal/mem"
-	"github.com/ildp/accdbt/internal/report"
 	"github.com/ildp/accdbt/internal/serve"
 	"github.com/ildp/accdbt/internal/vm"
 	"github.com/ildp/accdbt/internal/workload"
 )
 
 func main() {
-	addr := flag.String("addr", "", "target an external ildpserve (default: in-process server)")
+	addr := flag.String("addr", "127.0.0.1:9855", "address of the ildpserve to drive")
 	sessions := flag.Int("sessions", 200, "total sessions to submit")
 	clients := flag.Int("clients", 32, "concurrent submitting clients")
-	workers := flag.Int("workers", 8, "worker pool size for the in-process server (and the report row label)")
-	quantum := flag.Int64("quantum", 15_000, "scheduler quantum in V-instructions (in-process server)")
-	maxSessions := flag.Int("max-sessions", 256, "in-process admission bound; drives 429 backpressure when sessions exceed it")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	names := flag.String("workloads", "", "comma-separated workload names (default: all)")
 	verify := flag.Int("verify", 0, "differentially verify the final checkpoint of every Nth session against the interpreter oracle")
-	jsonOut := flag.Bool("json", false, "emit a schema-versioned JSON report (experiment \"serve\") instead of text")
 	flag.Parse()
 
 	wls := workload.Names()
@@ -64,26 +52,7 @@ func main() {
 		*clients = *sessions
 	}
 
-	base := *addr
-	if base == "" {
-		s := serve.New(serve.Options{
-			Workers:       *workers,
-			QuantumVInsts: *quantum,
-			MaxSessions:   *maxSessions,
-		})
-		defer s.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		httpSrv := &http.Server{Handler: s.Handler()}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		base = ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "ildpload: in-process server on http://%s (%d workers, quantum %d)\n",
-			base, *workers, *quantum)
-	}
-	url := "http://" + base
+	url := "http://" + *addr
 
 	type job struct {
 		id       string
@@ -196,36 +165,6 @@ func main() {
 
 	sps := float64(*sessions) / elapsed.Seconds()
 	quantaPerSession := float64(stats.Quanta) / float64(*sessions)
-	if *jsonOut {
-		bench := fmt.Sprintf("%dx%d", *sessions, stats.Workers)
-		r := &report.Report{
-			Schema: report.SchemaVersion,
-			Meta: report.Meta{
-				Generator:   "ildpload",
-				Scale:       *scale,
-				Threshold:   50,
-				Chain:       "sw_pred.ras",
-				NumAcc:      4,
-				Experiments: []string{"serve"},
-				Workloads:   wls,
-			},
-			Records: []report.Record{
-				{Exp: "serve", Series: "sessions", Bench: bench, Value: float64(*sessions), Unit: "count"},
-				{Exp: "serve", Series: "workers", Bench: bench, Value: float64(stats.Workers), Unit: "count"},
-				{Exp: "serve", Series: "sessions_per_sec", Bench: bench, Value: sps, Unit: "persec"},
-				{Exp: "serve", Series: "quantum_p50_ms", Bench: bench, Value: stats.QuantumP50ms, Unit: "ms"},
-				{Exp: "serve", Series: "quantum_p99_ms", Bench: bench, Value: stats.QuantumP99ms, Unit: "ms"},
-				{Exp: "serve", Series: "wait_p99_ms", Bench: bench, Value: stats.WaitP99ms, Unit: "ms"},
-				{Exp: "serve", Series: "quanta_per_session", Bench: bench, Value: quantaPerSession, Unit: "count"},
-			},
-			Timings: []report.Timing{{Name: "total", Millis: float64(elapsed.Milliseconds())}},
-		}
-		if err := r.Encode(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	fmt.Printf("sessions:           %d across %d clients (%d workers)\n", *sessions, *clients, stats.Workers)
 	fmt.Printf("wall time:          %v\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput:         %.1f sessions/sec\n", sps)
@@ -235,8 +174,8 @@ func main() {
 	fmt.Printf("queue wait:         p50 %.2f ms, p99 %.2f ms\n", stats.WaitP50ms, stats.WaitP99ms)
 	fmt.Printf("backpressure:       %d retried rejections\n", rejections.Load())
 	if *verify > 0 {
-		fmt.Printf("verified:           %d/%d final states bit-identical to interpreter oracle\n",
-			verified, verified)
+		fmt.Printf("verified:           %d of %d final states (1 in %d) bit-identical to interpreter oracle\n",
+			verified, *sessions, *verify)
 	}
 }
 

@@ -49,8 +49,6 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -245,17 +243,9 @@ func main() {
 			Registry: reg, Store: store,
 		})
 		cfg.Poll = sess.Poll
-		ln, err := net.Listen("tcp", *serve)
-		if err != nil {
+		if err := plane.Serve(*serve, os.Stdout); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("telemetry:          serving on http://%s\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, plane.Handler()); err != nil && !errors.Is(err, net.ErrClosed) {
-				logger.Error("telemetry server failed", "err", err)
-			}
-		}()
-		plane.SetReady(true)
 	}
 
 	v := vm.New(mem.New(), cfg)

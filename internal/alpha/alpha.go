@@ -207,8 +207,6 @@ const (
 	OpJSR
 	OpRET
 	OpJSRCoroutine
-
-	numOps
 )
 
 var opNames = map[Op]string{
@@ -255,9 +253,6 @@ func (o Op) String() string {
 	}
 	return fmt.Sprintf("op(%d)", uint16(o))
 }
-
-// NumOps reports the number of defined operations, for table sizing.
-func NumOps() int { return int(numOps) }
 
 // PAL function codes used by this VM's minimal PAL surface.
 const (

@@ -1,9 +1,6 @@
 package alpha
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Disassemble renders the instruction in conventional Alpha assembler
 // syntax. pc is the address of the instruction; it is used to resolve
@@ -65,15 +62,4 @@ func Disassemble(i Inst, pc uint64) string {
 // DisassembleWord decodes and disassembles a raw instruction word at pc.
 func DisassembleWord(w Word, pc uint64) string {
 	return Disassemble(Decode(w), pc)
-}
-
-// DumpCode disassembles a code region for debugging and tests. words[i] is
-// the instruction at base + 4*i.
-func DumpCode(words []Word, base uint64) string {
-	var b strings.Builder
-	for idx, w := range words {
-		pc := base + uint64(idx)*InstBytes
-		fmt.Fprintf(&b, "%#010x:  %08x  %s\n", pc, uint32(w), DisassembleWord(w, pc))
-	}
-	return b.String()
 }

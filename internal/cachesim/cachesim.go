@@ -139,14 +139,6 @@ func (c *Cache) Access(addr uint64, write bool) int64 {
 	return lat
 }
 
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // Hierarchy bundles the Table 1 memory system for one simulated machine.
 type Hierarchy struct {
 	I   *Cache

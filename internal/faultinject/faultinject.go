@@ -266,15 +266,6 @@ func (in *Injector) Decisions() uint64 {
 	return in.decisions
 }
 
-// PickFragment chooses the corruption target among n installed fragments
-// (-1 when the cache is empty).
-func (in *Injector) PickFragment(n int) int {
-	if in == nil || n <= 0 {
-		return -1
-	}
-	return int(in.next() % uint64(n))
-}
-
 // CorruptFragment flips one field of the fragment — a single-bit
 // perturbation of a random instruction field or PEI-table entry — and
 // returns whether a change was made. The change is always detectable by

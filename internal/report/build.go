@@ -65,7 +65,7 @@ func Run(opts RunOptions) (*Report, error) {
 	var recs []Record
 	for _, exp := range opts.Experiments {
 		d, ok := defFor(exp)
-		if !ok || d.rows == nil {
+		if !ok {
 			return nil, fmt.Errorf("report: unknown experiment %q", exp)
 		}
 		for _, rw := range d.rows(opts) {

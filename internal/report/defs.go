@@ -41,11 +41,7 @@ type tableDef struct {
 	rowHeader string
 	aggLabel  string
 	cols      []columnDef
-	// rows runs the experiment. Nil marks an experiment measured by an
-	// external driver (ildpload's serving benchmark): its records
-	// validate and render like any other, but ExperimentIDs omits it so
-	// `ildpbench -experiment=all` doesn't try to run it.
-	rows func(RunOptions) []row
+	rows      func(RunOptions) []row
 }
 
 // row is one table row: its key (a workload name or a sweep point) and
@@ -300,20 +296,6 @@ var tableDefs = []tableDef{
 			return row{fmt.Sprint(r.Seed), []float64{r.DynB, r.DynM, r.CopyPctB, r.CopyPctM}}
 		}),
 	},
-	{
-		exp:       "serve",
-		title:     "Serving benchmark: multi-tenant scheduler throughput and quantum latency (ildpload)",
-		rowHeader: "scenario",
-		cols: []columnDef{
-			{key: "sessions", header: "sessions", unit: "count", integer: true},
-			{key: "workers", header: "workers", unit: "count", integer: true},
-			{key: "sessions_per_sec", header: "sess/s", unit: "persec"},
-			{key: "quantum_p50_ms", header: "q p50 ms", unit: "ms"},
-			{key: "quantum_p99_ms", header: "q p99 ms", unit: "ms"},
-			{key: "wait_p99_ms", header: "wait p99 ms", unit: "ms"},
-			{key: "quanta_per_session", header: "quanta/sess", unit: "count"},
-		},
-	},
 }
 
 // defFor returns the table definition for an experiment ID.
@@ -327,14 +309,11 @@ func defFor(exp string) (tableDef, bool) {
 }
 
 // ExperimentIDs returns every experiment ID report.Run can execute, in
-// canonical order; externally-measured experiments (the ildpload
-// serving benchmark) are omitted.
+// canonical order.
 func ExperimentIDs() []string {
-	out := make([]string, 0, len(tableDefs))
-	for _, d := range tableDefs {
-		if d.rows != nil {
-			out = append(out, d.exp)
-		}
+	out := make([]string, len(tableDefs))
+	for i, d := range tableDefs {
+		out[i] = d.exp
 	}
 	return out
 }

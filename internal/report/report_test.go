@@ -194,17 +194,17 @@ func TestTrajectoryIdempotent(t *testing.T) {
 
 func TestExperimentIDsMatchDefs(t *testing.T) {
 	ids := ExperimentIDs()
-	internal := 0
-	for _, d := range tableDefs {
-		if d.rows != nil {
-			internal++
-		}
-	}
-	if len(ids) != internal {
-		t.Fatalf("ExperimentIDs has %d entries, want %d defs with a driver", len(ids), internal)
+	if len(ids) != len(tableDefs) {
+		t.Fatalf("ExperimentIDs has %d entries, want one per def (%d)", len(ids), len(tableDefs))
 	}
 	seen := map[string]bool{}
-	for _, d := range tableDefs {
+	for i, d := range tableDefs {
+		if ids[i] != d.exp {
+			t.Errorf("ExperimentIDs[%d] = %q, want %q", i, ids[i], d.exp)
+		}
+		if d.rows == nil {
+			t.Errorf("%s: no driver", d.exp)
+		}
 		if seen[d.exp] {
 			t.Errorf("duplicate experiment %q", d.exp)
 		}

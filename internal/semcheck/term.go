@@ -17,7 +17,6 @@ package semcheck
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/ildp/accdbt/internal/alpha"
@@ -290,14 +289,4 @@ func notTakenAssumptions(b *builder, op alpha.Op, cond *Term) []assumption {
 		pin(cond, b.zero)
 	}
 	return as
-}
-
-// sortedTerms returns the interned terms in id order (tests only).
-func (b *builder) sortedTerms() []*Term {
-	ts := make([]*Term, 0, len(b.interned))
-	for _, t := range b.interned {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
-	return ts
 }

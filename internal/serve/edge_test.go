@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -115,10 +116,21 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 // client story.
 func TestQuotaRejectThenReadmit(t *testing.T) {
 	s := testServer(t, Options{Workers: 2, QuantumVInsts: 10_000, TenantQuota: 1})
+	// Hold tenant-a's first session in its first quantum, so it is still
+	// live when the over-quota submit arrives however fast it would run.
+	release := make(chan struct{})
+	unhold := sync.OnceFunc(func() { close(release) })
+	defer unhold()
+	s.hookQuantum = func(sess *Session) {
+		if sess.Tenant == "tenant-a" && sess.Name == "gap" {
+			<-release
+		}
+	}
 	first := submitWorkload(t, s, "gap", 1, 0, "tenant-a")
 	if _, err := s.Submit(nil, "tenant-a", "over"); !errors.Is(err, ErrTenantQuota) {
 		t.Fatalf("over-quota submit: %v, want ErrTenantQuota", err)
 	}
+	unhold()
 	// A different tenant is unaffected.
 	other := submitWorkload(t, s, "gap", 1, 1, "tenant-b")
 	waitDone(t, first, 60*time.Second)

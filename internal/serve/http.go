@@ -93,13 +93,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, sess.view())
+	writeJSON(w, http.StatusAccepted, sess.view())
 }
 
 // handleList returns every session in admission order.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.SessionViews())
+	writeJSON(w, http.StatusOK, s.SessionViews())
 }
 
 // handleSession returns one session, optionally long-polling:
@@ -120,7 +119,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	writeJSON(w, sess.view())
+	writeJSON(w, http.StatusOK, sess.view())
 }
 
 // handleCheckpoint serves the final encoded architected state of a
@@ -153,18 +152,20 @@ func (s *Server) handleKill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.Kill()
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, sess.view())
+	writeJSON(w, http.StatusAccepted, sess.view())
 }
 
 // handleStats serves the scheduler snapshot.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Stats())
+	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// writeJSON writes v as a JSON response body.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON writes v as a JSON response body with the given status.
+// The Content-Type header is set before the status is written, since
+// headers set after WriteHeader are dropped.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
@@ -172,7 +173,5 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // writeError writes the JSON error envelope with the given status.
 func writeError(w http.ResponseWriter, code int, kind, reason string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(apiError{Error: kind, Reason: reason})
+	writeJSON(w, code, apiError{Error: kind, Reason: reason})
 }

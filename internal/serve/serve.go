@@ -201,9 +201,6 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Plane returns the telemetry plane sessions register with.
-func (s *Server) Plane() *telemetry.Plane { return s.plane }
-
 // Registry returns the scheduler's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 

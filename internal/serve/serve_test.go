@@ -282,6 +282,53 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestHTTPAcceptedIsJSON checks the two 202 responses, POST /sessions
+// and DELETE /sessions/{id}: each is labelled JSON like every other
+// response, and the killed session settles StateKilled.
+func TestHTTPAcceptedIsJSON(t *testing.T) {
+	// One worker and a huge quantum keep the session live until the kill.
+	s := testServer(t, Options{Workers: 1, QuantumVInsts: 1 << 40})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	accepted := func(resp *http.Response, err error) View {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		what := resp.Request.Method + " " + resp.Request.URL.Path
+		if resp.StatusCode != http.StatusAccepted {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s: %d %s, want 202", what, resp.StatusCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q, want application/json", what, ct)
+		}
+		var v View
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return v
+	}
+	v := accepted(http.Post(srv.URL+"/sessions?workload=vpr&scale=50", "application/octet-stream", nil))
+	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/sessions/"+v.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := accepted(http.DefaultClient.Do(req)); k.ID != v.ID {
+		t.Errorf("kill answered for session %q, want %q", k.ID, v.ID)
+	}
+	sess, err := s.Session(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, sess, 30*time.Second)
+	if got := sess.StateNow(); got != StateKilled {
+		t.Fatalf("state = %s (%s), want killed", got, sess.Err())
+	}
+}
+
 // TestDrainResume is the graceful-shutdown acceptance path: drain a
 // server with sessions still in flight, assert every unfinished session
 // spilled with a meta sidecar, then resume them on a fresh server and
@@ -290,6 +337,14 @@ func TestDrainResume(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Options{Workers: 2, QuantumVInsts: 5_000, SpillDir: dir})
 	defer s.Close()
+	// Hold gap's first quantum until the drain has begun, so at least one
+	// session is still unfinished when it lands however fast the others
+	// run; the drain then preempts gap at its first boundary.
+	s.hookQuantum = func(sess *Session) {
+		for sess.Name == "gap" && !s.Draining() {
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	names := []string{"gap", "bzip2", "mcf"}
 	for _, name := range names {

@@ -24,8 +24,11 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -104,6 +107,25 @@ func New(opts Options) *Plane {
 
 // Handler returns the plane's HTTP handler, mountable on any server.
 func (p *Plane) Handler() http.Handler { return p.mux }
+
+// Serve listens on addr, writes the "telemetry: serving on" line with
+// the bound address to out, serves the plane in the background and
+// marks it ready. It is for command-line owners: the server runs until
+// the process exits.
+func (p *Plane) Serve(addr string, out io.Writer) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "telemetry:          serving on http://%s\n", ln.Addr())
+	go func() {
+		if err := http.Serve(ln, p.mux); err != nil && !errors.Is(err, net.ErrClosed) {
+			p.log.Error("telemetry server failed", "err", err)
+		}
+	}()
+	p.SetReady(true)
+	return nil
+}
 
 // SetReady flips the /readyz verdict. Owners call SetReady(true) once
 // their sessions are registered and the listener is up.

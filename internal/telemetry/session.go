@@ -97,24 +97,6 @@ type Session struct {
 // ID returns the plane-assigned session identifier.
 func (s *Session) ID() string { return strconv.Itoa(s.id) }
 
-// Name returns the session's human-readable name.
-func (s *Session) Name() string { return s.name }
-
-// Workload returns the workload label.
-func (s *Session) Workload() string { return s.workload }
-
-// Machine returns the machine-model label.
-func (s *Session) Machine() string { return s.machine }
-
-// Started returns the registration time.
-func (s *Session) Started() time.Time { return s.started }
-
-// Registry returns the session's metrics registry (may be nil).
-func (s *Session) Registry() *metrics.Registry { return s.reg }
-
-// Store returns the session's fragment store (may be nil).
-func (s *Session) Store() *fragstore.Store { return s.store }
-
 // Done reports whether the session has finished.
 func (s *Session) Done() bool {
 	s.mu.Lock()
@@ -208,9 +190,6 @@ func (s *Session) Park() { s.parked.Store(true) }
 // Unpark re-enables the pull probe; the scheduler calls it when the
 // session's next quantum starts executing (with Poll installed).
 func (s *Session) Unpark() { s.parked.Store(false) }
-
-// Parked reports whether the session is currently parked.
-func (s *Session) Parked() bool { return s.parked.Load() }
 
 // Finish captures a final snapshot via the current probe (on the
 // caller's goroutine, which must be the VM goroutine) and marks the

@@ -42,6 +42,3 @@ func (r *dualRAS) pop() (rasEntry, bool) {
 	r.n--
 	return r.buf[r.top], true
 }
-
-// depth returns the number of live entries.
-func (r *dualRAS) depth() int { return r.n }

@@ -159,23 +159,6 @@ done:
 	call_pal callsys
 `
 
-// quads renders a .quad data table.
-func quads(vals []uint64) string {
-	out := ""
-	for i, v := range vals {
-		if i%4 == 0 {
-			if i > 0 {
-				out += "\n"
-			}
-			out += "\t.quad "
-		} else {
-			out += ", "
-		}
-		out += fmt.Sprintf("%#x", v)
-	}
-	return out + "\n"
-}
-
 // lcg is the deterministic pseudo-random source used by the generators.
 type lcg uint64
 
