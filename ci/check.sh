@@ -361,7 +361,27 @@ for w in gap mcf; do
         kill "$srv_pid" 2>/dev/null || true
         exit 1
     fi
+    # One identity per guest: /vms/{id} is the same guest as /sessions/{id}.
+    curl -fsS "$surl/vms/$sid" > "$srv_dir/vm.json"
+    if [ "$(jfield "$srv_dir/vm.json" id)" != "$sid" ] ||
+        [ "$(jfield "$srv_dir/vm.json" workload)" != "$(jfield "$srv_dir/view.json" name)" ]; then
+        echo "/vms/$sid does not name the guest /sessions/$sid names:" >&2
+        cat "$srv_dir/vm.json" "$srv_dir/view.json" >&2
+        kill "$srv_pid" 2>/dev/null || true
+        exit 1
+    fi
 done
+# The scheduler's series are process-level: unlabelled, and no
+# pseudo-session stands in for them on /vms.
+curl -fsS "$surl/metrics" > "$srv_dir/metrics.txt"
+curl -fsS "$surl/vms" > "$srv_dir/vms.json"
+if ! grep -q '^serve_admitted ' "$srv_dir/metrics.txt" || grep -q '"scheduler"' "$srv_dir/vms.json"; then
+    echo "scheduler series labelled or a scheduler VM listed:" >&2
+    grep '^serve_admitted' "$srv_dir/metrics.txt" >&2
+    cat "$srv_dir/vms.json" >&2
+    kill "$srv_pid" 2>/dev/null || true
+    exit 1
+fi
 
 # A long guest: SIGTERM must land while it is still mid-run.
 curl -fsS -X POST "$surl/sessions?workload=vpr&scale=50" > "$srv_dir/sub.json"

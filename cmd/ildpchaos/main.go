@@ -148,7 +148,7 @@ func main() {
 				Workload: wl.Name, Machine: m.String(), Registry: obs.reg,
 			})
 			obs.tune = func(cfg *vm.Config) { cfg.Poll = sess.Poll }
-			obs.attach = func(v *vm.VM) { sess.Attach(v, nil) }
+			obs.attach = func(v *vm.VM) { sess.Attach(telemetry.ProbeVM(v, nil)) }
 		}
 		line, diverged, err := mode.run(seed, m, obs)
 		if sess != nil {

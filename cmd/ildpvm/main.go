@@ -237,10 +237,9 @@ func main() {
 	var plane *telemetry.Plane
 	var sess *telemetry.Session
 	if *serve != "" {
-		plane = telemetry.New(telemetry.Options{Logger: logger})
+		plane = telemetry.New(telemetry.Options{Logger: logger, Store: store})
 		sess = plane.Register(telemetry.SessionConfig{
-			Name: name, Workload: name, Machine: label,
-			Registry: reg, Store: store,
+			Name: name, Workload: name, Machine: label, Registry: reg,
 		})
 		cfg.Poll = sess.Poll
 		if err := plane.Serve(*serve, os.Stdout); err != nil {
@@ -255,7 +254,7 @@ func main() {
 		fatal(err)
 	}
 	if sess != nil {
-		sess.Attach(v, profiler)
+		sess.Attach(telemetry.ProbeVM(v, profiler))
 	}
 	var pe *vm.PreemptError
 	if runErr := v.Run(*maxV); runErr != nil && !errors.As(runErr, &pe) {

@@ -212,10 +212,10 @@ func TestShedCold(t *testing.T) {
 		}
 		checkFinal(t, sess, oracle(t, names[i], 1, 0))
 	}
-	if got := s.reg.Counter("serve.spills").Load(); got == 0 {
+	if got := s.Registry().Counter("serve.spills").Load(); got == 0 {
 		t.Error("no shedding spills with MaxResident=1 and 4 concurrent sessions")
 	}
-	if got := s.reg.Counter("serve.spill_loads").Load(); got == 0 {
+	if got := s.Registry().Counter("serve.spill_loads").Load(); got == 0 {
 		t.Error("no spill loads: shed checkpoints never resumed from disk")
 	}
 }

@@ -73,7 +73,7 @@ func (s *Server) runQuantum(sess *Session) {
 	sess.spilled = false
 	wait := time.Since(sess.enqueued)
 	sess.mu.Unlock()
-	s.reg.Histogram("serve.wait_ms").Observe(float64(wait.Microseconds()) / 1000)
+	s.m.waitMS.Observe(float64(wait.Microseconds()) / 1000)
 
 	if vv == nil {
 		var err error
@@ -83,7 +83,7 @@ func (s *Server) runQuantum(sess *Session) {
 		}
 	}
 	sess.deadline = vv.Stats.TotalVInsts() + uint64(s.opts.QuantumVInsts)
-	sess.tsess.Unpark()
+	sess.tsess.Attach(telemetry.ProbeVM(vv, nil))
 
 	var wallTimer *time.Timer
 	if s.opts.QuantumWall > 0 {
@@ -100,12 +100,12 @@ func (s *Server) runQuantum(sess *Session) {
 	// Clear the safety flag before the session can be requeued; a timer
 	// that fired between Stop and here only costs one short next quantum.
 	sess.desched.Store(false)
-	s.reg.Counter("serve.quanta").Inc()
-	s.reg.Histogram("serve.quantum_ms").Observe(float64(elapsed.Microseconds()) / 1000)
+	s.m.quanta.Inc()
+	s.m.quantumMS.Observe(float64(elapsed.Microseconds()) / 1000)
 
-	// Deschedule: push the boundary snapshot to the plane so scrapes
-	// see the parked state instantly, then settle the outcome.
-	sess.tsess.Publish(telemetry.ProbeVM(vv, nil)())
+	// Deschedule: the plane keeps the boundary snapshot, so scrapes see
+	// the parked state instantly, and drops its probe, so the VM is
+	// released with the session's reference. Then settle the outcome.
 	sess.tsess.Park()
 
 	sess.mu.Lock()
@@ -131,7 +131,7 @@ func (s *Server) runQuantum(sess *Session) {
 			// this quantum: the session that pushed it over dies typed at
 			// the boundary. No bundle — the kill is a cross-session
 			// policy decision, not a replayable guest failure.
-			s.reg.Counter("serve.resource_kills").Inc()
+			s.m.resourceKills.Inc()
 			s.failSession(sess, msg)
 			break
 		}
@@ -142,7 +142,7 @@ func (s *Server) runQuantum(sess *Session) {
 		sess.state = StateReady
 		sess.enqueued = time.Now()
 		sess.mu.Unlock()
-		s.reg.Counter("serve.preempts").Inc()
+		s.m.preempts.Inc()
 		s.enqueue(sess)
 		s.shedCold()
 	default:
@@ -154,7 +154,7 @@ func (s *Server) runQuantum(sess *Session) {
 		var trap *emu.Trap
 		switch {
 		case errors.As(runErr, &rf):
-			s.reg.Counter("serve.resource_kills").Inc()
+			s.m.resourceKills.Inc()
 			s.emitBundle(sess, s.failureBundle(sess, flight.KindResource, runErr.Error()))
 			s.failSession(sess, "resource: "+runErr.Error())
 		case errors.As(runErr, &trap):
@@ -171,10 +171,11 @@ func (s *Server) runQuantum(sess *Session) {
 // coldStart builds the VM a session keeps for the rest of its life in
 // this server: from its shedding spill (read back and deleted), from
 // origin (a checkpoint adopted by Resume), or from the program image on
-// its first quantum. The Stop hook and the telemetry probe are attached
-// here, once per VM. A spill the filesystem tears or truncates never
-// parses — the checkpoint CRC rejects it — so the error is always
-// typed, never silent corruption.
+// its first quantum. The Stop and Poll hooks are attached here, once
+// per VM; each quantum attaches the telemetry probe for its own run. A
+// spill the filesystem tears or truncates never parses — the checkpoint
+// CRC rejects it — so the error is always typed, never silent
+// corruption.
 func (s *Server) coldStart(sess *Session, origin []byte, spilled bool) (*vm.VM, error) {
 	if spilled {
 		raw, err := s.fs.ReadFile(s.spillPath(sess.ID))
@@ -183,7 +184,7 @@ func (s *Server) coldStart(sess *Session, origin []byte, spilled bool) (*vm.VM, 
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
 		s.fs.Remove(s.spillPath(sess.ID))
-		s.reg.Counter("serve.spill_loads").Inc()
+		s.m.spillLoads.Inc()
 		origin = raw
 	}
 
@@ -208,7 +209,6 @@ func (s *Server) coldStart(sess *Session, origin []byte, spilled bool) (*vm.VM, 
 		}
 		vv.Restore(st)
 	}
-	sess.tsess.SetProbe(telemetry.ProbeVM(vv, nil))
 
 	sess.mu.Lock()
 	sess.vm, sess.origin = vv, origin
@@ -328,7 +328,7 @@ func (s *Server) spillSession(sess *Session) error {
 		s.fs.Remove(s.spillPath(sess.ID))
 		return nil
 	}
-	s.reg.Counter("serve.spills").Inc()
+	s.m.spills.Inc()
 	return nil
 }
 
@@ -436,16 +436,16 @@ func (s *Server) finishSession(sess *Session, st State, msg string) {
 
 	switch st {
 	case StateDone:
-		s.reg.Counter("serve.completed").Inc()
+		s.m.completed.Inc()
 	case StateFailed:
-		s.reg.Counter("serve.failed").Inc()
+		s.m.failed.Inc()
 	case StateKilled:
-		s.reg.Counter("serve.killed").Inc()
+		s.m.killed.Inc()
 	case StateCrashed:
-		s.reg.Counter("serve.crashed").Inc()
+		s.m.crashed.Inc()
 	}
 	// The plane session gets a final marker; its cached snapshot (the
-	// last published quantum boundary) remains the served state.
+	// last quantum boundary) remains the served state.
 	sess.tsess.Finish()
 	close(done)
 	s.updateGauges()
@@ -472,7 +472,7 @@ func (s *Server) crashSession(sess *Session, r any) {
 // such failure is a session-local, typed degradation — the scheduler
 // and sibling sessions run on.
 func (s *Server) noteIOFault(op, id string, err error) {
-	s.reg.Counter("serve.io_faults").Inc()
+	s.m.ioFaults.Inc()
 	s.log.Warn("persistence fault", "op", op, "session", id, "err", err)
 }
 
@@ -497,7 +497,7 @@ func (s *Server) emitBundle(sess *Session, b *flight.Bundle) {
 		s.noteIOFault("bundle write", sess.ID, err)
 		return
 	}
-	s.reg.Counter("serve.bundles").Inc()
+	s.m.bundles.Inc()
 	s.log.Info("flight bundle recorded", "session", sess.ID, "kind", b.Kind, "path", path)
 }
 

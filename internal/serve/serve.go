@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -110,26 +109,21 @@ type Options struct {
 	// has the session whose quantum pushed it over failed, typed, at
 	// that quantum boundary. 0 is unlimited.
 	TenantPageQuota int
-	// Plane is the telemetry plane sessions register with; nil creates
-	// a private one (owned and closed by the server).
-	Plane *telemetry.Plane
-	// Store is the shared fragment store; nil creates a private one.
-	// Sharing it across sessions means a hot superblock is translated
-	// once per server, not once per quantum.
-	Store *fragstore.Store
 	// Logger receives scheduler diagnostics; nil discards them.
 	Logger *slog.Logger
 }
 
-// Server schedules admitted sessions over the worker pool.
+// Server schedules admitted sessions over the worker pool. It owns its
+// telemetry plane, whose registry carries the scheduler instruments,
+// and one fragment store shared by every session, so a hot superblock
+// is translated once per server, not once per quantum.
 type Server struct {
-	opts     Options
-	plane    *telemetry.Plane
-	ownPlane bool
-	store    *fragstore.Store
-	log      *slog.Logger
-	reg      *metrics.Registry // scheduler instruments, registered on the plane
-	fs       iofs.FS           // every persistence path goes through this
+	opts  Options
+	plane *telemetry.Plane
+	store *fragstore.Store
+	log   *slog.Logger
+	m     instruments
+	fs    iofs.FS // every persistence path goes through this
 
 	draining atomic.Bool // preempts running quanta and rejects admissions
 
@@ -138,7 +132,6 @@ type Server struct {
 	live     map[string]*Session // non-terminal sessions; finishSession removes
 	order    []string            // admission order, for listing
 	byTenant map[string]int
-	nextID   int
 
 	runq chan *Session
 	quit chan struct{}
@@ -166,12 +159,14 @@ func New(opts Options) *Server {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	store := fragstore.New()
+	plane := telemetry.New(telemetry.Options{Logger: log, Store: store})
 	s := &Server{
 		opts:     opts,
-		plane:    opts.Plane,
-		store:    opts.Store,
+		plane:    plane,
+		store:    store,
 		log:      log,
-		reg:      metrics.NewRegistry(),
+		m:        newInstruments(plane.Registry()),
 		fs:       iofs.Default(opts.FS),
 		sessions: make(map[string]*Session),
 		live:     make(map[string]*Session),
@@ -179,20 +174,6 @@ func New(opts Options) *Server {
 		runq:     make(chan *Session, opts.MaxSessions),
 		quit:     make(chan struct{}),
 	}
-	if s.plane == nil {
-		s.plane = telemetry.New(telemetry.Options{Logger: log})
-		s.ownPlane = true
-	}
-	if s.store == nil {
-		s.store = fragstore.New()
-	}
-	// The scheduler's own instruments render on /metrics as a parked
-	// pseudo-session: no VM ever publishes a snapshot for it, so the
-	// exposition skips the vm.* section and renders only the registry.
-	sched := s.plane.Register(telemetry.SessionConfig{
-		Name: "scheduler", Registry: s.reg, Store: s.store,
-	})
-	sched.Park()
 	s.plane.SetReady(true)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -201,60 +182,111 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Registry returns the scheduler's metrics registry.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
+// instruments are the scheduler's series, each declared once here on
+// the plane registry; /metrics renders them without labels.
+type instruments struct {
+	admitted, completed, failed, killed, crashed                 *metrics.Counter
+	rejectedFull, rejectedQuota, rejectedPages, rejectedDraining *metrics.Counter
+	quanta, preempts, spills, spillLoads                         *metrics.Counter
+	resourceKills, ioFaults, bundles                             *metrics.Counter
+	resumeSessions, resumeCorrupt, resumeOrphans                 *metrics.Counter
+
+	queueDepth, pagesResident             *metrics.Gauge
+	queued, running, ready, spilled, live *metrics.Gauge
+	quantumMS, waitMS                     *metrics.Histogram
+}
+
+// newInstruments registers the scheduler instruments on reg.
+func newInstruments(reg *metrics.Registry) instruments {
+	return instruments{
+		admitted:         reg.Counter("serve.admitted"),
+		completed:        reg.Counter("serve.completed"),
+		failed:           reg.Counter("serve.failed"),
+		killed:           reg.Counter("serve.killed"),
+		crashed:          reg.Counter("serve.crashed"),
+		rejectedFull:     reg.Counter("serve.rejected.full"),
+		rejectedQuota:    reg.Counter("serve.rejected.quota"),
+		rejectedPages:    reg.Counter("serve.rejected.pages"),
+		rejectedDraining: reg.Counter("serve.rejected.draining"),
+		quanta:           reg.Counter("serve.quanta"),
+		preempts:         reg.Counter("serve.preempts"),
+		spills:           reg.Counter("serve.spills"),
+		spillLoads:       reg.Counter("serve.spill_loads"),
+		resourceKills:    reg.Counter("serve.resource_kills"),
+		ioFaults:         reg.Counter("serve.io_faults"),
+		bundles:          reg.Counter("serve.bundles"),
+		resumeSessions:   reg.Counter("serve.resume.sessions"),
+		resumeCorrupt:    reg.Counter("serve.resume.corrupt"),
+		resumeOrphans:    reg.Counter("serve.resume.orphans"),
+		queueDepth:       reg.Gauge("serve.queue_depth"),
+		pagesResident:    reg.Gauge("serve.pages_resident"),
+		queued:           reg.Gauge("serve.sessions_queued"),
+		running:          reg.Gauge("serve.sessions_running"),
+		ready:            reg.Gauge("serve.sessions_ready"),
+		spilled:          reg.Gauge("serve.sessions_spilled"),
+		live:             reg.Gauge("serve.sessions_live"),
+		quantumMS:        reg.Histogram("serve.quantum_ms"),
+		waitMS:           reg.Histogram("serve.wait_ms"),
+	}
+}
+
+// Registry returns the scheduler's metrics registry, the plane's
+// process-level one.
+func (s *Server) Registry() *metrics.Registry { return s.plane.Registry() }
 
 // Submit admits a program image as a new session, or rejects it with
 // ErrDraining, ErrQueueFull, or ErrTenantQuota.
 func (s *Server) Submit(prog *alphaprog.Program, tenant, name string) (*Session, error) {
 	if s.draining.Load() {
-		s.reg.Counter("serve.rejected.draining").Inc()
+		s.m.rejectedDraining.Inc()
 		return nil, ErrDraining
 	}
 	s.mu.Lock()
 	if len(s.live) >= s.opts.MaxSessions {
 		s.mu.Unlock()
-		s.reg.Counter("serve.rejected.full").Inc()
+		s.m.rejectedFull.Inc()
 		return nil, ErrQueueFull
 	}
 	if s.opts.TenantQuota > 0 && s.byTenant[tenant] >= s.opts.TenantQuota {
 		s.mu.Unlock()
-		s.reg.Counter("serve.rejected.quota").Inc()
+		s.m.rejectedQuota.Inc()
 		return nil, ErrTenantQuota
 	}
 	if s.opts.TenantPageQuota > 0 && s.tenantPagesLocked(tenant) >= s.opts.TenantPageQuota {
 		s.mu.Unlock()
-		s.reg.Counter("serve.rejected.pages").Inc()
+		s.m.rejectedPages.Inc()
 		return nil, fmt.Errorf("%w: tenant %q holds its page quota (%d pages)",
 			ErrTenantQuota, tenant, s.opts.TenantPageQuota)
 	}
-	s.nextID++
-	sess := &Session{
-		ID:       strconv.Itoa(s.nextID),
-		Tenant:   tenant,
-		Name:     name,
-		prog:     prog,
-		reg:      metrics.NewRegistry(),
-		state:    StateQueued,
-		admitted: time.Now(),
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-	}
-	s.sessions[sess.ID] = sess
-	s.live[sess.ID] = sess
-	s.order = append(s.order, sess.ID)
-	s.byTenant[tenant]++
+	sess := &Session{Tenant: tenant, Name: name, prog: prog}
+	s.admitLocked(sess, name)
 	s.mu.Unlock()
 
-	sess.tsess = s.plane.Register(telemetry.SessionConfig{
-		Name: name + " #" + sess.ID, Workload: name, Registry: sess.reg,
-	})
-	sess.tsess.Park() // no VM until the first quantum
-	s.reg.Counter("serve.admitted").Inc()
+	s.m.admitted.Inc()
 	s.updateGauges()
 	s.enqueue(sess)
 	s.log.Info("session admitted", "session", sess.ID, "tenant", tenant, "name", name)
 	return sess, nil
+}
+
+// admitLocked registers sess with the plane and the session tables as
+// a queued session. Its ID is its plane registration's ID, taken under
+// s.mu, so /sessions/{id} and /vms/{id} name the same guest. The caller
+// holds s.mu.
+func (s *Server) admitLocked(sess *Session, label string) {
+	sess.reg = metrics.NewRegistry()
+	sess.tsess = s.plane.Register(telemetry.SessionConfig{
+		Name: label, Workload: sess.Name, Registry: sess.reg,
+	})
+	sess.ID = sess.tsess.ID()
+	sess.state = StateQueued
+	sess.admitted = time.Now()
+	sess.enqueued = sess.admitted
+	sess.done = make(chan struct{})
+	s.sessions[sess.ID] = sess
+	s.live[sess.ID] = sess
+	s.order = append(s.order, sess.ID)
+	s.byTenant[sess.Tenant]++
 }
 
 // enqueue appends the session to the run queue. The queue is sized to
@@ -362,33 +394,30 @@ func (s *Server) Stats() Stats {
 		sess.mu.Unlock()
 	}
 	s.mu.Unlock()
-	qh := s.reg.Histogram("serve.quantum_ms")
-	wh := s.reg.Histogram("serve.wait_ms")
-	rejected := s.reg.Counter("serve.rejected.full").Load() +
-		s.reg.Counter("serve.rejected.quota").Load() +
-		s.reg.Counter("serve.rejected.pages").Load() +
-		s.reg.Counter("serve.rejected.draining").Load()
+	m := &s.m
+	rejected := m.rejectedFull.Load() + m.rejectedQuota.Load() +
+		m.rejectedPages.Load() + m.rejectedDraining.Load()
 	return Stats{
 		Workers:       s.opts.Workers,
 		QueueDepth:    len(s.runq),
 		Live:          live,
-		Admitted:      s.reg.Counter("serve.admitted").Load(),
-		Completed:     s.reg.Counter("serve.completed").Load(),
-		Failed:        s.reg.Counter("serve.failed").Load(),
-		Killed:        s.reg.Counter("serve.killed").Load(),
-		Crashed:       s.reg.Counter("serve.crashed").Load(),
+		Admitted:      m.admitted.Load(),
+		Completed:     m.completed.Load(),
+		Failed:        m.failed.Load(),
+		Killed:        m.killed.Load(),
+		Crashed:       m.crashed.Load(),
 		Rejected:      rejected,
-		Quanta:        s.reg.Counter("serve.quanta").Load(),
-		Spills:        s.reg.Counter("serve.spills").Load(),
-		ResourceKills: s.reg.Counter("serve.resource_kills").Load(),
-		IOFaults:      s.reg.Counter("serve.io_faults").Load(),
-		Bundles:       s.reg.Counter("serve.bundles").Load(),
+		Quanta:        m.quanta.Load(),
+		Spills:        m.spills.Load(),
+		ResourceKills: m.resourceKills.Load(),
+		IOFaults:      m.ioFaults.Load(),
+		Bundles:       m.bundles.Load(),
 		PagesResident: pages,
-		QuantumP50ms:  qh.Quantile(0.50),
-		QuantumP95ms:  qh.Quantile(0.95),
-		QuantumP99ms:  qh.Quantile(0.99),
-		WaitP50ms:     wh.Quantile(0.50),
-		WaitP99ms:     wh.Quantile(0.99),
+		QuantumP50ms:  m.quantumMS.Quantile(0.50),
+		QuantumP95ms:  m.quantumMS.Quantile(0.95),
+		QuantumP99ms:  m.quantumMS.Quantile(0.99),
+		WaitP50ms:     m.waitMS.Quantile(0.50),
+		WaitP99ms:     m.waitMS.Quantile(0.99),
 	}
 }
 
@@ -418,13 +447,13 @@ func (s *Server) updateGauges() {
 	}
 	live := len(s.live)
 	s.mu.Unlock()
-	s.reg.Gauge("serve.queue_depth").Set(float64(len(s.runq)))
-	s.reg.Gauge("serve.sessions_queued").Set(float64(queued))
-	s.reg.Gauge("serve.sessions_running").Set(float64(running))
-	s.reg.Gauge("serve.sessions_ready").Set(float64(ready))
-	s.reg.Gauge("serve.sessions_spilled").Set(float64(spilled))
-	s.reg.Gauge("serve.sessions_live").Set(float64(live))
-	s.reg.Gauge("serve.pages_resident").Set(float64(pages))
+	s.m.queueDepth.Set(float64(len(s.runq)))
+	s.m.queued.Set(float64(queued))
+	s.m.running.Set(float64(running))
+	s.m.ready.Set(float64(ready))
+	s.m.spilled.Set(float64(spilled))
+	s.m.live.Set(float64(live))
+	s.m.pagesResident.Set(float64(pages))
 }
 
 // Draining reports whether the server has begun draining.
@@ -483,17 +512,15 @@ func (s *Server) Drain() (int, error) {
 }
 
 // Close shuts the server down without the spill protocol: workers stop
-// and, when the plane is server-owned, the plane closes too. Tests and
-// in-process embedders use it; production shutdown goes through Drain.
+// and the plane closes. Tests and in-process embedders use it;
+// production shutdown goes through Drain.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.draining.CompareAndSwap(false, true) {
 			close(s.quit)
 		}
 		s.wg.Wait()
-		if s.ownPlane {
-			s.plane.Close()
-		}
+		s.plane.Close()
 	})
 }
 
@@ -543,12 +570,12 @@ func (s *Server) Resume(dir string) (int, int, error) {
 		sess := s.adopt(meta, raw, decodeErr)
 		if decodeErr != nil {
 			corrupt++
-			s.reg.Counter("serve.resume.corrupt").Inc()
+			s.m.resumeCorrupt.Inc()
 			s.log.Warn("resume: corrupt checkpoint", "session", sess.ID, "err", decodeErr)
 			continue
 		}
 		resumed++
-		s.reg.Counter("serve.resume.sessions").Inc()
+		s.m.resumeSessions.Inc()
 		// The checkpoint is now the origin of a session with a fresh ID;
 		// consume the spill files so a later drain of this server can't
 		// collide with (or double-resume) the previous generation's.
@@ -566,7 +593,7 @@ func (s *Server) Resume(dir string) (int, int, error) {
 			if sidecars[filepath.Join(dir, id+".json")] {
 				continue // corrupt pair left in place above, not an orphan
 			}
-			s.reg.Counter("serve.resume.orphans").Inc()
+			s.m.resumeOrphans.Inc()
 			s.log.Warn("resume: orphan checkpoint without sidecar", "path", p)
 			s.fs.Remove(p)
 		}
@@ -586,35 +613,18 @@ func (s *Server) Resume(dir string) (int, int, error) {
 // error it lands terminal (StateFailed); otherwise it enqueues with the
 // spilled checkpoint as its origin, restored on its first quantum.
 func (s *Server) adopt(meta *spillMeta, origin []byte, decodeErr error) *Session {
-	s.mu.Lock()
-	s.nextID++
 	sess := &Session{
-		ID:       strconv.Itoa(s.nextID),
-		Tenant:   meta.Tenant,
-		Name:     meta.Name,
-		reg:      metrics.NewRegistry(),
-		state:    StateQueued,
-		admitted: time.Now(),
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
+		Tenant: meta.Tenant, Name: meta.Name,
+		quanta: meta.Quanta, vinsts: meta.VInsts, origin: origin,
 	}
-	sess.quanta = meta.Quanta
-	sess.vinsts = meta.VInsts
-	sess.origin = origin
-	s.sessions[sess.ID] = sess
-	s.live[sess.ID] = sess
-	s.order = append(s.order, sess.ID)
-	s.byTenant[sess.Tenant]++
+	s.mu.Lock()
+	s.admitLocked(sess, meta.Name+" (resumed)")
 	s.mu.Unlock()
-	sess.tsess = s.plane.Register(telemetry.SessionConfig{
-		Name: sess.Name + " #" + sess.ID + " (resumed)", Workload: sess.Name, Registry: sess.reg,
-	})
-	sess.tsess.Park()
 	if decodeErr != nil {
 		s.failSession(sess, "checkpoint: "+decodeErr.Error())
 		return sess
 	}
-	s.reg.Counter("serve.admitted").Inc()
+	s.m.admitted.Inc()
 	s.enqueue(sess)
 	return sess
 }

@@ -399,10 +399,10 @@ func TestDrainResume(t *testing.T) {
 func waitQuanta(t *testing.T, s *Server, n uint64, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	for s.reg.Counter("serve.quanta").Load() < n {
+	for s.Registry().Counter("serve.quanta").Load() < n {
 		if time.Now().After(deadline) {
 			t.Fatalf("scheduler executed %d quanta, want ≥ %d",
-				s.reg.Counter("serve.quanta").Load(), n)
+				s.Registry().Counter("serve.quanta").Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}

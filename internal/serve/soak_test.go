@@ -42,7 +42,7 @@ func TestDifferentialSoak(t *testing.T) {
 			}
 			s := testServer(t, opts)
 			soak(t, s, sessionsN)
-			if loads := s.reg.Counter("serve.spill_loads").Load(); set.spill && loads == 0 {
+			if loads := s.Registry().Counter("serve.spill_loads").Load(); set.spill && loads == 0 {
 				t.Error("no spill loads: no session resumed from disk")
 			}
 		})

@@ -164,7 +164,7 @@ func TestConcurrentShedSpills(t *testing.T) {
 	if n, err := countSpillFiles(dir); !spilled || err != nil || n != 1 {
 		t.Fatalf("spilled=%v with %d spill files (%v), want one committed spill", spilled, n, err)
 	}
-	if got := s.reg.Counter("serve.spills").Load(); got != 1 {
+	if got := s.Registry().Counter("serve.spills").Load(); got != 1 {
 		t.Fatalf("spills = %d, want 1", got)
 	}
 
@@ -201,7 +201,7 @@ func TestGaugesAfterFinish(t *testing.T) {
 		got := map[string]float64{}
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 			for name := range want {
-				got[name] = s.reg.Gauge("serve." + name).Load()
+				got[name] = s.Registry().Gauge("serve." + name).Load()
 			}
 			if maps.Equal(got, want) {
 				return

@@ -78,14 +78,11 @@ func TestCheckpointConcurrentProbe(t *testing.T) {
 		}
 		target = vv.Stats.TotalVInsts() + quantum
 
-		probe := ProbeVM(vv, nil)
-		sess.SetProbe(probe)
-		sess.Unpark()
+		sess.Attach(ProbeVM(vv, nil))
 		runErr := vv.Run(0)
 
-		// Deschedule: push the boundary state, park, then checkpoint —
-		// all while the scraper keeps arming the probe.
-		sess.Publish(probe())
+		// Deschedule: capture the boundary state and park, then
+		// checkpoint — all while the scraper keeps arming the probe.
 		sess.Park()
 		ck := vv.Checkpoint()
 		dec, derr := checkpoint.Decode(checkpoint.Encode(ck))

@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"github.com/ildp/accdbt/internal/experiments"
 	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/metrics"
+	"github.com/ildp/accdbt/internal/prof"
 	"github.com/ildp/accdbt/internal/telemetry"
 	"github.com/ildp/accdbt/internal/translate"
 	"github.com/ildp/accdbt/internal/vm"
@@ -108,7 +110,7 @@ func TestTelemetryEquivalence(t *testing.T) {
 	var attCPU *emu.CPU
 	attSpec.Attach = func(v *vm.VM) {
 		attCPU = v.CPU()
-		sess.Attach(v, nil)
+		sess.Attach(telemetry.ProbeVM(v, nil))
 	}
 	att, err := experiments.Run(attSpec)
 	if err != nil {
@@ -164,6 +166,69 @@ func TestTelemetryEquivalence(t *testing.T) {
 	}
 }
 
+// TestVMHotTableLive runs gzip with a real profiler attached through
+// ProbeVM and checks that /vms/{id}?hot=N serves the profiler's own
+// hottest fragments and cycle total.
+func TestVMHotTableLive(t *testing.T) {
+	plane := telemetry.New(telemetry.Options{Logger: discardLogger()})
+	defer plane.Close()
+	sess := plane.Register(telemetry.SessionConfig{Name: "hot", Workload: "gzip"})
+	srv := httptest.NewServer(plane.Handler())
+	defer srv.Close()
+
+	p := prof.New(prof.Config{})
+	spec := gzipSpec(t)
+	spec.Prof = p
+	spec.HotThreshold = 5 // more fragments than the table's rows
+	spec.Tune = func(cfg *vm.Config) { cfg.Poll = sess.Poll }
+	spec.Attach = func(v *vm.VM) { sess.Attach(telemetry.ProbeVM(v, p)) }
+	if _, err := experiments.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	sess.Finish()
+
+	const n = 3
+	resp, err := http.Get(srv.URL + "/vms/" + sess.ID() + "?hot=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var detail struct {
+		Hot []struct {
+			VStart  uint64 `json:"vstart"`
+			Entries uint64 `json:"entries"`
+			Cycles  int64  `json:"cycles"`
+			IInsts  uint64 `json:"i_insts"`
+			VInsts  uint64 `json:"v_insts"`
+		} `json:"hot"`
+		HotTotals *struct {
+			TotalCycles int64 `json:"total_cycles"`
+		} `json:"hot_totals"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&detail)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.Profile()
+	if len(want.Frags) <= n {
+		t.Fatalf("profile has %d fragments, want more than %d", len(want.Frags), n)
+	}
+	if len(detail.Hot) != n {
+		t.Fatalf("hot table has %d rows, want %d", len(detail.Hot), n)
+	}
+	for i, row := range detail.Hot {
+		f := want.Frags[i]
+		if row.VStart != f.VStart || row.Entries != f.Entries || row.Cycles != f.Cycles ||
+			row.IInsts != f.IInsts || row.VInsts != f.VInsts {
+			t.Errorf("hot row %d = %+v, want fragment %#x entries %d cycles %d i %d v %d",
+				i, row, f.VStart, f.Entries, f.Cycles, f.IInsts, f.VInsts)
+		}
+	}
+	if detail.HotTotals == nil || detail.HotTotals.TotalCycles != want.TotalCycles {
+		t.Errorf("hot totals = %+v, want total_cycles %d", detail.HotTotals, want.TotalCycles)
+	}
+}
+
 // BenchmarkTelemetryOverhead measures the cost of attaching the plane:
 // the same gzip run detached, attached-but-idle (Poll installed,
 // nobody scraping), and attached with a streaming SSE consumer. The
@@ -189,7 +254,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			spec := gzipSpec(b)
 			spec.Metrics = reg
 			spec.Tune = func(cfg *vm.Config) { cfg.Poll = sess.Poll }
-			spec.Attach = func(v *vm.VM) { sess.Attach(v, nil) }
+			spec.Attach = func(v *vm.VM) { sess.Attach(telemetry.ProbeVM(v, nil)) }
 			if _, err := experiments.Run(spec); err != nil {
 				b.Fatal(err)
 			}
@@ -217,7 +282,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			spec := gzipSpec(b)
 			spec.Metrics = reg
 			spec.Tune = func(cfg *vm.Config) { cfg.Poll = sess.Poll }
-			spec.Attach = func(v *vm.VM) { sess.Attach(v, nil) }
+			spec.Attach = func(v *vm.VM) { sess.Attach(telemetry.ProbeVM(v, nil)) }
 			if _, err := experiments.Run(spec); err != nil {
 				b.Fatal(err)
 			}

@@ -4,7 +4,8 @@
 //
 //   - /metrics — Prometheus text exposition of every registered
 //     session's counters, gauges, histograms (with quantiles), live
-//     vm.* statistics, and event-ring drop totals;
+//     vm.* statistics, and event-ring drop totals, plus the unlabelled
+//     process-level registry and fragment-store totals;
 //   - /events — a server-sent-events stream of fragment lifecycle
 //     events fanned out through a never-blocks-the-publisher
 //     broadcaster with per-client drop accounting;
@@ -47,29 +48,31 @@ type Options struct {
 	// Logger receives the plane's structured diagnostics; nil uses
 	// slog.Default.
 	Logger *slog.Logger
-	// EventBuf is the broadcaster intake ring size (default 1024).
-	EventBuf int
 	// ClientBuf is the per-SSE-client buffer size (default 256). A
 	// client that falls more than ClientBuf events behind starts losing
 	// events (counted, never blocking).
 	ClientBuf int
-	// ProbeWait bounds how long a scrape waits for the VM to reach a
-	// poll boundary before serving the cached snapshot (default 100ms).
-	ProbeWait time.Duration
+	// Store is the process-wide fragment store every session translates
+	// through; /metrics renders its totals once and every /vms/{id}
+	// carries its store and shard sections. May be nil.
+	Store *fragstore.Store
 }
 
-// defaultProbeWait bounds a scrape's wait for a fresh VM snapshot.
-const defaultProbeWait = 100 * time.Millisecond
+// probeWait bounds how long a scrape waits for the VM to reach a poll
+// boundary before serving the cached snapshot.
+const probeWait = 100 * time.Millisecond
 
-// Plane is the introspection server: a session registry, an SSE
+// Plane is the introspection server: a session registry, the
+// process-level metrics registry and fragment store, an SSE
 // broadcaster, and the HTTP handlers tying them together. All methods
 // are safe for concurrent use.
 type Plane struct {
-	log       *slog.Logger
-	bc        *Broadcaster
-	probeWait time.Duration
-	ready     atomic.Bool
-	scrapes   atomic.Uint64
+	log     *slog.Logger
+	bc      *Broadcaster
+	reg     *metrics.Registry
+	store   *fragstore.Store
+	ready   atomic.Bool
+	scrapes atomic.Uint64
 
 	mu       sync.Mutex
 	sessions map[int]*Session
@@ -85,16 +88,13 @@ func New(opts Options) *Plane {
 	if log == nil {
 		log = slog.Default()
 	}
-	wait := opts.ProbeWait
-	if wait <= 0 {
-		wait = defaultProbeWait
-	}
 	p := &Plane{
-		log:       log,
-		bc:        NewBroadcaster(opts.EventBuf, opts.ClientBuf),
-		probeWait: wait,
-		sessions:  map[int]*Session{},
-		mux:       http.NewServeMux(),
+		log:      log,
+		bc:       NewBroadcaster(0, opts.ClientBuf),
+		reg:      metrics.NewRegistry(),
+		store:    opts.Store,
+		sessions: map[int]*Session{},
+		mux:      http.NewServeMux(),
 	}
 	p.mux.HandleFunc("GET /metrics", p.handleMetrics)
 	p.mux.HandleFunc("GET /events", p.handleEvents)
@@ -131,15 +131,20 @@ func (p *Plane) Serve(addr string, out io.Writer) error {
 // their sessions are registered and the listener is up.
 func (p *Plane) SetReady(ready bool) { p.ready.Store(ready) }
 
+// Registry returns the process-level metrics registry, for instruments
+// that belong to the process rather than to one session (a scheduler's
+// counters). /metrics renders it without labels.
+func (p *Plane) Registry() *metrics.Registry { return p.reg }
+
 // Broadcaster returns the plane's event broadcaster, for owners that
 // want to publish synthetic events or read drop counters.
 func (p *Plane) Broadcaster() *Broadcaster { return p.bc }
 
 // Register adds a session to the plane, taps its metrics registry so
 // every recorded event is broadcast on /events (tagged with the session
-// ID), and returns the session handle. The tap publishes without
-// blocking, so the VM goroutine is never delayed by a slow or stalled
-// stream consumer.
+// ID), and returns the session handle, parked until its first Attach.
+// The tap publishes without blocking, so the VM goroutine is never
+// delayed by a slow or stalled stream consumer.
 func (p *Plane) Register(cfg SessionConfig) *Session {
 	p.mu.Lock()
 	p.nextID++
@@ -150,7 +155,7 @@ func (p *Plane) Register(cfg SessionConfig) *Session {
 		machine:  cfg.Machine,
 		started:  time.Now(),
 		reg:      cfg.Registry,
-		store:    cfg.Store,
+		parked:   true,
 	}
 	p.sessions[s.id] = s
 	closed := p.closed
@@ -251,13 +256,13 @@ func sessionLabels(s *Session) []Label {
 
 // handleMetrics renders the Prometheus exposition: per session, the
 // live vm.* statistics (captured through the poll protocol and
-// published into a throwaway registry), the session's own registry
+// published into a throwaway registry) and the session's own registry
 // (translation/cache/recovery instruments, histogram quantiles, event
-// ring totals), and store shard aggregates; plus the plane's own
-// stream-health series.
+// ring totals); then, without labels, the process-level registry, the
+// fragment store's totals and the plane's own stream-health series.
 func (p *Plane) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.scrapes.Add(1)
-	wait := p.probeWait
+	wait := probeWait
 	if ms, err := strconv.Atoi(r.URL.Query().Get("wait")); err == nil && ms >= 0 {
 		wait = time.Duration(ms) * time.Millisecond
 		if wait > 2*time.Second {
@@ -291,13 +296,14 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		exp.Add("telemetry.session_fresh", "gauge", b2f(fresh), labels...)
 		exp.Add("telemetry.session_done", "gauge", b2f(s.Done()), labels...)
 		exp.AddRegistry(s.reg, labels...)
-		if s.store != nil {
-			st := s.store.Stats()
-			exp.Add("fragstore.entries", "gauge", float64(st.Entries), labels...)
-			exp.Add("fragstore.hits", "counter", float64(st.Hits), labels...)
-			exp.Add("fragstore.misses", "counter", float64(st.Misses), labels...)
-			exp.Add("fragstore.shared_hits", "counter", float64(st.SharedHits), labels...)
-		}
+	}
+	exp.AddRegistry(p.reg)
+	if p.store != nil {
+		st := p.store.Stats()
+		exp.Add("fragstore.entries", "gauge", float64(st.Entries))
+		exp.Add("fragstore.hits", "counter", float64(st.Hits))
+		exp.Add("fragstore.misses", "counter", float64(st.Misses))
+		exp.Add("fragstore.shared_hits", "counter", float64(st.SharedHits))
 	}
 	exp.Add("telemetry.sessions", "gauge", float64(len(p.Sessions())))
 	exp.Add("telemetry.scrapes", "counter", float64(p.scrapes.Load()))
@@ -450,7 +456,7 @@ type vmSummary struct {
 func (p *Plane) handleVMs(w http.ResponseWriter, r *http.Request) {
 	out := []vmSummary{}
 	for _, s := range p.Sessions() {
-		live, at, fresh, ok := s.State(p.probeWait)
+		live, at, fresh, ok := s.State(probeWait)
 		row := vmSummary{
 			ID: s.ID(), Name: s.name, Workload: s.workload, Machine: s.machine,
 			Started: s.started, Done: s.Done(), Fresh: fresh,
@@ -547,7 +553,7 @@ func (p *Plane) handleVM(w http.ResponseWriter, r *http.Request) {
 	if n, err := strconv.Atoi(r.URL.Query().Get("hot")); err == nil && n > 0 {
 		hotN = n
 	}
-	live, at, fresh, ok := sess.State(p.probeWait)
+	live, at, fresh, ok := sess.State(probeWait)
 	d := vmDetail{vmSummary: vmSummary{
 		ID: sess.ID(), Name: sess.name, Workload: sess.workload,
 		Machine: sess.machine, Started: sess.started, Done: sess.Done(),
@@ -582,13 +588,13 @@ func (p *Plane) handleVM(w http.ResponseWriter, r *http.Request) {
 			d.Hot, d.HotTotals = hotTable(live.Hot, hotN)
 		}
 	}
-	if sess.store != nil {
-		st := sess.store.Stats()
+	if p.store != nil {
+		st := p.store.Stats()
 		d.Store = &storeDetail{
 			Entries: st.Entries, Hits: st.Hits, Misses: st.Misses,
 			SharedHits: st.SharedHits, Loaded: st.Loaded, Dropped: st.Dropped,
 		}
-		for _, sh := range sess.store.ShardStats() {
+		for _, sh := range p.store.ShardStats() {
 			if sh.Entries != 0 || sh.Hits != 0 || sh.Misses != 0 {
 				d.Shards = append(d.Shards, sh)
 			}

@@ -29,7 +29,7 @@ func fakeSession(p *Plane) *Session {
 	s := p.Register(SessionConfig{
 		Name: "fake", Workload: "gzip", Machine: "ildp-modified", Registry: reg,
 	})
-	s.SetProbe(func() Live {
+	s.Attach(func() Live {
 		return Live{
 			Stats: vm.Stats{InterpInsts: 100, TransVInsts: 900, Fragments: 7},
 			VPC:   0x2a0, Halted: true, ExitStatus: 0,
@@ -177,6 +177,65 @@ func TestPlaneVMs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/vms/99 status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSessionProbeLifecycle checks that a session holds its probe only
+// while attached: Register parks it, Attach captures, Park and Finish
+// capture once more and drop the probe, and State keeps serving the
+// captured snapshot without ever calling the probe again.
+func TestSessionProbeLifecycle(t *testing.T) {
+	p := New(Options{})
+	defer p.Close()
+	s := p.Register(SessionConfig{Name: "life"})
+	if _, _, _, ok := s.State(time.Hour); ok {
+		t.Fatal("registered session served a snapshot before Attach")
+	}
+
+	calls := 0
+	vpc := uint64(0)
+	probe := func() Live {
+		calls++
+		vpc += 4
+		return Live{VPC: vpc}
+	}
+	s.Attach(probe)
+	if calls != 1 {
+		t.Fatalf("Attach ran the probe %d times, want 1", calls)
+	}
+	s.Poll() // nobody wants a snapshot: no probe run
+	if calls != 1 {
+		t.Fatalf("idle Poll ran the probe")
+	}
+
+	s.Park()
+	if calls != 2 {
+		t.Fatalf("Park ran the probe %d times in all, want 2", calls)
+	}
+	for i := 0; i < 3; i++ {
+		live, _, fresh, ok := s.State(time.Hour)
+		if !ok || fresh || live.VPC != 8 {
+			t.Fatalf("parked State = vpc %#x fresh %v ok %v, want the Park snapshot 0x8", live.VPC, fresh, ok)
+		}
+		s.Poll()
+	}
+	if calls != 2 {
+		t.Fatalf("probe ran %d times after Park, want 2 in all", calls)
+	}
+
+	s.Attach(probe)
+	s.Finish()
+	if calls != 4 {
+		t.Fatalf("Attach+Finish ran the probe %d times in all, want 4", calls)
+	}
+	s.Finish()
+	s.Poll()
+	live, _, fresh, ok := s.State(time.Hour)
+	if !ok || !fresh || live.VPC != 16 || !s.Done() {
+		t.Fatalf("finished State = vpc %#x fresh %v ok %v done %v, want the Finish snapshot 0x10", live.VPC, fresh, ok, s.Done())
+	}
+	if calls != 4 {
+		t.Fatalf("probe ran %d times after Finish, want 4 in all", calls)
 	}
 }
 

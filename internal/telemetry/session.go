@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/ildp/accdbt/internal/fragstore"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/prof"
 	"github.com/ildp/accdbt/internal/tcache"
@@ -49,18 +48,20 @@ type SessionConfig struct {
 	// Registry is the session's metrics registry; the plane taps its
 	// event stream and renders it on /metrics. May be nil.
 	Registry *metrics.Registry
-	// Store is the fragment store the session translates through, for
-	// shard occupancy reporting. May be nil.
-	Store *fragstore.Store
 }
 
-// Session is one registered VM run. The introspection protocol is
-// pull-based and runs entirely on the VM goroutine: an HTTP handler
-// calls State, which arms the want flag and waits; the VM's Config.Poll
-// hook (Session.Poll) observes the flag at the next V-instruction
-// boundary, runs the probe there, caches the result, and wakes every
-// waiter. The attached-but-idle cost is therefore one atomic load per
-// poll site, and the VM's state is only ever read by the VM goroutine.
+// Session is one registered VM run. It holds a probe only while its VM
+// runs: Attach installs one, Park and Finish capture a last snapshot
+// through it and drop it, so a descheduled or finished session keeps
+// its snapshot but not its VM.
+//
+// The introspection protocol is pull-based and runs entirely on the VM
+// goroutine: an HTTP handler calls State, which arms the want flag and
+// waits; the VM's Config.Poll hook (Session.Poll) observes the flag at
+// the next V-instruction boundary, runs the probe there, caches the
+// result, and wakes every waiter. The attached-but-idle cost is
+// therefore one atomic load per poll site, and the VM's state is only
+// ever read by the VM goroutine.
 type Session struct {
 	id       int
 	name     string
@@ -68,25 +69,21 @@ type Session struct {
 	machine  string
 	started  time.Time
 	reg      *metrics.Registry
-	store    *fragstore.Store
 
 	// cancelTap detaches the plane's registry subscription; set by
 	// Plane.Register, called on deregistration.
 	cancelTap func()
 
-	// want is armed by State and cleared by the probe service; it is
-	// the only word the VM goroutine reads when nobody is looking.
+	// want is armed by State and cleared by a capture; it is the only
+	// word the VM goroutine reads when nobody is looking.
 	want atomic.Bool
 
-	// parked marks a session whose VM is not currently executing (a
-	// scheduler descheduled it between quanta): no goroutine will reach
-	// a poll boundary, so State serves the cached snapshot immediately
-	// instead of waiting out its probe timeout. The owner publishes a
-	// final snapshot with Publish before parking.
-	parked atomic.Bool
-
-	mu      sync.Mutex
-	probe   func() Live
+	mu    sync.Mutex
+	probe func() Live
+	// parked marks a session without a running VM (before Attach and
+	// after Park): no goroutine will reach a poll boundary, so State
+	// serves the cached snapshot at once instead of waiting for one.
+	parked  bool
 	last    Live
 	lastAt  time.Time
 	hasLast bool
@@ -115,101 +112,36 @@ func (s *Session) Poll() {
 	s.service()
 }
 
-// service runs the probe on the calling (VM) goroutine, caches the
-// snapshot, and wakes every waiter. Split from Poll so the fast path
-// stays inlineable.
+// service captures a snapshot for the waiters that armed want. Split
+// from Poll so the fast path stays inlineable.
 func (s *Session) service() {
 	s.mu.Lock()
 	probe := s.probe
 	s.mu.Unlock()
 	if probe == nil {
-		// Armed before Attach (e.g. between segments of a kill-resume
-		// soak): leave want set; waiters fall back to the cached state.
+		// Armed while no probe is held (between segments of a
+		// kill-resume run): leave want set; waiters fall back to the
+		// cached state.
 		return
 	}
-	live := probe()
-	s.mu.Lock()
-	s.last, s.lastAt, s.hasLast = live, time.Now(), true
-	waiters := s.waiters
-	s.waiters = nil
-	s.want.Store(false)
-	s.mu.Unlock()
-	for _, w := range waiters {
-		close(w)
-	}
+	s.capture(probe, nil)
 }
 
-// Attach installs the standard VM probe for v (and p, which may be nil
-// to skip the hot table) and seeds the cached state with an immediate
-// probe. Call it from the goroutine that will run the VM, after the
-// program is loaded and before Run.
-func (s *Session) Attach(v *vm.VM, p *prof.Profiler) {
-	s.SetProbe(ProbeVM(v, p))
-	s.service0()
-}
-
-// SetProbe installs a custom probe. The probe is only ever invoked on
-// the goroutine that calls Poll, Attach, or Finish, so it may read VM
-// state without synchronization; it must return copies, not aliases.
-func (s *Session) SetProbe(probe func() Live) {
-	s.mu.Lock()
-	s.probe = probe
-	s.mu.Unlock()
-}
-
-// service0 runs the probe once unconditionally to seed or refresh the
-// cached state.
-func (s *Session) service0() {
-	s.want.Store(true)
-	s.service()
-}
-
-// Publish caches a snapshot captured by the session's owner (a
-// scheduler that just checkpointed the VM at a quantum boundary) and
-// wakes every State waiter. It is the push-mode complement to the
-// pull probe: between scheduler quanta no goroutine reaches a poll
-// boundary, so the owner pushes the descheduled state instead.
-func (s *Session) Publish(live Live) {
-	s.mu.Lock()
-	s.last, s.lastAt, s.hasLast = live, time.Now(), true
-	waiters := s.waiters
-	s.waiters = nil
-	s.want.Store(false)
-	s.mu.Unlock()
-	for _, w := range waiters {
-		close(w)
-	}
-}
-
-// Park marks the session descheduled: until Unpark, State returns the
-// cached snapshot immediately rather than arming the probe and waiting
-// for a poll boundary that cannot arrive. Call Publish first so the
-// cache holds the state the session was descheduled with.
-func (s *Session) Park() { s.parked.Store(true) }
-
-// Unpark re-enables the pull probe; the scheduler calls it when the
-// session's next quantum starts executing (with Poll installed).
-func (s *Session) Unpark() { s.parked.Store(false) }
-
-// Finish captures a final snapshot via the current probe (on the
-// caller's goroutine, which must be the VM goroutine) and marks the
-// session done. Waiters are woken; later State calls return the final
-// state immediately. Safe to call more than once.
-func (s *Session) Finish() {
-	s.mu.Lock()
-	probe := s.probe
-	s.mu.Unlock()
+// capture runs probe (when non-nil) on the calling VM goroutine and
+// caches its snapshot, applies update under the session lock, and wakes
+// every State waiter.
+func (s *Session) capture(probe func() Live, update func()) {
 	var live Live
-	captured := false
 	if probe != nil {
 		live = probe()
-		captured = true
 	}
 	s.mu.Lock()
-	if captured {
+	if probe != nil {
 		s.last, s.lastAt, s.hasLast = live, time.Now(), true
 	}
-	s.done = true
+	if update != nil {
+		update()
+	}
 	waiters := s.waiters
 	s.waiters = nil
 	s.want.Store(false)
@@ -217,6 +149,42 @@ func (s *Session) Finish() {
 	for _, w := range waiters {
 		close(w)
 	}
+}
+
+// Attach installs probe, seeds the cached state with an immediate
+// capture and unparks the session. Call it from the goroutine that will
+// run the VM, after the program is loaded and before Run; pass
+// ProbeVM(v, p) for a real VM. The probe is only ever invoked on that
+// goroutine, so it may read VM state without synchronization; it must
+// return copies, not aliases.
+func (s *Session) Attach(probe func() Live) {
+	s.capture(probe, func() { s.probe, s.parked = probe, false })
+}
+
+// Park captures a last snapshot through the held probe, drops the probe
+// and parks the session: until the next Attach, State serves that
+// snapshot at once. Call it on the VM goroutine when the VM stops
+// running (a scheduler descheduling it between quanta).
+func (s *Session) Park() {
+	s.capture(s.takeProbe(), func() { s.parked = true })
+}
+
+// Finish captures a final snapshot through the held probe, if any, drops
+// the probe and marks the session done. Waiters are woken; later State
+// calls return the final state immediately. Call it on the VM goroutine;
+// it is safe to call more than once.
+func (s *Session) Finish() {
+	s.capture(s.takeProbe(), func() { s.done = true })
+}
+
+// takeProbe removes and returns the held probe, so the session no
+// longer references its VM.
+func (s *Session) takeProbe() func() Live {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	probe := s.probe
+	s.probe = nil
+	return probe
 }
 
 // State returns the session's introspection snapshot. For a live
@@ -228,18 +196,13 @@ func (s *Session) Finish() {
 // no snapshot has ever been captured.
 func (s *Session) State(wait time.Duration) (live Live, at time.Time, fresh, ok bool) {
 	s.mu.Lock()
-	if s.done {
-		live, at, ok = s.last, s.lastAt, s.hasLast
+	if s.done || s.parked {
+		// No VM goroutine will service a probe, so waiting would only
+		// stall the scrape: the cached snapshot is the state the session
+		// finished or was parked with.
+		live, at, fresh, ok = s.last, s.lastAt, s.done, s.hasLast
 		s.mu.Unlock()
-		return live, at, true, ok
-	}
-	if s.parked.Load() {
-		// Descheduled: no VM goroutine will service a probe, so waiting
-		// would only stall the scrape. The cached snapshot is exactly the
-		// state the session was parked with.
-		live, at, ok = s.last, s.lastAt, s.hasLast
-		s.mu.Unlock()
-		return live, at, false, ok
+		return live, at, fresh, ok
 	}
 	w := make(chan struct{})
 	s.waiters = append(s.waiters, w)

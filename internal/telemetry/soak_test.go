@@ -79,7 +79,7 @@ func TestSlowConsumerSoak(t *testing.T) {
 		spec := gzipSpec(t)
 		spec.Metrics = reg
 		spec.Tune = func(cfg *vm.Config) { cfg.Poll = sess.Poll }
-		spec.Attach = func(v *vm.VM) { sess.Attach(v, nil) }
+		spec.Attach = func(v *vm.VM) { sess.Attach(telemetry.ProbeVM(v, nil)) }
 		if _, err := experiments.Run(spec); err != nil {
 			t.Fatal(err)
 		}

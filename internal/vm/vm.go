@@ -293,6 +293,11 @@ type VM struct {
 	// installs.
 	testMutateResult func(res *translate.Result)
 
+	// storeToken is the VM's creator token in the shared fragment store:
+	// a separate allocation, so store entries never keep the VM alive
+	// once its owner releases it.
+	storeToken *byte
+
 	Stats Stats
 
 	// Preemptions counts the stop-hook and budget preemptions taken. It
@@ -337,6 +342,7 @@ func New(m *mem.Memory, cfg Config) *VM {
 		failures:   map[uint64]int{},
 		quarantine: map[uint64]bool{},
 		ras:        newDualRAS(cfg.RASSize),
+		storeToken: new(byte),
 	}
 	if cfg.Faults != nil {
 		v.inj = faultinject.New(*cfg.Faults)
@@ -607,7 +613,7 @@ func (v *VM) finishRecording(end translate.EndKind, nextPC uint64) error {
 		key, content, kerr := fragstore.KeyOf(&sb, v.storeConfig())
 		if kerr == nil {
 			viaStore, storeKey = true, key
-			res, storeHit, storeShared, err = v.cfg.Store.Do(key, content, v,
+			res, storeHit, storeShared, err = v.cfg.Store.Do(key, content, v.storeToken,
 				func() (*translate.Result, error) { return v.translateSB(&sb) })
 		}
 	}
