@@ -475,6 +475,17 @@ grep -q "^verified: *3 of 24 final states" "$srv_dir/load.txt" || {
     kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
+# Retention: the successor has finished 25 guests. The plane keeps only
+# the last 8 finished on /vms, while /sessions still answers for all.
+curl -fsS "$surl/vms" > "$srv_dir/vms.json"
+curl -fsS "$surl/sessions" > "$srv_dir/list.json"
+nvms=$(grep -c '"id":' "$srv_dir/vms.json" || true)
+nsess=$(grep -c '"id":' "$srv_dir/list.json" || true)
+if [ "$nvms" -gt 8 ] || [ "$nsess" -ne 25 ]; then
+    echo "retention: /vms lists $nvms guests (want at most 8), /sessions $nsess (want 25)" >&2
+    kill "$srv_pid" 2>/dev/null || true
+    exit 1
+fi
 kill -TERM "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
 rm -rf "$srv_dir"

@@ -13,9 +13,9 @@
 // With -serve ADDR the sweep also serves the live telemetry plane
 // (DESIGN.md §13): each run registers a session whose VM is watched
 // through the zero-perturbation poll protocol, so /metrics, /events and
-// /vms show the self-healing machinery as it works. The last 8
-// finished sessions stay registered. With -seeds 0 the sweep runs until
-// SIGINT or SIGTERM, then prints its summary.
+// /vms show the self-healing machinery as it works; the plane keeps the
+// running session and the last 8 finished ones. With -seeds 0 the sweep
+// runs until SIGINT or SIGTERM, then prints its summary.
 //
 // With -replay BUNDLE the tool re-executes a flight-recorder repro
 // bundle (recorded by `ildpvm -bundle` or `ildpserve -bundle-dir`) and
@@ -50,10 +50,6 @@ import (
 	"github.com/ildp/accdbt/internal/vm"
 	"github.com/ildp/accdbt/internal/workload"
 )
-
-// keepSessions is how many finished runs stay registered on the -serve
-// plane; older sessions are deregistered.
-const keepSessions = 8
 
 // logger is the process-wide structured logger for diagnostics; sweep
 // results stay on stdout in their fixed format.
@@ -135,7 +131,6 @@ func main() {
 	}
 
 	var runs, failures int
-	var finished []*telemetry.Session
 	for s := 0; ctx.Err() == nil && (*seeds == 0 || s < *seeds); s++ {
 		seed := *seedBase + uint64(s)
 		m := machines[s%len(machines)]
@@ -153,10 +148,6 @@ func main() {
 		line, diverged, err := mode.run(seed, m, obs)
 		if sess != nil {
 			sess.Finish()
-			if finished = append(finished, sess); len(finished) > keepSessions {
-				plane.Deregister(finished[0])
-				finished = finished[1:]
-			}
 		}
 		runs++
 		switch {

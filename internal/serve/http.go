@@ -102,8 +102,9 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSession returns one session, optionally long-polling:
-// ?wait=MILLIS blocks (bounded) until the session reaches a terminal
-// state, so a client can submit-and-wait without spinning.
+// ?wait=MILLIS blocks, for at most 2 s as /metrics?wait= does, until the
+// session reaches a terminal state, so a client can submit-and-wait
+// without spinning.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.Session(r.PathValue("id"))
 	if err != nil {
@@ -111,7 +112,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ms, err := strconv.Atoi(r.URL.Query().Get("wait")); err == nil && ms > 0 {
-		timer := time.NewTimer(time.Duration(ms) * time.Millisecond)
+		timer := time.NewTimer(time.Duration(min(ms, 2000)) * time.Millisecond)
 		defer timer.Stop()
 		select {
 		case <-sess.Done():

@@ -8,6 +8,8 @@ import (
 
 	"github.com/ildp/accdbt/internal/alpha/alphaasm"
 	"github.com/ildp/accdbt/internal/flight"
+	"github.com/ildp/accdbt/internal/metrics"
+	"github.com/ildp/accdbt/internal/telemetry"
 )
 
 // trapper is a hot loop whose last iteration issues a misaligned load:
@@ -62,6 +64,11 @@ func replayBundle(t *testing.T, dir string, sess *Session, kind string) *flight.
 // bit-identical to the oracle.
 func TestResidentSessionOneVM(t *testing.T) {
 	s := testServer(t, Options{Workers: 1, QuantumVInsts: 5_000})
+	// A finished session drops its registry and plane registration;
+	// keep them from the last quantum.
+	var reg *metrics.Registry
+	var tsess *telemetry.Session
+	s.hookQuantum = func(cur *Session) { reg, tsess = cur.reg, cur.tsess }
 	sess := submitWorkload(t, s, "gap", 1, 0, "t0")
 	waitDone(t, sess, 60*time.Second)
 	if got := sess.StateNow(); got != StateDone {
@@ -72,10 +79,10 @@ func TestResidentSessionOneVM(t *testing.T) {
 	if q < 3 {
 		t.Fatalf("quanta = %d, want ≥ 3", q)
 	}
-	if got := sess.reg.Counter("vm.preempt.resumes").Load(); got != 0 {
+	if got := reg.Counter("vm.preempt.resumes").Load(); got != 0 {
 		t.Errorf("vm.preempt.resumes = %d, want 0: the session rebuilt its VM from a checkpoint", got)
 	}
-	if live, _, _, ok := sess.tsess.State(0); !ok || live.Preemptions != uint64(q-1) {
+	if live, _, _, ok := tsess.State(0); !ok || live.Preemptions != uint64(q-1) {
 		t.Errorf("plane reports %d preemptions, want %d (one per requeue)", live.Preemptions, q-1)
 	}
 }
@@ -118,6 +125,12 @@ func TestShedBundleReplaysFromOrigin(t *testing.T) {
 		Workers: 1, QuantumVInsts: 2_000, MaxResident: 1,
 		SpillDir: t.TempDir(), BundleDir: bundleDir,
 	})
+	var reg *metrics.Registry // the trapper's, kept from its last quantum
+	s.hookQuantum = func(cur *Session) {
+		if cur.Name == "trapper" {
+			reg = cur.reg
+		}
+	}
 	// Long-running siblings, admitted first, keep the trapper from being
 	// the only ready session, so MaxResident=1 sheds it between quanta.
 	sibs := []*Session{submitWorkload(t, s, "gap", 1, 0, "t1"), submitWorkload(t, s, "mcf", 1, 0, "t1")}
@@ -129,7 +142,7 @@ func TestShedBundleReplaysFromOrigin(t *testing.T) {
 	if got := sess.StateNow(); got != StateFailed {
 		t.Fatalf("state = %s (%s), want failed", got, sess.Err())
 	}
-	if got := sess.reg.Counter("vm.preempt.resumes").Load(); got == 0 {
+	if got := reg.Counter("vm.preempt.resumes").Load(); got == 0 {
 		t.Fatal("trapper was never reloaded from a spill")
 	}
 	b := replayBundle(t, bundleDir, sess, flight.KindTrap)

@@ -399,11 +399,11 @@ func readSpillMeta(fsys iofs.FS, path string) (*spillMeta, error) {
 	return &meta, nil
 }
 
-// finishSession settles a terminal state, releasing the session's VM
-// and admission slot, closing its done channel, and finishing its plane
-// registration. A session that is done keeps its encoded final
-// checkpoint, served on /sessions/{id}/checkpoint and compared
-// bit-for-bit by the differential harnesses.
+// finishSession settles a terminal state, releasing the session's VM,
+// program, registry and admission slot, closing its done channel, and
+// finishing its plane registration. Only the result outlives it: a done
+// session keeps its encoded final checkpoint, served on
+// /sessions/{id}/checkpoint and compared bit-for-bit by the harnesses.
 func (s *Server) finishSession(sess *Session, st State, msg string) {
 	sess.mu.Lock()
 	if sess.state.Terminal() {
@@ -418,7 +418,8 @@ func (s *Server) finishSession(sess *Session, st State, msg string) {
 		sess.halted, sess.exitCode, sess.console = ck.Halted, ck.ExitStatus, string(ck.Console)
 	}
 	hadSpill := sess.spilled
-	sess.vm, sess.origin = nil, nil
+	tsess := sess.tsess
+	sess.vm, sess.origin, sess.prog, sess.reg, sess.tsess = nil, nil, nil, nil, nil
 	sess.spilled = false
 	done := sess.done
 	sess.mu.Unlock()
@@ -446,7 +447,7 @@ func (s *Server) finishSession(sess *Session, st State, msg string) {
 	}
 	// The plane session gets a final marker; its cached snapshot (the
 	// last quantum boundary) remains the served state.
-	sess.tsess.Finish()
+	tsess.Finish()
 	close(done)
 	s.updateGauges()
 	if msg != "" {

@@ -282,6 +282,37 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestLongPollBounded checks that ?wait= is capped: a poll asking for
+// ten minutes on a session held in its first quantum returns the
+// session's live view within the cap.
+func TestLongPollBounded(t *testing.T) {
+	s := testServer(t, Options{Workers: 1})
+	release := make(chan struct{})
+	s.hookQuantum = func(*Session) { <-release }
+	defer close(release)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	v := submitHTTP(t, srv.URL, "gzip")
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	start := time.Now()
+	resp, err := client.Get(srv.URL + "/sessions/" + v.ID + "?wait=600000")
+	if err != nil {
+		t.Fatalf("long poll: %v", err)
+	}
+	defer resp.Body.Close()
+	if d := time.Since(start); d > 3*time.Second {
+		t.Errorf("?wait=600000 returned after %v, want under 3s", d)
+	}
+	var got View
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != v.ID || got.State.Terminal() {
+		t.Errorf("long poll returned %+v, want session %s still live", got, v.ID)
+	}
+}
+
 // TestHTTPAcceptedIsJSON checks the two 202 responses, POST /sessions
 // and DELETE /sessions/{id}: each is labelled JSON like every other
 // response, and the killed session settles StateKilled.

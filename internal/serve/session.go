@@ -52,7 +52,8 @@ type Session struct {
 	Name string
 
 	// prog is the program image; nil for sessions resumed from a spill
-	// directory, whose memory image lives entirely in the checkpoint.
+	// directory, whose memory image lives entirely in the checkpoint,
+	// and once the session is terminal.
 	prog *alphaprog.Program
 
 	// kill is set by DELETE /sessions/{id}; the Stop hook observes it
@@ -65,7 +66,8 @@ type Session struct {
 	deadline uint64
 
 	// reg is the session's private metrics registry, tapped by the
-	// telemetry plane; tsess is its plane registration.
+	// telemetry plane; tsess is its plane registration. Both are nil
+	// once the session is terminal.
 	reg   *metrics.Registry
 	tsess *telemetry.Session
 

@@ -259,7 +259,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			sess.Finish()
-			plane.Deregister(sess)
 		}
 	})
 	b.Run("attached-streaming", func(b *testing.B) {
@@ -287,7 +286,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			sess.Finish()
-			plane.Deregister(sess)
 		}
 	})
 }

@@ -2,8 +2,8 @@
 // VM-hosting processes (DESIGN.md §13). A Plane serves, over plain
 // net/http:
 //
-//   - /metrics — Prometheus text exposition of every registered
-//     session's counters, gauges, histograms (with quantiles), live
+//   - /metrics — Prometheus text exposition of every held session's
+//     counters, gauges, histograms (with quantiles), live
 //     vm.* statistics, and event-ring drop totals, plus the unlabelled
 //     process-level registry and fragment-store totals;
 //   - /events — a server-sent-events stream of fragment lifecycle
@@ -31,7 +31,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,10 +48,6 @@ type Options struct {
 	// Logger receives the plane's structured diagnostics; nil uses
 	// slog.Default.
 	Logger *slog.Logger
-	// ClientBuf is the per-SSE-client buffer size (default 256). A
-	// client that falls more than ClientBuf events behind starts losing
-	// events (counted, never blocking).
-	ClientBuf int
 	// Store is the process-wide fragment store every session translates
 	// through; /metrics renders its totals once and every /vms/{id}
 	// carries its store and shard sections. May be nil.
@@ -62,10 +58,15 @@ type Options struct {
 // boundary before serving the cached snapshot.
 const probeWait = 100 * time.Millisecond
 
+// keepFinished is how many of the most recently finished sessions the
+// plane keeps, so its output stays bounded however long the owner runs.
+const keepFinished = 8
+
 // Plane is the introspection server: a session registry, the
 // process-level metrics registry and fragment store, an SSE
-// broadcaster, and the HTTP handlers tying them together. All methods
-// are safe for concurrent use.
+// broadcaster, and the HTTP handlers tying them together. It holds
+// every unfinished session and the last keepFinished finished ones.
+// All methods are safe for concurrent use.
 type Plane struct {
 	log     *slog.Logger
 	bc      *Broadcaster
@@ -74,8 +75,11 @@ type Plane struct {
 	ready   atomic.Bool
 	scrapes atomic.Uint64
 
-	mu       sync.Mutex
-	sessions map[int]*Session
+	mu sync.Mutex
+	// sessions is in registration order, which is ID order; finished
+	// holds its finished members in finish order, oldest first.
+	sessions []*Session
+	finished []*Session
 	nextID   int
 	closed   bool
 
@@ -89,12 +93,11 @@ func New(opts Options) *Plane {
 		log = slog.Default()
 	}
 	p := &Plane{
-		log:      log,
-		bc:       NewBroadcaster(0, opts.ClientBuf),
-		reg:      metrics.NewRegistry(),
-		store:    opts.Store,
-		sessions: map[int]*Session{},
-		mux:      http.NewServeMux(),
+		log:   log,
+		bc:    NewBroadcaster(0, 0),
+		reg:   metrics.NewRegistry(),
+		store: opts.Store,
+		mux:   http.NewServeMux(),
 	}
 	p.mux.HandleFunc("GET /metrics", p.handleMetrics)
 	p.mux.HandleFunc("GET /events", p.handleEvents)
@@ -149,6 +152,7 @@ func (p *Plane) Register(cfg SessionConfig) *Session {
 	p.mu.Lock()
 	p.nextID++
 	s := &Session{
+		plane:    p,
 		id:       p.nextID,
 		name:     cfg.Name,
 		workload: cfg.Workload,
@@ -157,7 +161,7 @@ func (p *Plane) Register(cfg SessionConfig) *Session {
 		reg:      cfg.Registry,
 		parked:   true,
 	}
-	p.sessions[s.id] = s
+	p.sessions = append(p.sessions, s)
 	closed := p.closed
 	p.mu.Unlock()
 	id := s.ID()
@@ -184,35 +188,33 @@ func (p *Plane) Register(cfg SessionConfig) *Session {
 	return s
 }
 
-// Deregister detaches the session's event tap and removes it from the
-// registry. Finished sessions may be kept registered indefinitely;
-// deregistration exists for long-lived owners (soak monitors) that
-// bound their session list.
-func (p *Plane) Deregister(s *Session) {
-	if s == nil {
+// retire records a session's first Finish. Once more than keepFinished
+// sessions have finished, the oldest is evicted: dropped from the
+// session list, with its registry tap cancelled as Close would.
+func (p *Plane) retire(s *Session) {
+	p.mu.Lock()
+	p.finished = append(p.finished, s)
+	if len(p.finished) <= keepFinished {
+		p.mu.Unlock()
 		return
 	}
-	p.mu.Lock()
-	cancel := s.cancelTap
-	s.cancelTap = nil
-	delete(p.sessions, s.id)
+	old := p.finished[0]
+	p.finished = slices.Delete(p.finished, 0, 1)
+	p.sessions = slices.DeleteFunc(p.sessions, func(x *Session) bool { return x == old })
+	cancel := old.cancelTap
+	old.cancelTap = nil
 	p.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	p.log.Info("session deregistered", "session", s.ID())
+	p.log.Info("session evicted", "session", old.ID())
 }
 
-// Sessions returns the registered sessions sorted by ID.
+// Sessions returns the sessions the plane holds, in ID order.
 func (p *Plane) Sessions() []*Session {
 	p.mu.Lock()
-	out := make([]*Session, 0, len(p.sessions))
-	for _, s := range p.sessions {
-		out = append(out, s)
-	}
-	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	defer p.mu.Unlock()
+	return slices.Clone(p.sessions)
 }
 
 // Close shuts the plane down: it detaches every session's registry tap
@@ -264,13 +266,11 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.scrapes.Add(1)
 	wait := probeWait
 	if ms, err := strconv.Atoi(r.URL.Query().Get("wait")); err == nil && ms >= 0 {
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > 2*time.Second {
-			wait = 2 * time.Second
-		}
+		wait = time.Duration(min(ms, 2000)) * time.Millisecond // capped at 2 s
 	}
 	exp := NewExposition()
-	for _, s := range p.Sessions() {
+	sessions := p.Sessions()
+	for _, s := range sessions {
 		labels := sessionLabels(s)
 		live, _, fresh, ok := s.State(wait)
 		if ok {
@@ -305,7 +305,7 @@ func (p *Plane) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		exp.Add("fragstore.misses", "counter", float64(st.Misses))
 		exp.Add("fragstore.shared_hits", "counter", float64(st.SharedHits))
 	}
-	exp.Add("telemetry.sessions", "gauge", float64(len(p.Sessions())))
+	exp.Add("telemetry.sessions", "gauge", float64(len(sessions)))
 	exp.Add("telemetry.scrapes", "counter", float64(p.scrapes.Load()))
 	exp.Add("telemetry.sse.clients", "gauge", float64(p.bc.Subscribers()))
 	exp.Add("telemetry.sse.published", "counter", float64(p.bc.Published()))
@@ -377,10 +377,11 @@ func (p *Plane) handleEvents(w http.ResponseWriter, r *http.Request) {
 			"delivered", sub.Delivered(), "dropped", sub.Dropped())
 	}()
 
+	sessions := p.Sessions()
 	fmt.Fprintf(w, "event: hello\ndata: {\"client\":%d,\"sessions\":%d}\n\n",
-		sub.ID(), len(p.Sessions()))
+		sub.ID(), len(sessions))
 	if replay > 0 {
-		for _, s := range p.Sessions() {
+		for _, s := range sessions {
 			if only != "" && s.ID() != only {
 				continue
 			}
@@ -452,28 +453,33 @@ type vmSummary struct {
 	StoreHits  uint64    `json:"store_hits,omitempty"`
 }
 
-// handleVMs lists every registered session with headline numbers.
+// handleVMs lists every held session with headline numbers.
 func (p *Plane) handleVMs(w http.ResponseWriter, r *http.Request) {
 	out := []vmSummary{}
 	for _, s := range p.Sessions() {
 		live, at, fresh, ok := s.State(probeWait)
-		row := vmSummary{
-			ID: s.ID(), Name: s.name, Workload: s.workload, Machine: s.machine,
-			Started: s.started, Done: s.Done(), Fresh: fresh,
-		}
-		if ok {
-			row.AgeMS = time.Since(at).Milliseconds()
-			row.VPC = live.VPC
-			row.Halted = live.Halted
-			row.VInsts = live.Stats.TotalVInsts()
-			row.Fragments = live.Stats.Fragments
-			row.Recoveries = live.Stats.Recoveries()
-			row.Preempts = live.Preemptions
-			row.StoreHits = live.Stats.StoreHits
-		}
-		out = append(out, row)
+		out = append(out, summarize(s, live, at, fresh, ok))
 	}
 	writeJSON(w, p.log, out)
+}
+
+// summarize builds a session's /vms row from its State snapshot.
+func summarize(s *Session, live Live, at time.Time, fresh, ok bool) vmSummary {
+	row := vmSummary{
+		ID: s.ID(), Name: s.name, Workload: s.workload, Machine: s.machine,
+		Started: s.started, Done: s.Done(), Fresh: fresh,
+	}
+	if ok {
+		row.AgeMS = time.Since(at).Milliseconds()
+		row.VPC = live.VPC
+		row.Halted = live.Halted
+		row.VInsts = live.Stats.TotalVInsts()
+		row.Fragments = live.Stats.Fragments
+		row.Recoveries = live.Stats.Recoveries()
+		row.Preempts = live.Preemptions
+		row.StoreHits = live.Stats.StoreHits
+	}
+	return row
 }
 
 // hotRow is one /vms/{id} hot-table entry.
@@ -538,37 +544,21 @@ type hotTotals struct {
 // includes the top-N hot-fragment rows from the live profile.
 func (p *Plane) handleVM(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var sess *Session
-	for _, s := range p.Sessions() {
-		if s.ID() == id {
-			sess = s
-			break
-		}
-	}
-	if sess == nil {
+	sessions := p.Sessions()
+	i := slices.IndexFunc(sessions, func(s *Session) bool { return s.ID() == id })
+	if i < 0 {
 		http.Error(w, "unknown session", http.StatusNotFound)
 		return
 	}
+	sess := sessions[i]
 	hotN := 0
 	if n, err := strconv.Atoi(r.URL.Query().Get("hot")); err == nil && n > 0 {
 		hotN = n
 	}
 	live, at, fresh, ok := sess.State(probeWait)
-	d := vmDetail{vmSummary: vmSummary{
-		ID: sess.ID(), Name: sess.name, Workload: sess.workload,
-		Machine: sess.machine, Started: sess.started, Done: sess.Done(),
-		Fresh: fresh,
-	}}
+	d := vmDetail{vmSummary: summarize(sess, live, at, fresh, ok)}
 	if ok {
-		d.AgeMS = time.Since(at).Milliseconds()
-		d.VPC = live.VPC
-		d.Halted = live.Halted
 		d.ExitStatus = live.ExitStatus
-		d.VInsts = live.Stats.TotalVInsts()
-		d.Fragments = live.Stats.Fragments
-		d.Recoveries = live.Stats.Recoveries()
-		d.Preempts = live.Preemptions
-		d.StoreHits = live.Stats.StoreHits
 		d.Stats = live.Stats
 		d.TCache = live.TCache
 		d.Recovery = recoveryDetail{

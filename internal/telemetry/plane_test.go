@@ -180,6 +180,80 @@ func TestPlaneVMs(t *testing.T) {
 	}
 }
 
+// TestPlaneKeepsLastFinished checks the plane's retention rule: every
+// unfinished session and the last keepFinished finished ones stay, in ID
+// order; an evicted session is gone from /vms and its registry tap is
+// cancelled; a second Finish evicts nothing.
+func TestPlaneKeepsLastFinished(t *testing.T) {
+	p := New(Options{})
+	defer p.Close()
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	var sessions []*Session
+	var regs []*metrics.Registry
+	for i := 0; i < 12; i++ {
+		reg := metrics.NewRegistry()
+		regs = append(regs, reg)
+		sessions = append(sessions, p.Register(SessionConfig{Name: "s", Registry: reg}))
+	}
+	for _, s := range sessions[:10] {
+		s.Finish()
+	}
+	want := []string{"3", "4", "5", "6", "7", "8", "9", "10", "11", "12"}
+	check := func() {
+		t.Helper()
+		var got []string
+		for _, s := range p.Sessions() {
+			got = append(got, s.ID())
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("Sessions() = %v, want %v", got, want)
+		}
+		resp, err := http.Get(srv.URL + "/vms")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&rows)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = got[:0]
+		for _, r := range rows {
+			got = append(got, r.ID)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("/vms ids = %v, want %v", got, want)
+		}
+	}
+	check()
+
+	resp, err := http.Get(srv.URL + "/vms/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/vms/1 of an evicted session: status %d, want 404", resp.StatusCode)
+	}
+
+	published := p.Broadcaster().Published()
+	regs[0].Event(metrics.Event{Kind: metrics.EventInstall, Frag: 1})
+	if got := p.Broadcaster().Published(); got != published {
+		t.Errorf("evicted session's event published: %d events, want %d", got, published)
+	}
+	regs[2].Event(metrics.Event{Kind: metrics.EventInstall, Frag: 1})
+	if got := p.Broadcaster().Published(); got != published+1 {
+		t.Errorf("kept session's event: %d events published, want %d", got, published+1)
+	}
+
+	sessions[9].Finish()
+	check()
+}
+
 // TestSessionProbeLifecycle checks that a session holds its probe only
 // while attached: Register parks it, Attach captures, Park and Finish
 // capture once more and drop the probe, and State keeps serving the
@@ -282,7 +356,7 @@ func readSSEData(t *testing.T, sc *bufio.Scanner, n int) []string {
 // the publisher (standing in for the VM goroutine) is never blocked.
 func TestPlaneSSE(t *testing.T) {
 	reg := metrics.NewRegistry()
-	p := New(Options{ClientBuf: 8})
+	p := New(Options{})
 	defer p.Close()
 	sess := p.Register(SessionConfig{Name: "sse", Workload: "w", Registry: reg})
 	_ = sess
@@ -418,7 +492,7 @@ func TestPlaneCloseGoroutineLeak(t *testing.T) {
 	before := settle()
 
 	reg := metrics.NewRegistry()
-	p := New(Options{ClientBuf: 8})
+	p := New(Options{})
 	p.Register(SessionConfig{Name: "leak", Workload: "w", Registry: reg})
 	srv := httptest.NewServer(p.Handler())
 

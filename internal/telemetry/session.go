@@ -63,6 +63,7 @@ type SessionConfig struct {
 // therefore one atomic load per poll site, and the VM's state is only
 // ever read by the VM goroutine.
 type Session struct {
+	plane    *Plane
 	id       int
 	name     string
 	workload string
@@ -71,7 +72,8 @@ type Session struct {
 	reg      *metrics.Registry
 
 	// cancelTap detaches the plane's registry subscription; set by
-	// Plane.Register, called on deregistration.
+	// Plane.Register, called on eviction or Plane.Close. Guarded by the
+	// plane's mu.
 	cancelTap func()
 
 	// want is armed by State and cleared by a capture; it is the only
@@ -171,10 +173,16 @@ func (s *Session) Park() {
 
 // Finish captures a final snapshot through the held probe, if any, drops
 // the probe and marks the session done. Waiters are woken; later State
-// calls return the final state immediately. Call it on the VM goroutine;
-// it is safe to call more than once.
+// calls return the final state immediately. The first Finish retires the
+// session into the plane's history of the last keepFinished finished
+// sessions, which may evict the oldest of them. Call it on the VM
+// goroutine; it is safe to call more than once.
 func (s *Session) Finish() {
-	s.capture(s.takeProbe(), func() { s.done = true })
+	first := false
+	s.capture(s.takeProbe(), func() { first, s.done = !s.done, true })
+	if first {
+		s.plane.retire(s)
+	}
 }
 
 // takeProbe removes and returns the held probe, so the session no

@@ -35,7 +35,7 @@ func TestSlowConsumerSoak(t *testing.T) {
 	// Plane with a deliberately small per-client buffer and a stalled
 	// raw-socket client on /events.
 	reg := metrics.NewRegistry()
-	plane := telemetry.New(telemetry.Options{Logger: discardLogger(), ClientBuf: 8})
+	plane := telemetry.New(telemetry.Options{Logger: discardLogger()})
 	defer plane.Close()
 	sess := plane.Register(telemetry.SessionConfig{
 		Name: "soak", Workload: "gzip", Machine: "ildp-modified", Registry: reg,
