@@ -15,6 +15,39 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The one server the script is running, if any. The EXIT trap kills it,
+# so a failing step never leaves a server behind.
+srv_pid=""
+trap '[ -z "$srv_pid" ] || kill "$srv_pid" 2>/dev/null || true' EXIT
+trap 'exit 1' INT TERM
+
+# start_server OUT LOG PREFIX CMD... runs CMD in the background with its
+# stdout in OUT and stderr in LOG, sets srv_pid, and sets port once OUT
+# holds the line "PREFIX http://127.0.0.1:PORT". port stays empty if no
+# such line appears within 5 s. The shell makes the redirect in the
+# forked child, so OUT may not exist yet when the first poll runs.
+start_server() {
+    out=$1 log=$2 prefix=$3
+    shift 3
+    "$@" > "$out" 2> "$log" &
+    srv_pid=$!
+    port=""
+    for _ in $(seq 1 50); do
+        port=$(sed -n "s#^$prefix *http://127\\.0\\.0\\.1:##p" "$out" 2>/dev/null || true)
+        [ -n "$port" ] && return 0
+        sleep 0.1
+    done
+}
+
+# stop_server SIGNAL sends SIGNAL to the running server, reaps it and
+# returns its exit status.
+stop_server() {
+    pid=$srv_pid
+    srv_pid=""
+    kill -"$1" "$pid"
+    wait "$pid"
+}
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -95,19 +128,11 @@ echo "== ildpchaos -serve smoke (endless sweep with the telemetry plane)"
 # beyond the serving line.
 mon_dir=$(mktemp -d)
 go build -o "$mon_dir/ildpchaos" ./cmd/ildpchaos
-"$mon_dir/ildpchaos" -serve 127.0.0.1:0 -seeds 0 \
-    > "$mon_dir/sweep.txt" 2> "$mon_dir/sweep.log" &
-mon_pid=$!
-port=""
-for _ in $(seq 1 50); do
-    port=$(sed -n 's#^telemetry: *serving on http://127\.0\.0\.1:##p' "$mon_dir/sweep.txt")
-    [ -n "$port" ] && break
-    sleep 0.1
-done
+start_server "$mon_dir/sweep.txt" "$mon_dir/sweep.log" 'telemetry: *serving on' \
+    "$mon_dir/ildpchaos" -serve 127.0.0.1:0 -seeds 0
 [ -n "$port" ] || {
     echo "ildpchaos -serve never reported its address:" >&2
     cat "$mon_dir/sweep.txt" "$mon_dir/sweep.log" >&2
-    kill "$mon_pid" 2>/dev/null || true
     exit 1
 }
 mon_ok=0
@@ -122,11 +147,9 @@ done
 [ "$mon_ok" -eq 1 ] || {
     echo "ildpchaos -serve never exposed nonzero vm_interp_insts samples:" >&2
     echo "$metrics_out" >&2
-    kill "$mon_pid" 2>/dev/null || true
     exit 1
 }
-kill -TERM "$mon_pid"
-wait "$mon_pid" || {
+stop_server TERM || {
     echo "ildpchaos -serve exited nonzero on SIGTERM:" >&2
     cat "$mon_dir/sweep.txt" "$mon_dir/sweep.log" >&2
     exit 1
@@ -252,19 +275,11 @@ echo "== ildpvm serve smoke (telemetry plane over HTTP)"
 # probes, expose live nonzero vm.* samples in Prometheus text format,
 # and replay at least one SSE metrics event — then shut down cleanly on
 # SIGTERM.
-"$ckpt_dir/ildpvm" -workload gzip -serve 127.0.0.1:0 \
-    > "$ckpt_dir/serve.txt" 2> "$ckpt_dir/serve.log" &
-serve_pid=$!
-port=""
-for _ in $(seq 1 50); do
-    port=$(sed -n 's#^telemetry: *serving on http://127\.0\.0\.1:##p' "$ckpt_dir/serve.txt")
-    [ -n "$port" ] && break
-    sleep 0.1
-done
+start_server "$ckpt_dir/serve.txt" "$ckpt_dir/serve.log" 'telemetry: *serving on' \
+    "$ckpt_dir/ildpvm" -workload gzip -serve 127.0.0.1:0
 [ -n "$port" ] || {
     echo "serving ildpvm never reported its address:" >&2
     cat "$ckpt_dir/serve.txt" "$ckpt_dir/serve.log" >&2
-    kill "$serve_pid" 2>/dev/null || true
     exit 1
 }
 curl -fsS "http://127.0.0.1:$port/healthz" > /dev/null
@@ -281,18 +296,15 @@ done
 [ "$serve_ok" -eq 1 ] || {
     echo "serving ildpvm never exposed nonzero vm_interp_insts samples:" >&2
     echo "$metrics_out" >&2
-    kill "$serve_pid" 2>/dev/null || true
     exit 1
 }
 sse_out=$(curl -sN -m 2 "http://127.0.0.1:$port/events?replay=4" || true)
 echo "$sse_out" | grep -q "^event: metrics" || {
     echo "SSE replay returned no metrics events:" >&2
     echo "$sse_out" >&2
-    kill "$serve_pid" 2>/dev/null || true
     exit 1
 }
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
+stop_server TERM 2>/dev/null || true
 rm -rf "$ckpt_dir"
 
 echo "== ildpserve smoke (submit two guests, drain mid-run, resume)"
@@ -320,22 +332,14 @@ vmline() {
         END { print ex, v }'
 }
 
-"$srv_dir/ildpserve" -addr 127.0.0.1:0 -quantum 20000 -spill "$srv_dir/spill" \
-    > "$srv_dir/srv1.txt" 2> "$srv_dir/srv1.log" &
-srv_pid=$!
-sport=""
-for _ in $(seq 1 50); do
-    sport=$(sed -n 's#^serving: *http://127\.0\.0\.1:##p' "$srv_dir/srv1.txt")
-    [ -n "$sport" ] && break
-    sleep 0.1
-done
-[ -n "$sport" ] || {
+start_server "$srv_dir/srv1.txt" "$srv_dir/srv1.log" 'serving:' \
+    "$srv_dir/ildpserve" -addr 127.0.0.1:0 -quantum 20000 -spill "$srv_dir/spill"
+[ -n "$port" ] || {
     echo "ildpserve never reported its address:" >&2
     cat "$srv_dir/srv1.txt" "$srv_dir/srv1.log" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
-surl="http://127.0.0.1:$sport"
+surl="http://127.0.0.1:$port"
 
 for w in gap mcf; do
     curl -fsS -X POST "$surl/sessions?workload=$w" > "$srv_dir/sub.json"
@@ -349,7 +353,6 @@ for w in gap mcf; do
     [ "$st" = "done" ] || {
         echo "served $w session ended in state $st:" >&2
         cat "$srv_dir/view.json" >&2
-        kill "$srv_pid" 2>/dev/null || true
         exit 1
     }
     got="$(jfield "$srv_dir/view.json" exit_status) $(jfield "$srv_dir/view.json" v_insts)"
@@ -358,7 +361,6 @@ for w in gap mcf; do
         echo "served $w diverged from uninterrupted ildpvm run:" >&2
         echo "  served (exit v-insts): $got" >&2
         echo "  ildpvm (exit v-insts): $want" >&2
-        kill "$srv_pid" 2>/dev/null || true
         exit 1
     fi
     # One identity per guest: /vms/{id} is the same guest as /sessions/{id}.
@@ -367,7 +369,6 @@ for w in gap mcf; do
         [ "$(jfield "$srv_dir/vm.json" workload)" != "$(jfield "$srv_dir/view.json" name)" ]; then
         echo "/vms/$sid does not name the guest /sessions/$sid names:" >&2
         cat "$srv_dir/vm.json" "$srv_dir/view.json" >&2
-        kill "$srv_pid" 2>/dev/null || true
         exit 1
     fi
 done
@@ -379,7 +380,6 @@ if ! grep -q '^serve_admitted ' "$srv_dir/metrics.txt" || grep -q '"scheduler"' 
     echo "scheduler series labelled or a scheduler VM listed:" >&2
     grep '^serve_admitted' "$srv_dir/metrics.txt" >&2
     cat "$srv_dir/vms.json" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 fi
 
@@ -397,11 +397,9 @@ for _ in $(seq 1 100); do
 done
 [ "$started" -eq 1 ] || {
     echo "vpr session never started a quantum" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
-kill -TERM "$srv_pid"
-wait "$srv_pid" || {
+stop_server TERM || {
     echo "draining ildpserve exited nonzero:" >&2
     cat "$srv_dir/srv1.txt" "$srv_dir/srv1.log" >&2
     exit 1
@@ -413,27 +411,18 @@ grep -q "^drained: *1 sessions spilled" "$srv_dir/srv1.txt" || {
 }
 
 # Successor: re-admit the spilled session and run it to completion.
-"$srv_dir/ildpserve" -addr 127.0.0.1:0 -quantum 20000 -spill "$srv_dir/spill" \
-    -resume-dir "$srv_dir/spill" \
-    > "$srv_dir/srv2.txt" 2> "$srv_dir/srv2.log" &
-srv_pid=$!
-sport=""
-for _ in $(seq 1 50); do
-    sport=$(sed -n 's#^serving: *http://127\.0\.0\.1:##p' "$srv_dir/srv2.txt")
-    [ -n "$sport" ] && break
-    sleep 0.1
-done
-[ -n "$sport" ] || {
+start_server "$srv_dir/srv2.txt" "$srv_dir/srv2.log" 'serving:' \
+    "$srv_dir/ildpserve" -addr 127.0.0.1:0 -quantum 20000 -spill "$srv_dir/spill" \
+    -resume-dir "$srv_dir/spill"
+[ -n "$port" ] || {
     echo "successor ildpserve never reported its address:" >&2
     cat "$srv_dir/srv2.txt" "$srv_dir/srv2.log" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
-surl="http://127.0.0.1:$sport"
+surl="http://127.0.0.1:$port"
 grep -q "^resumed: *1 sessions (0 corrupt)" "$srv_dir/srv2.txt" || {
     echo "successor did not resume the spilled session:" >&2
     cat "$srv_dir/srv2.txt" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 curl -fsS "$surl/sessions" > "$srv_dir/list.json"
@@ -447,7 +436,6 @@ done
 [ "$st" = "done" ] || {
     echo "resumed session ended in state $st:" >&2
     cat "$srv_dir/view.json" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 got="$(jfield "$srv_dir/view.json" exit_status) $(jfield "$srv_dir/view.json" v_insts)"
@@ -456,23 +444,20 @@ if [ "$got" != "$want" ]; then
     echo "drained+resumed vpr diverged from uninterrupted ildpvm run:" >&2
     echo "  served (exit v-insts): $got" >&2
     echo "  ildpvm (exit v-insts): $want" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 fi
 # A verified load drive through the successor: 24 sessions over 8
 # clients, every 8th final checkpoint compared against the interpreter
 # oracle (ildpload exits nonzero on any divergence).
-"$srv_dir/ildpload" -addr "127.0.0.1:$sport" -sessions 24 -clients 8 -verify 8 \
+"$srv_dir/ildpload" -addr "127.0.0.1:$port" -sessions 24 -clients 8 -verify 8 \
     > "$srv_dir/load.txt" || {
     echo "ildpload against the successor ildpserve failed:" >&2
     cat "$srv_dir/load.txt" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 grep -q "^verified: *3 of 24 final states" "$srv_dir/load.txt" || {
     echo "ildpload did not verify its sampled sessions:" >&2
     cat "$srv_dir/load.txt" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 # Retention: the successor has finished 25 guests. The plane keeps only
@@ -483,11 +468,9 @@ nvms=$(grep -c '"id":' "$srv_dir/vms.json" || true)
 nsess=$(grep -c '"id":' "$srv_dir/list.json" || true)
 if [ "$nvms" -gt 8 ] || [ "$nsess" -ne 25 ]; then
     echo "retention: /vms lists $nvms guests (want at most 8), /sessions $nsess (want 25)" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 fi
-kill -TERM "$srv_pid"
-wait "$srv_pid" 2>/dev/null || true
+stop_server TERM 2>/dev/null || true
 rm -rf "$srv_dir"
 
 echo "== disk-chaos smoke (ildpserve under injected ENOSPC on the spill path)"
@@ -507,23 +490,15 @@ vmline() {
         /^V-insts total:/ { v = $3 }
         END { print ex, v }'
 }
-"$chaos_dir/ildpserve" -addr 127.0.0.1:0 -quantum 20000 -max-resident 1 \
-    -spill "$chaos_dir/spill" -io-chaos 7 -io-chaos-rate 1 -io-chaos-kinds enospc \
-    > "$chaos_dir/srv.txt" 2> "$chaos_dir/srv.log" &
-srv_pid=$!
-sport=""
-for _ in $(seq 1 50); do
-    sport=$(sed -n 's#^serving: *http://127\.0\.0\.1:##p' "$chaos_dir/srv.txt")
-    [ -n "$sport" ] && break
-    sleep 0.1
-done
-[ -n "$sport" ] || {
+start_server "$chaos_dir/srv.txt" "$chaos_dir/srv.log" 'serving:' \
+    "$chaos_dir/ildpserve" -addr 127.0.0.1:0 -quantum 20000 -max-resident 1 \
+    -spill "$chaos_dir/spill" -io-chaos 7 -io-chaos-rate 1 -io-chaos-kinds enospc
+[ -n "$port" ] || {
     echo "chaos ildpserve never reported its address:" >&2
     cat "$chaos_dir/srv.txt" "$chaos_dir/srv.log" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
-surl="http://127.0.0.1:$sport"
+surl="http://127.0.0.1:$port"
 # A long guest to be mid-flight at SIGTERM...
 curl -fsS -X POST "$surl/sessions?workload=vpr&scale=50" > "$chaos_dir/sub.json"
 vid=$(jfield "$chaos_dir/sub.json" id)
@@ -544,7 +519,6 @@ done
 [ "$st" = "done" ] || {
     echo "healthy mcf session under disk chaos ended in state $st:" >&2
     cat "$chaos_dir/view.json" "$chaos_dir/srv.log" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 got="$(jfield "$chaos_dir/view.json" exit_status) $(jfield "$chaos_dir/view.json" v_insts)"
@@ -553,11 +527,9 @@ if [ "$got" != "$want" ]; then
     echo "mcf under disk chaos diverged from uninterrupted ildpvm run:" >&2
     echo "  served (exit v-insts): $got" >&2
     echo "  ildpvm (exit v-insts): $want" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 fi
-kill -TERM "$srv_pid"
-wait "$srv_pid" || {
+stop_server TERM || {
     echo "draining chaos ildpserve exited nonzero:" >&2
     cat "$chaos_dir/srv.txt" "$chaos_dir/srv.log" >&2
     exit 1
@@ -605,23 +577,15 @@ grep -q "reproduced the resource failure bit-identically" "$chaos_dir/replay.txt
 # The served flavour: the bomb is killed typed while a sibling tenant's
 # guest finishes bit-identical to its oracle, and the server records a
 # replayable bundle for the kill.
-"$chaos_dir/ildpserve" -addr 127.0.0.1:0 -quantum 10000 -max-pages 64 \
-    -bundle-dir "$chaos_dir/bundles" \
-    > "$chaos_dir/gov.txt" 2> "$chaos_dir/gov.log" &
-srv_pid=$!
-sport=""
-for _ in $(seq 1 50); do
-    sport=$(sed -n 's#^serving: *http://127\.0\.0\.1:##p' "$chaos_dir/gov.txt")
-    [ -n "$sport" ] && break
-    sleep 0.1
-done
-[ -n "$sport" ] || {
+start_server "$chaos_dir/gov.txt" "$chaos_dir/gov.log" 'serving:' \
+    "$chaos_dir/ildpserve" -addr 127.0.0.1:0 -quantum 10000 -max-pages 64 \
+    -bundle-dir "$chaos_dir/bundles"
+[ -n "$port" ] || {
     echo "governed ildpserve never reported its address:" >&2
     cat "$chaos_dir/gov.txt" "$chaos_dir/gov.log" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
-surl="http://127.0.0.1:$sport"
+surl="http://127.0.0.1:$port"
 curl -fsS -X POST "$surl/sessions?workload=membomb&tenant=bomber" > "$chaos_dir/sub.json"
 bid=$(jfield "$chaos_dir/sub.json" id)
 curl -fsS -X POST "$surl/sessions?workload=gap&tenant=calm" > "$chaos_dir/sub.json"
@@ -635,13 +599,11 @@ done
 [ "$st" = "failed" ] || {
     echo "served membomb ended in state $st, want failed:" >&2
     cat "$chaos_dir/bomb.json" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 grep -q '"error": "resource:' "$chaos_dir/bomb.json" || {
     echo "served membomb failure is not a typed resource kill:" >&2
     cat "$chaos_dir/bomb.json" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 for _ in $(seq 1 100); do
@@ -653,7 +615,6 @@ done
 [ "$st" = "done" ] || {
     echo "sibling gap session ended in state $st:" >&2
     cat "$chaos_dir/gap.json" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 got="$(jfield "$chaos_dir/gap.json" exit_status) $(jfield "$chaos_dir/gap.json" v_insts)"
@@ -662,22 +623,18 @@ if [ "$got" != "$want" ]; then
     echo "sibling gap diverged from uninterrupted ildpvm run:" >&2
     echo "  served (exit v-insts): $got" >&2
     echo "  ildpvm (exit v-insts): $want" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 fi
 [ -f "$chaos_dir/bundles/$bid.bundle" ] || {
     echo "governed server recorded no bundle for the resource kill" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
 "$chaos_dir/ildpchaos" -replay "$chaos_dir/bundles/$bid.bundle" > "$chaos_dir/replay2.txt" || {
     echo "served kill's bundle replay diverged:" >&2
     cat "$chaos_dir/replay2.txt" >&2
-    kill "$srv_pid" 2>/dev/null || true
     exit 1
 }
-kill -TERM "$srv_pid"
-wait "$srv_pid" 2>/dev/null || true
+stop_server TERM 2>/dev/null || true
 rm -rf "$chaos_dir"
 
 echo "== one home per run decision (grep guard)"

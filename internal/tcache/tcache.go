@@ -50,6 +50,13 @@ type Fragment struct {
 	// CondBranch), so the templates stay valid for the fragment's life.
 	Recs []trace.Rec
 
+	// Ops holds the VM executor's opcode of each instruction, the one
+	// key its dispatch switches on. The VM builds it on its first visit
+	// to the fragment; it is nil until then. Each patch pair shares one
+	// opcode, so exit patching never makes it stale; anything else that
+	// rewrites Insts must reset it to nil.
+	Ops []uint8
+
 	// Strands, ExitLive, and EndLive carry the translation metadata the
 	// static fragment verifier checks installed code against (see
 	// translate.Result for their semantics). Strands is nil for

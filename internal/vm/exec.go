@@ -33,202 +33,318 @@ func (v *VM) profChain(kind prof.ChainKind) {
 	v.cfg.Prof.Chain(kind)
 }
 
+// Executor opcodes: the one key execTranslated switches on. Every
+// installed instruction has one (execOp), built once per fragment on
+// its first visit (Fragment.Ops). The hot ALU ops have their own
+// opcodes and run inline; every other ALU op goes through emu.EvalOp.
+// Each patch pair shares an opcode, so exit patching never makes one
+// stale.
+const (
+	xInvalid uint8 = iota // no executable kind: the run stops with an error
+	xALU                  // an ALU op without an inline case: emu.EvalOp
+	xAdd                  // lda, addq
+	xSub                  // subq
+	xAnd
+	xXor
+	xBis
+	xSrl
+	xSll
+	xS8Add // s8addq
+	xCMOV
+	xLoad
+	xStore
+	xCopyToGPR
+	xCopyFromGPR
+	xNop // set-vpc, dispatch-op
+	xLoadETA
+	xSaveVRA
+	xPushRAS
+	xCondBranch // cond-branch, call-translator-if
+	xBranch     // branch, call-translator
+	xJumpRet
+	xJumpInd
+)
+
+// execOp returns the executor opcode of inst.
+func execOp(inst *ildp.Inst) uint8 {
+	switch inst.Kind {
+	case ildp.KindALU:
+		switch inst.Op {
+		case alpha.OpLDA, alpha.OpADDQ:
+			return xAdd
+		case alpha.OpSUBQ:
+			return xSub
+		case alpha.OpAND:
+			return xAnd
+		case alpha.OpXOR:
+			return xXor
+		case alpha.OpBIS:
+			return xBis
+		case alpha.OpSRL:
+			return xSrl
+		case alpha.OpSLL:
+			return xSll
+		case alpha.OpS8ADDQ:
+			return xS8Add
+		}
+		return xALU
+	case ildp.KindCMOV:
+		return xCMOV
+	case ildp.KindLoad:
+		return xLoad
+	case ildp.KindStore:
+		return xStore
+	case ildp.KindCopyToGPR:
+		return xCopyToGPR
+	case ildp.KindCopyFromGPR:
+		return xCopyFromGPR
+	case ildp.KindSetVPC, ildp.KindDispatchOp:
+		return xNop
+	case ildp.KindLoadETA:
+		return xLoadETA
+	case ildp.KindSaveVRA:
+		return xSaveVRA
+	case ildp.KindPushRAS:
+		return xPushRAS
+	case ildp.KindCondBranch, ildp.KindCallTransCond:
+		return xCondBranch
+	case ildp.KindBranch, ildp.KindCallTrans:
+		return xBranch
+	case ildp.KindJumpRet:
+		return xJumpRet
+	case ildp.KindJumpInd:
+		return xJumpInd
+	}
+	return xInvalid
+}
+
+// fragOps builds the executor opcodes of f's instructions.
+func fragOps(f *tcache.Fragment) []uint8 {
+	ops := make([]uint8, len(f.Insts))
+	for i := range f.Insts {
+		ops[i] = execOp(&f.Insts[i])
+	}
+	return ops
+}
+
 // execTranslated runs translated code starting at frag, following fragment
 // links, chaining code, the dual-address RAS, and the shared dispatch
 // routine, until control exits back to the VM. It returns the V-ISA
 // address at which interpretation (or further lookup) should continue.
 //
-// The loop does no per-instruction bookkeeping. With a Sink attached, a
-// record is a copy of the fragment's template (Fragment.Recs) with its
-// dynamic fields filled in. A visit to a fragment always executes a
-// prefix of its instructions, so the visit's counters are added in one
-// step from the fragment's install-time Tally when the visit ends (leave),
-// which happens before anything can observe Stats. A trapping
-// instruction's PEI index is found only when it traps.
+// The loop does no per-instruction bookkeeping. It switches once per
+// instruction, on the fragment's executor opcodes. With a Sink
+// attached, a record is a copy of the fragment's template
+// (Fragment.Recs) with its dynamic fields filled in. A visit to a
+// fragment always executes a prefix of its instructions, so the
+// visit's counters are added in one step from the fragment's
+// install-time Tally when the visit ends (leave), which happens before
+// anything can observe Stats. A trapping instruction's PEI index is
+// found only when it traps. Before each instruction that can panic
+// with an *emu.SemanticsError, the loop publishes its index in
+// faultIdx, where Run's recover finds it to close the visit.
 func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
-	idx := 0
-	// An *emu.SemanticsError panic unwinds through here to Run's recover
-	// with the visit still open. Close it; like a trapping instruction,
-	// the faulting one is not counted.
-	defer func() {
-		if v.visit != nil {
-			v.leave(idx)
-		}
-	}()
-	enterFrag := func(f *tcache.Fragment) {
-		frag, idx = f, 0
-		v.enter(f)
-	}
-	enterFrag(frag)
 	sink := v.cfg.Sink
 	var rec trace.Rec
 
+visits:
 	for {
-		if idx >= len(frag.Insts) {
-			v.leave(idx)
-			return 0, fmt.Errorf("vm: fell off end of fragment %d (V %#x)", frag.ID, frag.VStart)
+		v.enter(frag)
+		if frag.Ops == nil {
+			frag.Ops = fragOps(frag)
 		}
-		inst := &frag.Insts[idx]
+		insts := frag.Insts
+		ops := frag.Ops[:len(insts)] // proves ops[idx] in range for the compiler
+		var recs []trace.Rec
 		if sink != nil {
 			if frag.Recs == nil {
 				// The first visit with a sink: build the templates here,
 				// not in enter, which untimed runs inline.
 				frag.Recs = fragRecs(frag)
 			}
-			rec = frag.Recs[idx]
+			recs = frag.Recs
 		}
 
-		switch inst.Kind {
-		case ildp.KindALU:
-			val := emu.EvalOp(inst.Op, v.readSrc(inst, inst.SrcA), v.readSrc(inst, inst.SrcB))
-			if inst.WritesAcc {
-				v.acc[inst.Acc] = val
-			}
-			if inst.Dest != alpha.RegZero {
-				v.writeGPR(inst.Dest, val)
+		for idx := 0; idx < len(insts); idx++ {
+			inst := &insts[idx]
+			if sink != nil {
+				rec = recs[idx]
 			}
 
-		case ildp.KindCMOV:
-			cond := v.acc[inst.Acc&7]
-			if inst.SrcA.Kind == ildp.SrcGPR {
-				cond = v.readGPR(inst.SrcA.Reg)
-			}
-			if emu.EvalCond(inst.Op, cond) {
-				v.writeGPR(inst.Dest, v.readSrc(inst, inst.SrcB))
-			}
+			switch ops[idx] {
+			case xAdd:
+				v.writeResult(inst, v.readSrc(inst, inst.SrcA)+v.readSrc(inst, inst.SrcB))
+			case xSub:
+				v.writeResult(inst, v.readSrc(inst, inst.SrcA)-v.readSrc(inst, inst.SrcB))
+			case xAnd:
+				v.writeResult(inst, v.readSrc(inst, inst.SrcA)&v.readSrc(inst, inst.SrcB))
+			case xXor:
+				v.writeResult(inst, v.readSrc(inst, inst.SrcA)^v.readSrc(inst, inst.SrcB))
+			case xBis:
+				v.writeResult(inst, v.readSrc(inst, inst.SrcA)|v.readSrc(inst, inst.SrcB))
+			case xSrl:
+				v.writeResult(inst, v.readSrc(inst, inst.SrcA)>>(v.readSrc(inst, inst.SrcB)&63))
+			case xSll:
+				v.writeResult(inst, v.readSrc(inst, inst.SrcA)<<(v.readSrc(inst, inst.SrcB)&63))
+			case xS8Add:
+				v.writeResult(inst, v.readSrc(inst, inst.SrcA)<<3+v.readSrc(inst, inst.SrcB))
 
-		case ildp.KindLoad:
-			addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
-			val, err := emu.LoadMem(v.mem, inst.Op, addr)
-			if err != nil {
-				return 0, v.preciseTrap(frag, idx, inst, err)
-			}
-			rec.MemAddr = addr
-			if inst.Op == alpha.OpLDQU {
-				rec.MemAddr = addr &^ 7
-			}
-			if inst.WritesAcc {
-				v.acc[inst.Acc] = val
-			}
-			if inst.Dest != alpha.RegZero {
-				v.writeGPR(inst.Dest, val)
-			}
+			case xALU:
+				v.faultIdx = idx
+				v.writeResult(inst, emu.EvalOp(inst.Op, v.readSrc(inst, inst.SrcA), v.readSrc(inst, inst.SrcB)))
 
-		case ildp.KindStore:
-			addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
-			data := v.readSrc(inst, inst.SrcB)
-			if err := emu.StoreMem(v.mem, inst.Op, addr, data); err != nil {
-				return 0, v.preciseTrap(frag, idx, inst, err)
-			}
-			rec.MemAddr = addr
-			if inst.Op == alpha.OpSTQU {
-				rec.MemAddr = addr &^ 7
-			}
-
-		case ildp.KindCopyToGPR:
-			v.writeGPR(inst.Dest, v.acc[inst.Acc&7])
-
-		case ildp.KindCopyFromGPR:
-			v.acc[inst.Acc] = v.readSrc(inst, inst.SrcA)
-
-		case ildp.KindSetVPC:
-			// The implementation PC base for trap recovery; functionally a
-			// special-register write.
-
-		case ildp.KindLoadETA:
-			v.acc[inst.Acc] = inst.VAddr
-
-		case ildp.KindSaveVRA:
-			v.writeGPR(inst.Dest, inst.VAddr)
-
-		case ildp.KindPushRAS:
-			target := ildp.NoFrag
-			if f := v.tc.Lookup(inst.VAddr); f != nil {
-				target = f.ID
-			}
-			v.ras.push(inst.VAddr, target)
-
-		case ildp.KindCondBranch, ildp.KindCallTransCond:
-			taken := emu.EvalCond(inst.Op, v.readSrc(inst, inst.SrcA))
-			rec.Taken = taken
-			if inst.Class == ildp.ClassChain && inst.Frag == ildp.FragDispatch {
-				// Software jump prediction verdict.
-				if taken {
-					v.Stats.SWPredMisses++
-					v.profChain(prof.ChainSWPredMiss)
-				} else {
-					v.Stats.SWPredHits++
-					v.profChain(prof.ChainSWPredHit)
+			case xCMOV:
+				cond := v.acc[inst.Acc&7]
+				if inst.SrcA.Kind == ildp.SrcGPR {
+					cond = v.readGPR(inst.SrcA.Reg)
 				}
-			}
-			if !taken {
-				break
-			}
-			v.leave(idx + 1)
-			next, exitV := v.takeBranch(inst, &rec)
-			if next == nil {
-				return exitV, nil
-			}
-			enterFrag(next)
-			continue
+				v.faultIdx = idx
+				if emu.EvalCond(inst.Op, cond) {
+					v.writeGPR(inst.Dest, v.readSrc(inst, inst.SrcB))
+				}
 
-		case ildp.KindBranch, ildp.KindCallTrans:
-			rec.Taken = true
-			v.leave(idx + 1)
-			next, exitV := v.takeBranch(inst, &rec)
-			if next == nil {
-				return exitV, nil
-			}
-			enterFrag(next)
-			continue
+			case xLoad:
+				addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
+				v.faultIdx = idx
+				val, err := emu.LoadMem(v.mem, inst.Op, addr)
+				if err != nil {
+					return 0, v.preciseTrap(frag, idx, inst, err)
+				}
+				rec.MemAddr = addr
+				if inst.Op == alpha.OpLDQU {
+					rec.MemAddr = addr &^ 7
+				}
+				v.writeResult(inst, val)
 
-		case ildp.KindJumpRet:
-			target := v.readSrc(inst, inst.SrcA) &^ 3
-			entry, ok := v.ras.pop()
-			if ok && entry.v == target && entry.frag != ildp.NoFrag {
-				if f := v.tc.Frag(entry.frag); f != nil && f.VStart == entry.v {
-					v.Stats.RASHits++
-					v.profChain(prof.ChainRASHit)
-					rec.Taken = true
-					rec.PredHit = true
-					rec.Target = f.IAddr
-					v.leave(idx + 1)
-					next, exitV := v.chain(f, &rec, nil)
-					if next == nil {
-						return exitV, nil
+			case xStore:
+				addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
+				data := v.readSrc(inst, inst.SrcB)
+				v.faultIdx = idx
+				if err := emu.StoreMem(v.mem, inst.Op, addr, data); err != nil {
+					return 0, v.preciseTrap(frag, idx, inst, err)
+				}
+				rec.MemAddr = addr
+				if inst.Op == alpha.OpSTQU {
+					rec.MemAddr = addr &^ 7
+				}
+
+			case xCopyToGPR:
+				v.writeGPR(inst.Dest, v.acc[inst.Acc&7])
+
+			case xCopyFromGPR:
+				v.acc[inst.Acc] = v.readSrc(inst, inst.SrcA)
+
+			case xNop:
+				// set-vpc writes the implementation PC base for trap
+				// recovery, functionally a special register; a dispatch
+				// body op does work whose lookup happens at the final
+				// jump.
+
+			case xLoadETA:
+				v.acc[inst.Acc] = inst.VAddr
+
+			case xSaveVRA:
+				v.writeGPR(inst.Dest, inst.VAddr)
+
+			case xPushRAS:
+				target := ildp.NoFrag
+				if f := v.tc.Lookup(inst.VAddr); f != nil {
+					target = f.ID
+				}
+				v.ras.push(inst.VAddr, target)
+
+			case xCondBranch:
+				v.faultIdx = idx
+				taken := emu.EvalCond(inst.Op, v.readSrc(inst, inst.SrcA))
+				rec.Taken = taken
+				if inst.Class == ildp.ClassChain && inst.Frag == ildp.FragDispatch {
+					// Software jump prediction verdict.
+					if taken {
+						v.Stats.SWPredMisses++
+						v.profChain(prof.ChainSWPredMiss)
+					} else {
+						v.Stats.SWPredHits++
+						v.profChain(prof.ChainSWPredHit)
 					}
-					enterFrag(next)
-					continue
 				}
+				if !taken {
+					break
+				}
+				v.leave(idx + 1)
+				next, exitV := v.takeBranch(inst, &rec)
+				if next == nil {
+					return exitV, nil
+				}
+				frag = next
+				continue visits
+
+			case xBranch:
+				rec.Taken = true
+				v.leave(idx + 1)
+				next, exitV := v.takeBranch(inst, &rec)
+				if next == nil {
+					return exitV, nil
+				}
+				frag = next
+				continue visits
+
+			case xJumpRet:
+				target := v.readSrc(inst, inst.SrcA) &^ 3
+				entry, ok := v.ras.pop()
+				if ok && entry.v == target && entry.frag != ildp.NoFrag {
+					if f := v.tc.Frag(entry.frag); f != nil && f.VStart == entry.v {
+						v.Stats.RASHits++
+						v.profChain(prof.ChainRASHit)
+						rec.Taken = true
+						rec.PredHit = true
+						rec.Target = f.IAddr
+						v.leave(idx + 1)
+						next, exitV := v.chain(f, &rec, nil)
+						if next == nil {
+							return exitV, nil
+						}
+						frag = next
+						continue visits
+					}
+				}
+				// Miss: latch the target for dispatch and fall through to the
+				// unconditional branch that follows.
+				v.Stats.RASMisses++
+				v.profChain(prof.ChainRASMiss)
+				v.writeGPR(ildp.RegJTarget, target)
+				rec.Taken = false
+
+			case xJumpInd:
+				v.leave(idx + 1)
+				next, exitV := v.jumpInd(&rec, nil)
+				if next == nil {
+					return exitV, nil
+				}
+				frag = next
+				continue visits
+
+			default:
+				v.leave(idx)
+				return 0, fmt.Errorf("vm: cannot execute %v", inst.Kind)
 			}
-			// Miss: latch the target for dispatch and fall through to the
-			// unconditional branch that follows.
-			v.Stats.RASMisses++
-			v.profChain(prof.ChainRASMiss)
-			v.writeGPR(ildp.RegJTarget, target)
-			rec.Taken = false
 
-		case ildp.KindDispatchOp:
-			// Dispatch body work; the lookup happens at the final jump.
-
-		case ildp.KindJumpInd:
-			v.leave(idx + 1)
-			next, exitV := v.jumpInd(&rec, nil)
-			if next == nil {
-				return exitV, nil
+			if sink != nil {
+				v.emitRec(&rec, false)
 			}
-			enterFrag(next)
-			continue
-
-		default:
-			v.leave(idx)
-			return 0, fmt.Errorf("vm: cannot execute %v", inst.Kind)
 		}
+		v.leave(len(insts))
+		return 0, fmt.Errorf("vm: fell off end of fragment %d (V %#x)", frag.ID, frag.VStart)
+	}
+}
 
-		if sink != nil {
-			v.emitRec(&rec, false)
-		}
-		idx++
+// writeResult writes the value of an ALU op or a load to inst's
+// accumulator, if it writes one, and to its destination register.
+func (v *VM) writeResult(inst *ildp.Inst, val uint64) {
+	if inst.WritesAcc {
+		v.acc[inst.Acc] = val
+	}
+	if inst.Dest != alpha.RegZero {
+		v.writeGPR(inst.Dest, val)
 	}
 }
 

@@ -92,8 +92,9 @@ func (v *VM) admit(f *tcache.Fragment) bool {
 			if v.inj.CorruptFragment(f) {
 				v.inj.Applied(k)
 				// Without Paranoid the corrupted code runs: rebuild its
-				// record templates from the flipped instructions.
-				f.Recs = nil
+				// opcodes and record templates from the flipped
+				// instructions.
+				f.Ops, f.Recs = nil, nil
 			}
 		case faultinject.KindEvict:
 			v.inj.Applied(k)

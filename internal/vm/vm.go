@@ -278,8 +278,10 @@ type VM struct {
 
 	// visit is the fragment translated code is executing, whose
 	// instructions are not yet counted in Stats; nil outside a visit
-	// (see execTranslated).
-	visit *tcache.Fragment
+	// (see execTranslated). faultIdx is the index in visit of the last
+	// instruction that could panic, published just before it runs.
+	visit    *tcache.Fragment
+	faultIdx int
 
 	// dispRecs are the dispatch routine's record templates, built only
 	// when a Sink is attached. interpRecs memoises the static half of
@@ -401,6 +403,12 @@ func (v *VM) Run(maxVInsts int64) (err error) {
 			se, ok := r.(*emu.SemanticsError)
 			if !ok {
 				panic(r)
+			}
+			if v.visit != nil {
+				// The panic came from translated code. Close its visit;
+				// like a trapping instruction, the faulting one is not
+				// counted.
+				v.leave(v.faultIdx)
 			}
 			err = fmt.Errorf("vm: at V-PC %#x: %w", v.cpu.PC, se)
 		}
