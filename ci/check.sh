@@ -203,6 +203,11 @@ echo "== semcheck fuzz (5s)"
 # (straightening included) must all prove semantically equivalent.
 go test -run='^$' -fuzz=FuzzSemCheck -fuzztime=5s ./internal/semcheck/
 
+echo "== translate/iverify fuzz (5s)"
+# Arbitrary decodable instruction sequences through the translator:
+# every translation that succeeds must pass the static verifier.
+go test -run='^$' -fuzz=FuzzTranslate -fuzztime=5s ./internal/iverify/
+
 echo "== ildplint -sem smoke (reconstruct + prove installed fragments)"
 sem_out=$(go run ./cmd/ildplint -workload gzip -form modified -sem)
 echo "$sem_out" | grep -q " fragments proved, 0 with counterexamples" || {

@@ -17,9 +17,27 @@ func sext32(v uint64) uint64 { return uint64(int64(int32(v))) }
 // reports: BWX (1), FIX (2), CIX (4), and MVI (0x100).
 const EV6FeatureMask = 0x107
 
-// shiftPair implements the Alpha EXT/INS/MSK "high" shift amount
+// highShift implements the Alpha EXT/INS/MSK "high" shift amount
 // (64 - 8*bn) mod 64.
 func highShift(bn uint64) uint { return uint((64 - 8*(bn&7)) & 63) }
+
+// insHigh and mskHigh compute INSxH and MSKxH for a field of the given
+// zero-extended value or mask placed at byte offset b&7. The field's
+// bytes past the quadword land in the high one. At offset 0 none do, so
+// INSxH inserts nothing and MSKxH clears nothing.
+func insHigh(field, b uint64) uint64 {
+	if b&7 == 0 {
+		return 0
+	}
+	return field >> highShift(b)
+}
+
+func mskHigh(a, field, b uint64) uint64 {
+	if b&7 == 0 {
+		return a
+	}
+	return a &^ (field >> highShift(b))
+}
 
 func byteMask(zapBits uint64) uint64 {
 	var m uint64
@@ -135,11 +153,11 @@ func EvalOp(op alpha.Op, a, b uint64) uint64 {
 	case alpha.OpINSQL:
 		return a << (8 * (b & 7))
 	case alpha.OpINSWH:
-		return (a & 0xFFFF) >> highShift(b)
+		return insHigh(a&0xFFFF, b)
 	case alpha.OpINSLH:
-		return (a & 0xFFFFFFFF) >> highShift(b)
+		return insHigh(a&0xFFFFFFFF, b)
 	case alpha.OpINSQH:
-		return a >> highShift(b)
+		return insHigh(a, b)
 	case alpha.OpMSKBL:
 		return a &^ (0xFF << (8 * (b & 7)))
 	case alpha.OpMSKWL:
@@ -149,11 +167,11 @@ func EvalOp(op alpha.Op, a, b uint64) uint64 {
 	case alpha.OpMSKQL:
 		return a &^ (^uint64(0) << (8 * (b & 7)))
 	case alpha.OpMSKWH:
-		return a &^ (0xFFFF >> highShift(b))
+		return mskHigh(a, 0xFFFF, b)
 	case alpha.OpMSKLH:
-		return a &^ (0xFFFFFFFF >> highShift(b))
+		return mskHigh(a, 0xFFFFFFFF, b)
 	case alpha.OpMSKQH:
-		return a &^ (^uint64(0) >> highShift(b))
+		return mskHigh(a, ^uint64(0), b)
 	case alpha.OpZAP:
 		return a &^ byteMask(b)
 	case alpha.OpZAPNOT:

@@ -108,6 +108,89 @@ func TestByteManipulation(t *testing.T) {
 	}
 }
 
+// TestEvalOpManualVectors covers the operate ops no other vector
+// reaches. Each expected value is worked by hand from the operation
+// definition in the Alpha Architecture Reference Manual, not taken from
+// EvalOp. In the byte ops, a is 0x8877665544332211 (byte i holds
+// 0x11*(i+1)), bn is Rb<2:0>, and mask is the op's byte mask (0x03 for
+// a word, 0x0F for a longword, 0xFF for a quadword) shifted left by bn:
+// the L forms keep or clear the bytes in mask<7:0>, the H forms those
+// in mask<15:8>. So at bn = 0 an H form touches no byte: INSxH gives 0
+// and MSKxH gives Rav.
+func TestEvalOpManualVectors(t *testing.T) {
+	const a = 0x8877665544332211
+	tests := []struct {
+		op      alpha.Op
+		a, b    uint64
+		want    uint64
+		comment string
+	}{
+		// Scaled longword arithmetic: SEXT((Ra*4 or *8 +/- Rb)<31:0>).
+		{alpha.OpS4ADDL, 0x40000000, 1, 1, "4*Ra wraps out of the longword"},
+		{alpha.OpS4ADDL, 0x20000000, 0, 0xFFFFFFFF80000000, "bit 31 sign-extends"},
+		{alpha.OpS8ADDL, 3, 10, 34, ""},
+		{alpha.OpS8ADDL, 0x10000000, 0x10, 0xFFFFFFFF80000010, "bit 31 sign-extends"},
+		{alpha.OpS4SUBL, 1, 5, ^uint64(0), "4-5 = -1"},
+		{alpha.OpS4SUBL, 0x100000003, 2, 10, "Ra's high bits drop out"},
+		// S8SUBQ: Ra*8 - Rb over the quadword.
+		{alpha.OpS8SUBQ, 1, 9, ^uint64(0), "8-9 = -1"},
+		{alpha.OpS8SUBQ, 1 << 61, 0, 0, "8*Ra wraps"},
+		// EXTxH: LEFT_SHIFT(Rav, (64-8*bn)<5:0>), then keep the low word
+		// or longword.
+		{alpha.OpEXTWH, a, 7, 0x1100, "shift 8"},
+		{alpha.OpEXTWH, a, 15, 0x1100, "only Rb<2:0> counts"},
+		{alpha.OpEXTWH, a, 6, 0, "shift 16 empties the word"},
+		{alpha.OpEXTWH, a, 0, 0x2211, "shift (64)<5:0> = 0"},
+		{alpha.OpEXTLH, a, 5, 0x11000000, "shift 24"},
+		{alpha.OpEXTLH, a, 6, 0x22110000, "shift 16"},
+		{alpha.OpEXTLH, a, 0, 0x44332211, "shift (64)<5:0> = 0"},
+		// INSxL: LEFT_SHIFT(Rav, 8*bn), bytes outside mask<7:0> cleared.
+		{alpha.OpINSWL, a, 0, 0x2211, ""},
+		{alpha.OpINSWL, a, 3, 0x2211000000, ""},
+		{alpha.OpINSWL, a, 7, 0x1100000000000000, "byte 1 falls off the quadword"},
+		{alpha.OpINSLL, a, 2, 0x443322110000, ""},
+		{alpha.OpINSLL, a, 6, 0x2211000000000000, "bytes 2 and 3 fall off"},
+		// INSxH: RIGHT_SHIFT(Rav, 64-8*bn), bytes outside mask<15:8>
+		// cleared; 0 when bn = 0.
+		{alpha.OpINSWH, a, 7, 0x22, "mask 0x180: byte 1 lands in byte 0"},
+		{alpha.OpINSWH, a, 6, 0, "mask 0xC0 has no high byte"},
+		{alpha.OpINSWH, a, 0, 0, "bn = 0"},
+		{alpha.OpINSLH, a, 5, 0x44, "mask 0x1E0: byte 3 lands in byte 0"},
+		{alpha.OpINSLH, a, 7, 0x443322, "mask 0x780"},
+		{alpha.OpINSLH, a, 0, 0, "bn = 0"},
+		{alpha.OpINSQH, a, 3, 0x887766, "mask 0x7F8"},
+		{alpha.OpINSQH, a, 0, 0, "bn = 0"},
+		// MSKxL: BYTE_ZAP(Rav, mask<7:0>).
+		{alpha.OpMSKWL, a, 0, 0x8877665544330000, "bytes 0-1"},
+		{alpha.OpMSKWL, a, 7, 0x0077665544332211, "byte 7 only"},
+		{alpha.OpMSKLL, a, 2, 0x8877000000002211, "bytes 2-5"},
+		{alpha.OpMSKLL, a, 6, 0x0000665544332211, "bytes 6-7 only"},
+		// MSKxH: BYTE_ZAP(Rav, mask<15:8>).
+		{alpha.OpMSKWH, a, 7, 0x8877665544332200, "mask 0x180: byte 0"},
+		{alpha.OpMSKWH, a, 3, a, "mask 0x18 has no high byte"},
+		{alpha.OpMSKWH, a, 0, a, "bn = 0"},
+		{alpha.OpMSKLH, a, 6, 0x8877665544330000, "mask 0x3C0: bytes 0-1"},
+		{alpha.OpMSKLH, a, 0, a, "bn = 0"},
+		{alpha.OpMSKQH, a, 1, 0x8877665544332200, "mask 0x1FE: byte 0"},
+		{alpha.OpMSKQH, a, 0, a, "bn = 0"},
+		// AMASK: Rbv AND NOT the implemented-feature mask; this model
+		// implements BWX, FIX, CIX and MVI (bits 0, 1, 2 and 8).
+		{alpha.OpAMASK, a, 0x1FF, 0xF8, "Ra is ignored"},
+		{alpha.OpAMASK, 0, 0, 0, ""},
+		// IMPLVER: 2 names the EV6 family.
+		{alpha.OpIMPLVER, a, a, 2, ""},
+		// LDA: Rbv + SEXT(disp), the displacement arriving as b.
+		{alpha.OpLDA, 0x1000, ^uint64(7), 0xFF8, "displacement -8"},
+		{alpha.OpLDA, ^uint64(0), 1, 0, "wraps"},
+	}
+	for _, tt := range tests {
+		if got := EvalOp(tt.op, tt.a, tt.b); got != tt.want {
+			t.Errorf("EvalOp(%v, %#x, %#x) = %#x, want %#x (%s)",
+				tt.op, tt.a, tt.b, got, tt.want, tt.comment)
+		}
+	}
+}
+
 // Property: the unaligned-store idiom (mskql/insql + mskqh/insqh applied to
 // the same quad when the address is aligned) reproduces a plain store.
 func TestUnalignedStoreIdiomProperty(t *testing.T) {
@@ -171,6 +254,12 @@ func TestEvalCond(t *testing.T) {
 		{alpha.OpBLBC, 2, true}, {alpha.OpBLBC, 3, false},
 		{alpha.OpBLBS, 3, true}, {alpha.OpBLBS, 2, false},
 		{alpha.OpCMOVEQ, 0, true}, {alpha.OpCMOVGT, 7, true},
+		{alpha.OpCMOVNE, 0, false}, {alpha.OpCMOVNE, 1 << 63, true},
+		{alpha.OpCMOVLT, 1 << 63, true}, {alpha.OpCMOVLT, 0, false},
+		{alpha.OpCMOVGE, 0, true}, {alpha.OpCMOVGE, 1 << 63, false},
+		{alpha.OpCMOVLE, ^uint64(0), true}, {alpha.OpCMOVLE, 1, false},
+		{alpha.OpCMOVLBC, 2, true}, {alpha.OpCMOVLBC, 1, false},
+		{alpha.OpCMOVLBS, ^uint64(0), true}, {alpha.OpCMOVLBS, 0x10, false},
 	}
 	for _, tt := range tests {
 		if got := EvalCond(tt.op, tt.v); got != tt.want {

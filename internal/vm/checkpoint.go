@@ -40,13 +40,14 @@ func (v *VM) Checkpoint() *checkpoint.State {
 
 // Restore applies a checkpointed state to the VM. All concealed state
 // is reset cold: the translation cache is emptied, trace counters and
-// quarantine/failure records are cleared, the RAS and accumulator file
-// are zeroed, and any in-flight superblock recording is abandoned.
-// Translated code is rebuilt on demand after resume; because
-// translation is a pure function of V-ISA memory (which the checkpoint
-// restores exactly), the rebuilt fragments compute the same results as
-// the discarded ones. The VM's Stats are restored from the checkpoint's
-// flattened counters, so cumulative accounting spans segments.
+// quarantine/failure records are cleared, the RAS and translated
+// code's register file are zeroed, and any in-flight superblock
+// recording is abandoned. Translated code is rebuilt on demand after
+// resume; because translation is a pure function of V-ISA memory
+// (which the checkpoint restores exactly), the rebuilt fragments
+// compute the same results as the discarded ones. The VM's Stats are
+// restored from the checkpoint's flattened counters, so cumulative
+// accounting spans segments.
 func (v *VM) Restore(st *checkpoint.State) {
 	v.cpu.PC = st.PC
 	v.cpu.Reg = st.Reg
@@ -71,8 +72,7 @@ func (v *VM) Restore(st *checkpoint.State) {
 	v.sb = translate.Superblock{}
 	v.inTrace = nil
 	v.ras = newDualRAS(v.cfg.RASSize)
-	v.scratch = [len(v.scratch)]uint64{}
-	v.acc = [len(v.acc)]uint64{}
+	v.rf = [len(v.rf)]uint64{}
 	v.inFallback = false
 	v.wdRetired = v.Stats.TotalVInsts()
 	v.wdWork = v.Stats.TransIInsts + v.Stats.InterpInsts

@@ -183,6 +183,8 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		{"straightened", func(c *Config) { c.Straighten = true }},
 		{"modified/1acc", func(c *Config) { c.NumAcc = 1 }},
 		{"basic/2acc", func(c *Config) { c.Form = ildp.Basic; c.NumAcc = 2 }},
+		{"modified/8acc", func(c *Config) { c.NumAcc = ildp.MaxAccumulators }},
+		{"basic/8acc", func(c *Config) { c.Form = ildp.Basic; c.NumAcc = ildp.MaxAccumulators }},
 		{"modified/fused", func(c *Config) { c.FuseMemOps = true }},
 		{"basic/fused", func(c *Config) { c.Form = ildp.Basic; c.FuseMemOps = true }},
 	}

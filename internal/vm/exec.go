@@ -33,12 +33,53 @@ func (v *VM) profChain(kind prof.ChainKind) {
 	v.cfg.Prof.Chain(kind)
 }
 
+// The executor's register file (VM.rf). Translated code reads and
+// writes only these slots: the I-ISA GPRs at their own numbers, then
+// the accumulators, two immediate slots, a slot that is always zero and
+// one that absorbs writes to no destination. The file has 256 slots and
+// is indexed by uint8, so no access needs a bounds check.
+const (
+	rfAcc     = ildp.NumGPR                  // accumulator a is rfAcc+a
+	rfImmA    = rfAcc + ildp.MaxAccumulators // source A's immediate
+	rfImmB    = rfImmA + 1                   // source B's immediate
+	rfZero    = rfImmB + 1                   // r31 and absent sources
+	rfDiscard = rfZero + 1                   // r31 and absent destinations
+)
+
+// accSlot, srcSlot and gprDest resolve operands to register-file
+// indices.
+func accSlot(a ildp.AccID) uint8 { return rfAcc + uint8(a&7) }
+
+// srcSlot returns the index source s reads; imm is the slot an
+// immediate is loaded into, and the value to load there.
+func srcSlot(inst *ildp.Inst, s ildp.Src, imm uint8) (uint8, uint64) {
+	switch s.Kind {
+	case ildp.SrcAcc:
+		return accSlot(inst.Acc), 0
+	case ildp.SrcGPR:
+		if s.Reg == alpha.RegZero {
+			return rfZero, 0
+		}
+		return uint8(s.Reg), 0
+	case ildp.SrcImm:
+		return imm, uint64(s.Imm)
+	}
+	return rfZero, 0
+}
+
+func gprDest(r alpha.Reg) uint8 {
+	if r == alpha.RegZero {
+		return rfDiscard
+	}
+	return uint8(r)
+}
+
 // Executor opcodes: the one key execTranslated switches on. Every
-// installed instruction has one (execOp), built once per fragment on
-// its first visit (Fragment.Ops). The hot ALU ops have their own
-// opcodes and run inline; every other ALU op goes through emu.EvalOp.
-// Each patch pair shares an opcode, so exit patching never makes one
-// stale.
+// installed instruction has one (execOp), resolved with its operands
+// once per fragment on its first visit (Fragment.Ops). The hot ALU ops
+// have their own opcodes and run inline; every other ALU op goes
+// through emu.EvalOp. Each patch pair shares an opcode, so exit
+// patching never makes one stale.
 const (
 	xInvalid uint8 = iota // no executable kind: the run stops with an error
 	xALU                  // an ALU op without an inline case: emu.EvalOp
@@ -53,11 +94,8 @@ const (
 	xCMOV
 	xLoad
 	xStore
-	xCopyToGPR
-	xCopyFromGPR
-	xNop // set-vpc, dispatch-op
-	xLoadETA
-	xSaveVRA
+	xMove // copy-to-GPR, copy-from-GPR, load-ETA, save-VRA
+	xNop  // set-vpc, dispatch-op
 	xPushRAS
 	xCondBranch // cond-branch, call-translator-if
 	xBranch     // branch, call-translator
@@ -94,16 +132,10 @@ func execOp(inst *ildp.Inst) uint8 {
 		return xLoad
 	case ildp.KindStore:
 		return xStore
-	case ildp.KindCopyToGPR:
-		return xCopyToGPR
-	case ildp.KindCopyFromGPR:
-		return xCopyFromGPR
+	case ildp.KindCopyToGPR, ildp.KindCopyFromGPR, ildp.KindLoadETA, ildp.KindSaveVRA:
+		return xMove
 	case ildp.KindSetVPC, ildp.KindDispatchOp:
 		return xNop
-	case ildp.KindLoadETA:
-		return xLoadETA
-	case ildp.KindSaveVRA:
-		return xSaveVRA
 	case ildp.KindPushRAS:
 		return xPushRAS
 	case ildp.KindCondBranch, ildp.KindCallTransCond:
@@ -118,11 +150,47 @@ func execOp(inst *ildp.Inst) uint8 {
 	return xInvalid
 }
 
-// fragOps builds the executor opcodes of f's instructions.
-func fragOps(f *tcache.Fragment) []uint8 {
-	ops := make([]uint8, len(f.Insts))
+// resolve returns the resolved form of inst: its executor opcode and
+// its operands as register-file indices. Results go to D (the
+// accumulator, when inst writes one) and E (the destination GPR); a
+// move copies source A to both. A register number past the I-ISA's,
+// which would alias another slot, resolves to xInvalid.
+func resolve(inst *ildp.Inst) tcache.Op {
+	op := tcache.Op{Code: execOp(inst), D: rfDiscard, E: gprDest(inst.Dest)}
+	for _, s := range [...]ildp.Src{inst.SrcA, inst.SrcB, ildp.GPRSrc(inst.Dest)} {
+		if s.Kind == ildp.SrcGPR && s.Reg >= ildp.NumGPR {
+			op.Code = xInvalid
+		}
+	}
+	op.A, op.Imm[0] = srcSlot(inst, inst.SrcA, rfImmA)
+	op.B, op.Imm[1] = srcSlot(inst, inst.SrcB, rfImmB)
+	if inst.WritesAcc {
+		op.D = accSlot(inst.Acc)
+	}
+	switch inst.Kind {
+	case ildp.KindCMOV:
+		// The condition is a GPR source or the accumulator.
+		if inst.SrcA.Kind != ildp.SrcGPR {
+			op.A = accSlot(inst.Acc)
+		}
+		op.D = rfDiscard
+	case ildp.KindCopyToGPR:
+		op.A, op.D = accSlot(inst.Acc), rfDiscard
+	case ildp.KindCopyFromGPR:
+		op.D, op.E = accSlot(inst.Acc), rfDiscard
+	case ildp.KindLoadETA:
+		op.A, op.Imm[0], op.D, op.E = rfImmA, inst.VAddr, accSlot(inst.Acc), rfDiscard
+	case ildp.KindSaveVRA:
+		op.A, op.Imm[0], op.D = rfImmA, inst.VAddr, rfDiscard
+	}
+	return op
+}
+
+// fragOps builds the resolved form of f's instructions.
+func fragOps(f *tcache.Fragment) []tcache.Op {
+	ops := make([]tcache.Op, len(f.Insts))
 	for i := range f.Insts {
-		ops[i] = execOp(&f.Insts[i])
+		ops[i] = resolve(&f.Insts[i])
 	}
 	return ops
 }
@@ -132,19 +200,42 @@ func fragOps(f *tcache.Fragment) []uint8 {
 // routine, until control exits back to the VM. It returns the V-ISA
 // address at which interpretation (or further lookup) should continue.
 //
-// The loop does no per-instruction bookkeeping. It switches once per
-// instruction, on the fragment's executor opcodes. With a Sink
-// attached, a record is a copy of the fragment's template
-// (Fragment.Recs) with its dynamic fields filled in. A visit to a
-// fragment always executes a prefix of its instructions, so the
-// visit's counters are added in one step from the fragment's
-// install-time Tally when the visit ends (leave), which happens before
-// anything can observe Stats. A trapping instruction's PEI index is
-// found only when it traps. Before each instruction that can panic
-// with an *emu.SemanticsError, the loop publishes its index in
-// faultIdx, where Run's recover finds it to close the visit.
+// Translated code keeps its state in the register file v.rf. The
+// architected GPRs are copied into it here and written back to the CPU
+// when control leaves translated code: here on a return or an error,
+// after preciseTrap has materialised a trap's registers into the file,
+// and in Run's recover after a panic. Nothing reads the CPU's
+// registers in between.
 func (v *VM) execTranslated(frag *tcache.Fragment) (uint64, error) {
+	copy(v.rf[:alpha.NumRegs], v.cpu.Reg[:])
+	exitV, err := v.runTranslated(frag)
+	v.writeBack()
+	return exitV, err
+}
+
+// writeBack copies the architected GPRs from the register file to the
+// CPU.
+func (v *VM) writeBack() {
+	copy(v.cpu.Reg[:], v.rf[:alpha.NumRegs])
+}
+
+// runTranslated is execTranslated's loop over the register file.
+//
+// The loop does no per-instruction bookkeeping. It switches once per
+// instruction, on the fragment's resolved opcodes, and reads and writes
+// operands at their resolved indices, so an inline ALU op is a load of
+// two slots and a store to two. With a Sink attached, a record is a
+// copy of the fragment's template (Fragment.Recs) with its dynamic
+// fields filled in. A visit to a fragment always executes a prefix of
+// its instructions, so the visit's counters are added in one step from
+// the fragment's install-time Tally when the visit ends (leave), which
+// happens before anything can observe Stats. A trapping instruction's
+// PEI index is found only when it traps. Before each instruction that
+// can panic with an *emu.SemanticsError, the loop publishes its index
+// in faultIdx, where Run's recover finds it to close the visit.
+func (v *VM) runTranslated(frag *tcache.Fragment) (uint64, error) {
 	sink := v.cfg.Sink
+	rf := &v.rf
 	var rec trace.Rec
 
 visits:
@@ -166,45 +257,57 @@ visits:
 		}
 
 		for idx := 0; idx < len(insts); idx++ {
-			inst := &insts[idx]
+			op := &ops[idx]
 			if sink != nil {
 				rec = recs[idx]
 			}
+			// One 16-byte store fills both immediate slots, whether or
+			// not the instruction reads them: no branch.
+			*(*[2]uint64)(rf[rfImmA:]) = op.Imm
 
-			switch ops[idx] {
+			switch op.Code {
 			case xAdd:
-				v.writeResult(inst, v.readSrc(inst, inst.SrcA)+v.readSrc(inst, inst.SrcB))
+				val := rf[op.A] + rf[op.B]
+				rf[op.D], rf[op.E] = val, val
 			case xSub:
-				v.writeResult(inst, v.readSrc(inst, inst.SrcA)-v.readSrc(inst, inst.SrcB))
+				val := rf[op.A] - rf[op.B]
+				rf[op.D], rf[op.E] = val, val
 			case xAnd:
-				v.writeResult(inst, v.readSrc(inst, inst.SrcA)&v.readSrc(inst, inst.SrcB))
+				val := rf[op.A] & rf[op.B]
+				rf[op.D], rf[op.E] = val, val
 			case xXor:
-				v.writeResult(inst, v.readSrc(inst, inst.SrcA)^v.readSrc(inst, inst.SrcB))
+				val := rf[op.A] ^ rf[op.B]
+				rf[op.D], rf[op.E] = val, val
 			case xBis:
-				v.writeResult(inst, v.readSrc(inst, inst.SrcA)|v.readSrc(inst, inst.SrcB))
+				val := rf[op.A] | rf[op.B]
+				rf[op.D], rf[op.E] = val, val
 			case xSrl:
-				v.writeResult(inst, v.readSrc(inst, inst.SrcA)>>(v.readSrc(inst, inst.SrcB)&63))
+				val := rf[op.A] >> (rf[op.B] & 63)
+				rf[op.D], rf[op.E] = val, val
 			case xSll:
-				v.writeResult(inst, v.readSrc(inst, inst.SrcA)<<(v.readSrc(inst, inst.SrcB)&63))
+				val := rf[op.A] << (rf[op.B] & 63)
+				rf[op.D], rf[op.E] = val, val
 			case xS8Add:
-				v.writeResult(inst, v.readSrc(inst, inst.SrcA)<<3+v.readSrc(inst, inst.SrcB))
+				val := rf[op.A]<<3 + rf[op.B]
+				rf[op.D], rf[op.E] = val, val
+			case xMove:
+				val := rf[op.A]
+				rf[op.D], rf[op.E] = val, val
 
 			case xALU:
 				v.faultIdx = idx
-				v.writeResult(inst, emu.EvalOp(inst.Op, v.readSrc(inst, inst.SrcA), v.readSrc(inst, inst.SrcB)))
+				val := emu.EvalOp(insts[idx].Op, rf[op.A], rf[op.B])
+				rf[op.D], rf[op.E] = val, val
 
 			case xCMOV:
-				cond := v.acc[inst.Acc&7]
-				if inst.SrcA.Kind == ildp.SrcGPR {
-					cond = v.readGPR(inst.SrcA.Reg)
-				}
 				v.faultIdx = idx
-				if emu.EvalCond(inst.Op, cond) {
-					v.writeGPR(inst.Dest, v.readSrc(inst, inst.SrcB))
+				if emu.EvalCond(insts[idx].Op, rf[op.A]) {
+					rf[op.E] = rf[op.B]
 				}
 
 			case xLoad:
-				addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
+				inst := &insts[idx]
+				addr := rf[op.A] + uint64(int64(inst.Disp))
 				v.faultIdx = idx
 				val, err := emu.LoadMem(v.mem, inst.Op, addr)
 				if err != nil {
@@ -214,13 +317,13 @@ visits:
 				if inst.Op == alpha.OpLDQU {
 					rec.MemAddr = addr &^ 7
 				}
-				v.writeResult(inst, val)
+				rf[op.D], rf[op.E] = val, val
 
 			case xStore:
-				addr := v.readSrc(inst, inst.SrcA) + uint64(int64(inst.Disp))
-				data := v.readSrc(inst, inst.SrcB)
+				inst := &insts[idx]
+				addr := rf[op.A] + uint64(int64(inst.Disp))
 				v.faultIdx = idx
-				if err := emu.StoreMem(v.mem, inst.Op, addr, data); err != nil {
+				if err := emu.StoreMem(v.mem, inst.Op, addr, rf[op.B]); err != nil {
 					return 0, v.preciseTrap(frag, idx, inst, err)
 				}
 				rec.MemAddr = addr
@@ -228,34 +331,24 @@ visits:
 					rec.MemAddr = addr &^ 7
 				}
 
-			case xCopyToGPR:
-				v.writeGPR(inst.Dest, v.acc[inst.Acc&7])
-
-			case xCopyFromGPR:
-				v.acc[inst.Acc] = v.readSrc(inst, inst.SrcA)
-
 			case xNop:
 				// set-vpc writes the implementation PC base for trap
 				// recovery, functionally a special register; a dispatch
 				// body op does work whose lookup happens at the final
 				// jump.
 
-			case xLoadETA:
-				v.acc[inst.Acc] = inst.VAddr
-
-			case xSaveVRA:
-				v.writeGPR(inst.Dest, inst.VAddr)
-
 			case xPushRAS:
+				vaddr := insts[idx].VAddr
 				target := ildp.NoFrag
-				if f := v.tc.Lookup(inst.VAddr); f != nil {
+				if f := v.tc.Lookup(vaddr); f != nil {
 					target = f.ID
 				}
-				v.ras.push(inst.VAddr, target)
+				v.ras.push(vaddr, target)
 
 			case xCondBranch:
+				inst := &insts[idx]
 				v.faultIdx = idx
-				taken := emu.EvalCond(inst.Op, v.readSrc(inst, inst.SrcA))
+				taken := emu.EvalCond(inst.Op, rf[op.A])
 				rec.Taken = taken
 				if inst.Class == ildp.ClassChain && inst.Frag == ildp.FragDispatch {
 					// Software jump prediction verdict.
@@ -281,7 +374,7 @@ visits:
 			case xBranch:
 				rec.Taken = true
 				v.leave(idx + 1)
-				next, exitV := v.takeBranch(inst, &rec)
+				next, exitV := v.takeBranch(&insts[idx], &rec)
 				if next == nil {
 					return exitV, nil
 				}
@@ -289,7 +382,7 @@ visits:
 				continue visits
 
 			case xJumpRet:
-				target := v.readSrc(inst, inst.SrcA) &^ 3
+				target := rf[op.A] &^ 3
 				entry, ok := v.ras.pop()
 				if ok && entry.v == target && entry.frag != ildp.NoFrag {
 					if f := v.tc.Frag(entry.frag); f != nil && f.VStart == entry.v {
@@ -311,7 +404,7 @@ visits:
 				// unconditional branch that follows.
 				v.Stats.RASMisses++
 				v.profChain(prof.ChainRASMiss)
-				v.writeGPR(ildp.RegJTarget, target)
+				rf[ildp.RegJTarget] = target
 				rec.Taken = false
 
 			case xJumpInd:
@@ -325,7 +418,7 @@ visits:
 
 			default:
 				v.leave(idx)
-				return 0, fmt.Errorf("vm: cannot execute %v", inst.Kind)
+				return 0, fmt.Errorf("vm: cannot execute %v", insts[idx].Kind)
 			}
 
 			if sink != nil {
@@ -334,17 +427,6 @@ visits:
 		}
 		v.leave(len(insts))
 		return 0, fmt.Errorf("vm: fell off end of fragment %d (V %#x)", frag.ID, frag.VStart)
-	}
-}
-
-// writeResult writes the value of an ALU op or a load to inst's
-// accumulator, if it writes one, and to its destination register.
-func (v *VM) writeResult(inst *ildp.Inst, val uint64) {
-	if inst.WritesAcc {
-		v.acc[inst.Acc] = val
-	}
-	if inst.Dest != alpha.RegZero {
-		v.writeGPR(inst.Dest, val)
 	}
 }
 
@@ -437,7 +519,7 @@ func dispatchRecs(tc *tcache.Cache) []trace.Rec {
 // branch into the dispatch routine, or nil. It chains into the target's
 // fragment or exits to the VM.
 func (v *VM) jumpInd(rec, from *trace.Rec) (*tcache.Fragment, uint64) {
-	target := v.readGPR(ildp.RegJTarget)
+	target := v.rf[ildp.RegJTarget]
 	v.Stats.DispatchRuns++
 	rec.Taken = true
 	f := v.tc.Lookup(target)
@@ -506,7 +588,7 @@ func (v *VM) preciseTrap(frag *tcache.Fragment, idx int, inst *ildp.Inst, cause 
 	}
 	if peiIdx < len(frag.PEIRecover) {
 		for _, pair := range frag.PEIRecover[peiIdx] {
-			v.cpu.WriteReg(pair.Reg, v.acc[pair.Acc&7])
+			v.rf[gprDest(pair.Reg)] = v.rf[accSlot(pair.Acc)]
 		}
 	}
 	v.cpu.PC = vpc
@@ -527,35 +609,6 @@ func peiPoint(inst *ildp.Inst) bool {
 func dispatchEntry(tc *tcache.Cache) uint64 {
 	_, addrs := tc.Dispatch()
 	return addrs[0]
-}
-
-// readGPR reads an I-ISA register: architected GPRs come from the
-// interpreter state, the VM-private scratch registers from the VM.
-func (v *VM) readGPR(r alpha.Reg) uint64 {
-	if r < alpha.NumRegs {
-		return v.cpu.ReadReg(r)
-	}
-	return v.scratch[r-alpha.NumRegs]
-}
-
-func (v *VM) writeGPR(r alpha.Reg, val uint64) {
-	if r < alpha.NumRegs {
-		v.cpu.WriteReg(r, val)
-		return
-	}
-	v.scratch[r-alpha.NumRegs] = val
-}
-
-func (v *VM) readSrc(inst *ildp.Inst, s ildp.Src) uint64 {
-	switch s.Kind {
-	case ildp.SrcAcc:
-		return v.acc[inst.Acc&7]
-	case ildp.SrcGPR:
-		return v.readGPR(s.Reg)
-	case ildp.SrcImm:
-		return uint64(s.Imm)
-	}
-	return 0
 }
 
 // newRec builds the static half of the trace record of one

@@ -65,6 +65,23 @@ func TestExecOpTable(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeRegisterRefused checks that an instruction naming a
+// register past the I-ISA's 64 stops the run with an error instead of
+// reaching another register-file slot.
+func TestOutOfRangeRegisterRefused(t *testing.T) {
+	for _, inst := range []ildp.Inst{
+		aluInst(alpha.OpADDQ, ildp.GPRSrc(ildp.NumGPR), ildp.ImmSrc(1)),
+		aluInst(alpha.OpADDQ, ildp.AccSrc(), ildp.GPRSrc(ildp.NumGPR+8)),
+		{Kind: ildp.KindCopyToGPR, Acc: 0, Dest: ildp.NumGPR + 1, Frag: ildp.NoFrag},
+	} {
+		v := New(mem.New(), DefaultConfig())
+		f := installBody(t, v, 0x1000, inst)
+		if _, err := v.execTranslated(f); err == nil {
+			t.Errorf("%v %v, %v -> r%d ran", inst.Kind, inst.SrcA, inst.SrcB, inst.Dest)
+		}
+	}
+}
+
 // installBody installs body as a fragment at vstart of v, between a
 // set-vpc prologue and a call-translator exit to 0x8000.
 func installBody(t *testing.T, v *VM, vstart uint64, body ...ildp.Inst) *tcache.Fragment {
@@ -115,7 +132,7 @@ func TestInlinedALUMatchesEvalOp(t *testing.T) {
 		set func(v *VM, val uint64) uint64
 	}
 	acc := source{"acc", func(uint64) ildp.Src { return ildp.AccSrc() },
-		func(v *VM, val uint64) uint64 { v.acc[0] = val; return val }}
+		func(v *VM, val uint64) uint64 { v.rf[accSlot(0)] = val; return val }}
 	gpr := func(r alpha.Reg) source {
 		return source{"gpr", func(uint64) ildp.Src { return ildp.GPRSrc(r) },
 			func(v *VM, val uint64) uint64 { v.cpu.WriteReg(r, val); return val }}
@@ -133,7 +150,7 @@ func TestInlinedALUMatchesEvalOp(t *testing.T) {
 				f := installBody(t, v, vstart, aluInst(op, sa.src(0), sb.src(0)))
 				vstart += 0x100
 				runOnce(t, v, f)
-				if got := f.Ops[1]; got != want {
+				if got := f.Ops[1].Code; got != want {
 					t.Fatalf("%v: opcode %d, want %d", op, got, want)
 				}
 				for _, a := range edges {
@@ -143,15 +160,16 @@ func TestInlinedALUMatchesEvalOp(t *testing.T) {
 						}
 						inst := &f.Insts[1]
 						inst.SrcA, inst.SrcB = sa.src(a), sb.src(b)
+						f.Ops = nil // the edit changes the resolved operands
 						x, y := sa.set(v, a), sb.set(v, b)
-						v.writeGPR(ildp.ScratchBase, 0x5A5A)
+						v.rf[ildp.ScratchBase] = 0x5A5A
 						runOnce(t, v, f)
 						want := emu.EvalOp(op, x, y)
-						if got := v.readGPR(ildp.ScratchBase); got != want {
+						if got := v.rf[ildp.ScratchBase]; got != want {
 							t.Fatalf("%v %s=%#x %s=%#x: scratch %#x, EvalOp %#x",
 								op, sa.name, x, sb.name, y, got, want)
 						}
-						if got := v.acc[0]; got != want {
+						if got := v.rf[accSlot(0)]; got != want {
 							t.Fatalf("%v %s=%#x %s=%#x: accumulator %#x, EvalOp %#x",
 								op, sa.name, x, sb.name, y, got, want)
 						}
@@ -175,7 +193,7 @@ func TestBitFlipRebuildsOpcodes(t *testing.T) {
 		v.cpu.WriteReg(1, a)
 		v.cpu.WriteReg(2, b)
 		runOnce(t, v, f)
-		if got := v.readGPR(ildp.ScratchBase); f.Ops == nil || got != a+b {
+		if got := v.rf[ildp.ScratchBase]; f.Ops == nil || got != a+b {
 			t.Fatalf("first run: opcodes %v, scratch %#x, want %#x", f.Ops, got, uint64(a+b))
 		}
 		v.inj = faultinject.New(faultinject.Config{Seed: seed, EntryRate: 1,
@@ -188,7 +206,7 @@ func TestBitFlipRebuildsOpcodes(t *testing.T) {
 			continue // the flip hit another field, or an op that shows nothing
 		}
 		runOnce(t, v, f)
-		if got, want := v.readGPR(ildp.ScratchBase), emu.EvalOp(flipped, a, b); got != want {
+		if got, want := v.rf[ildp.ScratchBase], emu.EvalOp(flipped, a, b); got != want {
 			t.Fatalf("seed %d: addq flipped to %v computed %#x, want %#x", seed, flipped, got, want)
 		}
 		return

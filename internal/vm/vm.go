@@ -245,9 +245,10 @@ type VM struct {
 	mem *mem.Memory
 	tc  *tcache.Cache
 
-	scratch [ildp.NumGPR - alpha.NumRegs]uint64
-	acc     [ildp.MaxAccumulators]uint64
-	ras     dualRAS
+	// rf is translated code's register file (see execTranslated): the
+	// I-ISA GPRs, the accumulators and the executor's fixed slots.
+	rf  [256]uint64
+	ras dualRAS
 
 	counters map[uint64]int
 
@@ -396,7 +397,8 @@ func (v *VM) noteRunError(err error) error {
 // V-instruction boundary however often the run was preempted before
 // it. Out-of-domain semantic panics from the emulator core
 // (*emu.SemanticsError) are recovered here and surfaced as ordinary
-// errors tagged with the current V-PC; any other panic propagates.
+// errors tagged with the faulting instruction's V-PC, which the CPU
+// then holds; any other panic propagates.
 func (v *VM) Run(maxVInsts int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -407,8 +409,14 @@ func (v *VM) Run(maxVInsts int64) (err error) {
 			if v.visit != nil {
 				// The panic came from translated code. Close its visit;
 				// like a trapping instruction, the faulting one is not
-				// counted.
+				// counted. The panic skipped execTranslated's write-back,
+				// and the CPU's V-PC is still the episode's entry, so
+				// name the faulting instruction's.
+				if vpc := v.visit.Insts[v.faultIdx].VPC; vpc != 0 {
+					v.cpu.PC = vpc
+				}
 				v.leave(v.faultIdx)
+				v.writeBack()
 			}
 			err = fmt.Errorf("vm: at V-PC %#x: %w", v.cpu.PC, se)
 		}
