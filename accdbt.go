@@ -163,7 +163,7 @@ func VerifyTranslation(res *Translation, cfg VerifyConfig) *VerifyReport {
 // VerifyFragment statically checks an installed translation-cache
 // fragment; set cfg.ResolveFrag to also validate its patched links.
 func VerifyFragment(f *Fragment, cfg VerifyConfig) *VerifyReport {
-	return iverify.Check(iverify.FromFragment(f), cfg)
+	return iverify.Verify(&f.Result, cfg)
 }
 
 // VerifyRules lists every verifier rule.

@@ -275,6 +275,27 @@ if [ "$warm_exit" != "$full_exit" ]; then
     echo "  full: $full_exit" >&2
     exit 1
 fi
+echo "== ildpvm straightened cache save -> reload -> re-prove round trip"
+# The structural rules skip straightened code, so with -cache-prove the
+# prover is the check every loaded straightened entry meets: the warm
+# load must prove as many entries as it loads, more than zero, and drop
+# none.
+"$ckpt_dir/ildpvm" -workload gzip -form straighten \
+    -cachefile "$ckpt_dir/gzip-straight.fs" -cache-stats > "$ckpt_dir/cold-straight.txt"
+"$ckpt_dir/ildpvm" -workload gzip -form straighten \
+    -cachefile "$ckpt_dir/gzip-straight.fs" -cache-stats -cache-prove > "$ckpt_dir/warm-straight.txt"
+grep '^cache load:' "$ckpt_dir/warm-straight.txt" | awk '{
+    for (i = 2; i <= NF; i++) {
+        if ($i == "loaded") loaded = $(i - 1) + 0
+        if ($i == "proved),") proved = $(i - 1) + 0
+        if ($i == "dropped") dropped = $(i - 1) + 0
+    }
+    ok = loaded > 0 && proved == loaded && dropped == 0
+} END { exit ok ? 0 : 1 }' || {
+    echo "warm straightened load did not prove every entry:" >&2
+    cat "$ckpt_dir/warm-straight.txt" >&2
+    exit 1
+}
 echo "== ildpvm serve smoke (telemetry plane over HTTP)"
 # A serving run must report its address on stdout, answer the health
 # probes, expose live nonzero vm.* samples in Prometheus text format,

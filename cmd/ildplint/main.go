@@ -1,16 +1,18 @@
 // Command ildplint statically verifies translated I-ISA fragments against
 // the paper's accumulator invariants. It runs a program (a named workload,
 // an assembly source file, or an alphaasm image) through the co-designed
-// VM to populate the translation cache, then checks every installed
-// fragment with the iverify rules — encoding legality, accumulator
-// dataflow, precise-state completeness, and chaining well-formedness —
-// with fragment links resolved against the cache.
+// VM to populate the translation cache, then puts every installed
+// fragment through iverify.Admit, the admission rule VM translation and
+// fragment-store load apply too: the iverify rules — encoding legality,
+// accumulator dataflow, precise-state completeness, and chaining
+// well-formedness — with fragment links resolved against the cache.
 //
-// With -sem, every fragment is additionally proved semantically: its
-// source superblock is reconstructed from guest memory and the symbolic
-// equivalence prover (DESIGN.md §12) shows the fragment computes the
-// superblock's semantics at every exit — final registers, memory
-// effects, and next V-PC — printing typed counterexamples otherwise.
+// With -sem, every fragment the rules accept is additionally proved
+// semantically: its source superblock is reconstructed from guest
+// memory and the symbolic equivalence prover (DESIGN.md §12) shows the
+// fragment computes the superblock's semantics at every exit — final
+// registers, memory effects, and next V-PC — printing typed
+// counterexamples otherwise.
 //
 // The exit status is 0 when every fragment verifies, 1 when any fragment
 // has violations, and 2 on usage errors.
@@ -141,49 +143,47 @@ func main() {
 
 	checked, violations, dirty, corrupted, proved, disproved := 0, 0, 0, 0, 0, 0
 	for id := int32(0); int(id) < tc.Len(); id++ {
-		code := iverify.FromFragment(tc.Frag(id))
+		// A copy: a committed mutation replaces the Result it is given,
+		// and the installed fragment must stay as the VM left it.
+		res := tc.Frag(id).Result
 		ccfg := vcfg
 		if mutation != nil {
 			// Mutated fragments fabricate links with no installed target;
 			// lint them unresolved, as the mutation engine does.
 			ccfg.ResolveFrag = nil
-			if mutation.Apply(code, ccfg) {
+			if mutation.Apply(&res, ccfg) {
 				corrupted++
 			}
 		}
-		rep := iverify.Check(code, ccfg)
-		if rep.Skipped {
-			continue
+		want := iverify.CheckRules
+		var sb *translate.Superblock
+		if *sem {
+			if sb, err = semcheck.Reconstruct(readWord, &res); err != nil {
+				disproved++
+				fmt.Printf("%s: fragment %d: %v\n", name, id, err)
+			} else {
+				want |= iverify.CheckProof
+			}
 		}
 		checked++
-		if !rep.OK() {
+		adm, err := iverify.Admit(&res, sb, ccfg, want)
+		if rep := adm.Rules; !rep.OK() {
 			dirty++
 			violations += len(rep.Violations)
 			fmt.Printf("%s: fragment %d: %s\n", name, id, rep)
 		} else if *verbose {
 			fmt.Printf("%s: fragment %d: %s\n", name, id, rep)
 		}
-
-		if *sem {
-			scode := &semcheck.Code{VStart: code.VStart, Insts: code.Insts,
-				PEI: code.PEI, PEIRecover: code.PEIRecover,
-				Straightened: code.Straightened}
-			sb, err := semcheck.Reconstruct(readWord, scode)
-			if err != nil {
-				disproved++
-				fmt.Printf("%s: fragment %d: %v\n", name, id, err)
-				continue
-			}
-			srep := semcheck.Prove(sb, scode)
-			if !srep.OK() {
-				disproved++
-				fmt.Printf("%s: fragment %d: proof failed:\n%s\n", name, id, srep)
-			} else {
-				proved++
-				if *verbose {
-					fmt.Printf("%s: fragment %d: proved (%d exits, %d finals)\n",
-						name, id, srep.Exits, srep.Finals)
-				}
+		switch srep := adm.Proof; {
+		case srep == nil:
+		case err != nil:
+			disproved++
+			fmt.Printf("%s: fragment %d: proof failed:\n%s\n", name, id, srep)
+		default:
+			proved++
+			if *verbose {
+				fmt.Printf("%s: fragment %d: proved (%d exits, %d finals)\n",
+					name, id, srep.Exits, srep.Finals)
 			}
 		}
 	}

@@ -91,14 +91,14 @@ func TestKindNameRoundTrip(t *testing.T) {
 func TestCorruptFragmentAlwaysChanges(t *testing.T) {
 	in := New(Config{Seed: 3})
 	for trial := 0; trial < 200; trial++ {
-		f := &tcache.Fragment{
+		f := &tcache.Fragment{Result: translate.Result{
 			Insts: []ildp.Inst{
 				{Kind: ildp.KindSetVPC, VAddr: 0x1000},
 				{Kind: ildp.KindALU, VAddr: 0x1004, Disp: 8, VPC: 0x1004},
 				{Kind: ildp.KindBranch, VAddr: 0x1008, VPC: 0x1008},
 			},
 			PEI: []uint64{0x1004},
-		}
+		}}
 		before := append([]ildp.Inst(nil), f.Insts...)
 		beforePEI := append([]uint64(nil), f.PEI...)
 		if !in.CorruptFragment(f) {

@@ -18,6 +18,7 @@ package fragstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -25,7 +26,6 @@ import (
 	"github.com/ildp/accdbt/internal/codec"
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/iverify"
-	"github.com/ildp/accdbt/internal/semcheck"
 	"github.com/ildp/accdbt/internal/translate"
 )
 
@@ -41,9 +41,10 @@ var format = codec.Format{
 
 // LoadOptions controls Decode's re-verification of loaded entries.
 type LoadOptions struct {
-	// SemCheck additionally re-proves every loaded accumulator fragment
-	// symbolically equivalent to its stored source superblock
-	// (internal/semcheck); entries with counterexamples are dropped.
+	// SemCheck additionally re-proves every loaded fragment, straightened
+	// ones included, symbolically equivalent to its stored source
+	// superblock (internal/semcheck); entries with counterexamples are
+	// dropped.
 	SemCheck bool
 }
 
@@ -57,8 +58,10 @@ type LoadReport struct {
 
 	// Verified counts entries proved by the static fragment verifier;
 	// Skipped counts straightened entries, which carry no I-ISA
-	// invariants for it to check. Proved counts entries additionally
-	// proved by semcheck (only when LoadOptions.SemCheck is set).
+	// invariants for it to check. Proved counts entries, straightened
+	// ones included, that semcheck proved equivalent to their stored
+	// superblock (only when LoadOptions.SemCheck is set); with it set,
+	// every loaded entry is proved, so Proved equals Loaded.
 	Verified int
 	Skipped  int
 	Proved   int
@@ -141,10 +144,10 @@ func (s *Store) Encode() []byte {
 // non-canonical structure — fails with a typed *codec.Error and no
 // store. Within an intact file, every entry is independently validated
 // (entry CRC, key-to-content hash, structural well-formedness) and
-// re-proved by the static fragment verifier (plus semcheck when
-// opts.SemCheck is set) before it becomes visible; entries failing any
-// check are dropped and counted in the LoadReport, which is returned
-// even on error.
+// admitted by iverify.Admit — the static fragment verifier, plus
+// semcheck when opts.SemCheck is set — before it becomes visible;
+// entries failing any check are dropped and counted in the LoadReport,
+// which is returned even on error.
 func Decode(b []byte, opts LoadOptions) (*Store, *LoadReport, error) {
 	rep := &LoadReport{}
 	r, err := format.Open(b)
@@ -211,27 +214,32 @@ func loadEntry(s *Store, body []byte, opts LoadOptions, rep *LoadReport) {
 		rep.DroppedKey++
 		return
 	}
-	// Re-prove before the entry becomes visible: loaded artifacts are
+	// Re-check before the entry becomes visible: loaded artifacts are
 	// never trusted on checksum alone.
-	vrep := iverify.Verify(res, iverify.Config{
+	want := iverify.CheckRules
+	if opts.SemCheck {
+		want |= iverify.CheckProof
+	}
+	adm, err := iverify.Admit(res, sb, iverify.Config{
 		Form:   cfg.Translate.Form,
 		NumAcc: cfg.Translate.NumAcc,
 		Chain:  cfg.Translate.Chain,
-	})
-	if !vrep.OK() {
-		rep.DroppedVerify++
-		return
-	}
-	if vrep.Skipped {
+	}, want)
+	if v := adm.Rules; v.Skipped {
 		rep.Skipped++
-	} else {
+	} else if v.OK() {
 		rep.Verified++
 	}
-	if opts.SemCheck && !res.Straightened {
-		if !semcheck.Check(sb, res).OK() {
+	if err != nil {
+		var rej *iverify.RejectError
+		if errors.As(err, &rej) && rej.By == iverify.CheckProof {
 			rep.DroppedProve++
-			return
+		} else {
+			rep.DroppedVerify++
 		}
+		return
+	}
+	if adm.Proof != nil {
 		rep.Proved++
 	}
 	s.insertLoaded(key, content, res)

@@ -24,10 +24,11 @@
 // The store persists: Encode serializes every entry into a versioned,
 // CRC-guarded byte stream (docs/FORMAT.md specifies it byte for byte)
 // and Decode rebuilds a store from one. Loaded artifacts are never
-// trusted: every entry is re-proved by the static fragment verifier
-// (internal/iverify) — and optionally by the symbolic equivalence
-// prover (internal/semcheck) against its stored source superblock —
-// before it becomes visible; corrupt or unprovable entries are dropped
+// trusted: every entry passes iverify.Admit, the admission rule VM
+// translation also applies — the static fragment verifier and,
+// optionally, the symbolic equivalence prover (internal/semcheck)
+// against its stored source superblock — before it becomes visible;
+// corrupt or unprovable entries are dropped
 // and counted, not installed.
 package fragstore
 

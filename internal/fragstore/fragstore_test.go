@@ -302,8 +302,43 @@ func TestDecodeSemCheck(t *testing.T) {
 	if rep.Dropped() != 0 {
 		t.Fatalf("semcheck dropped genuine translations: %v", rep)
 	}
-	if rep.Proved != rep.Verified {
-		t.Fatalf("proved %d of %d accumulator entries", rep.Proved, rep.Verified)
+	if rep.Proved != rep.Loaded {
+		t.Fatalf("proved %d of %d loaded entries", rep.Proved, rep.Loaded)
+	}
+}
+
+// TestDecodeProvesStraightenedEntry: the structural rules skip
+// straightened code, so under SemCheck the prover is the only check a
+// straightened entry meets on load, and it must refuse one whose code
+// no longer computes its stored superblock.
+func TestDecodeProvesStraightenedEntry(t *testing.T) {
+	sb, cfg := aluSB(), straightCfg()
+	key, content, err := fragstore.KeyOf(sb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fragstore.New()
+	if _, _, _, err := s.Do(key, content, t, func() (*translate.Result, error) {
+		res, err := translate.Straighten(sb, cfg.Translate.Chain)
+		if err != nil {
+			return nil, err
+		}
+		for i := range res.Insts {
+			if res.Insts[i].Op == alpha.OpXOR {
+				res.Insts[i].Op = alpha.OpBIS
+				return res, nil
+			}
+		}
+		return nil, errors.New("no XOR to corrupt")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := fragstore.Decode(s.Encode(), fragstore.LoadOptions{SemCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DroppedProve != 1 || rep.Loaded != 0 {
+		t.Fatalf("corrupt straightened entry: %v, want 1 prove drop", rep)
 	}
 }
 

@@ -35,9 +35,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ildp/accdbt/internal/alpha"
 	"github.com/ildp/accdbt/internal/ildp"
-	"github.com/ildp/accdbt/internal/tcache"
 	"github.com/ildp/accdbt/internal/translate"
 )
 
@@ -236,65 +234,15 @@ type Config struct {
 	ResolveFrag func(id int32) (vstart uint64, ok bool)
 }
 
-// Code is the verifier's view of one translated fragment: the instruction
-// stream plus the translation metadata the rules are checked against.
+// Verify runs all verification passes over a translation — a
+// translator's result, or an installed fragment's &f.Result, whose links
+// may have been patched since translation (the rules accept both
+// unlinked and linked exits) — and returns the collected diagnostics.
 // Strands, ExitLive, and EndLive are optional; rules needing an absent
-// input are skipped.
-type Code struct {
-	VStart uint64
-	Insts  []ildp.Inst
-
-	Strands    []int
-	PEI        []uint64
-	PEIRecover [][]translate.RegAcc
-	ExitLive   [][]alpha.Reg
-	EndLive    []alpha.Reg
-
-	CodeBytes    int // 0 disables the encoded-size total check
-	Straightened bool
-}
-
-// FromResult adapts a translation result for verification.
-func FromResult(res *translate.Result) *Code {
-	return &Code{
-		VStart:       res.VStart,
-		Insts:        res.Insts,
-		Strands:      res.Strands,
-		PEI:          res.PEI,
-		PEIRecover:   res.PEIRecover,
-		ExitLive:     res.ExitLive,
-		EndLive:      res.EndLive,
-		CodeBytes:    res.CodeBytes,
-		Straightened: res.Straightened,
-	}
-}
-
-// FromFragment adapts an installed translation-cache fragment for
-// verification (fragment links may have been patched since translation;
-// the rules accept both unlinked and linked exits).
-func FromFragment(f *tcache.Fragment) *Code {
-	return &Code{
-		VStart:       f.VStart,
-		Insts:        f.Insts,
-		Strands:      f.Strands,
-		PEI:          f.PEI,
-		PEIRecover:   f.PEIRecover,
-		ExitLive:     f.ExitLive,
-		EndLive:      f.EndLive,
-		CodeBytes:    f.CodeBytes,
-		Straightened: f.Straightened,
-	}
-}
-
-// Verify checks a translation result. It is the one-call form of
-// FromResult + Check.
-func Verify(res *translate.Result, cfg Config) *Report {
-	return Check(FromResult(res), cfg)
-}
-
-// Check runs all verification passes over the fragment and returns the
-// collected diagnostics.
-func Check(c *Code, cfg Config) *Report {
+// input are skipped, and a zero CodeBytes disables the encoded-size
+// total check. Straightened code carries no I-ISA invariants and is
+// reported as skipped.
+func Verify(c *translate.Result, cfg Config) *Report {
 	rep := &Report{VStart: c.VStart, Insts: len(c.Insts)}
 	if c.Straightened {
 		rep.Skipped = true
@@ -313,7 +261,7 @@ func Check(c *Code, cfg Config) *Report {
 
 // checker carries shared state across the verification passes.
 type checker struct {
-	c   *Code
+	c   *translate.Result
 	cfg Config
 	rep *Report
 }

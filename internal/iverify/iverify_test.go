@@ -302,7 +302,7 @@ func TestCorpusClean(t *testing.T) {
 	seenChain := map[translate.ChainMode]bool{}
 	seenAcc := map[int]bool{}
 	for _, e := range corpus(t) {
-		rep := iverify.Check(iverify.FromFragment(e.frag), e.cfg)
+		rep := iverify.Verify(&e.frag.Result, e.cfg)
 		if rep.Skipped {
 			t.Errorf("%s: unexpectedly skipped", e.label)
 			continue
@@ -332,13 +332,13 @@ func TestMutationsFireExactly(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			for _, e := range entries {
-				c := iverify.FromFragment(e.frag)
+				c := e.frag.Result
 				cfg := e.cfg
 				cfg.ResolveFrag = nil
-				if !m.Apply(c, cfg) {
+				if !m.Apply(&c, cfg) {
 					continue
 				}
-				rep := iverify.Check(c, cfg)
+				rep := iverify.Verify(&c, cfg)
 				if rep.OK() {
 					t.Fatalf("%s: corruption applied on %s but the report is clean", m.Name, e.label)
 				}
@@ -365,12 +365,12 @@ func TestCorruptionDoesNotLeakIntoCorpus(t *testing.T) {
 	entries := corpus(t)
 	e := entries[0]
 	for _, m := range iverify.Mutations() {
-		c := iverify.FromFragment(e.frag)
+		c := e.frag.Result
 		cfg := e.cfg
 		cfg.ResolveFrag = nil
-		m.Apply(c, cfg)
+		m.Apply(&c, cfg)
 	}
-	if rep := iverify.Check(iverify.FromFragment(e.frag), e.cfg); !rep.OK() {
+	if rep := iverify.Verify(&e.frag.Result, e.cfg); !rep.OK() {
 		t.Fatalf("mutations corrupted the underlying fragment:\n%s", rep)
 	}
 }
@@ -394,7 +394,7 @@ func TestVerifySkipsStraightened(t *testing.T) {
 		t.Fatal("no straightened fragments translated")
 	}
 	for id := int32(0); int(id) < tc.Len(); id++ {
-		rep := iverify.Check(iverify.FromFragment(tc.Frag(id)), iverify.Config{})
+		rep := iverify.Verify(&tc.Frag(id).Result, iverify.Config{})
 		if !rep.Skipped || !rep.OK() {
 			t.Fatalf("straightened fragment %d: skipped=%v ok=%v", id, rep.Skipped, rep.OK())
 		}
@@ -521,7 +521,7 @@ func BenchmarkVerify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, e := range entries {
-			rep := iverify.Check(iverify.FromFragment(e.frag), e.cfg)
+			rep := iverify.Verify(&e.frag.Result, e.cfg)
 			if !rep.OK() {
 				b.Fatal(rep)
 			}

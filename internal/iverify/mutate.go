@@ -8,15 +8,17 @@ import (
 
 // Mutation is one rule-targeted fragment corruption, used to prove the
 // verifier's rules actually fire: Apply corrupts the fragment so that
-// Check reports the target rule — and only that rule. Apply is
+// Verify reports the target rule — and only that rule. Apply is
 // self-verifying: it tries candidate sites and keeps the first whose
 // corrupted fragment yields exactly {Rule}; it returns false when the
 // fragment offers no viable site (e.g. a Modified-form fragment for a
-// Basic-form-only rule), leaving the fragment unchanged.
+// Basic-form-only rule), leaving the fragment unchanged. A committed
+// corruption replaces *c wholesale, so mutate a copy of an installed
+// fragment's Result, never &f.Result itself.
 type Mutation struct {
 	Name  string
 	Rule  Rule
-	Apply func(c *Code, cfg Config) bool
+	Apply func(c *translate.Result, cfg Config) bool
 }
 
 // scratch registers used as corruption targets; like the translator's
@@ -33,7 +35,7 @@ const (
 
 // clone deep-copies the fragment so rejected candidate corruptions leave
 // the original untouched.
-func (c *Code) clone() *Code {
+func clone(c *translate.Result) *translate.Result {
 	d := *c
 	d.Insts = append([]ildp.Inst(nil), c.Insts...)
 	if c.Strands != nil {
@@ -58,7 +60,7 @@ func (c *Code) clone() *Code {
 
 // fixSize recomputes the recorded fragment size after a structural edit,
 // so only the intended rule sees the corruption.
-func fixSize(c *Code, cfg Config) {
+func fixSize(c *translate.Result, cfg Config) {
 	c.CodeBytes = 0
 	for i := range c.Insts {
 		c.CodeBytes += c.Insts[i].EncodedSize(cfg.Form)
@@ -67,17 +69,17 @@ func fixSize(c *Code, cfg Config) {
 
 // firesExactly reports whether the fragment violates the target rule and
 // no other.
-func firesExactly(c *Code, cfg Config, rule Rule) bool {
-	rules := Check(c, cfg).Rules()
+func firesExactly(c *translate.Result, cfg Config, rule Rule) bool {
+	rules := Verify(c, cfg).Rules()
 	return len(rules) == 1 && rules[0] == rule
 }
 
 // search tries sites 0..n-1: mutate edits the clone for a site (returning
 // false to skip it) and the first edit that fires exactly the target rule
 // is committed to c.
-func search(c *Code, cfg Config, rule Rule, n int, mutate func(d *Code, site int) bool) bool {
+func search(c *translate.Result, cfg Config, rule Rule, n int, mutate func(d *translate.Result, site int) bool) bool {
 	for site := 0; site < n; site++ {
-		d := c.clone()
+		d := clone(c)
 		if !mutate(d, site) {
 			continue
 		}
@@ -100,7 +102,7 @@ func pureReader(inst *ildp.Inst, cfg Config) bool {
 // accOwners returns, per instruction index, the accumulator-ownership
 // state just before that instruction (a row per instruction, a slot per
 // accumulator; ownerNone when undefined).
-func accOwners(c *Code, cfg Config) [][]int {
+func accOwners(c *translate.Result, cfg Config) [][]int {
 	owners := make([][]int, len(c.Insts))
 	cur := make([]int, cfg.NumAcc)
 	for i := range cur {
@@ -122,7 +124,7 @@ func accOwners(c *Code, cfg Config) [][]int {
 
 // inAccStates returns, per instruction index, the accumulator-only
 // architected-register set just before that instruction.
-func inAccStates(c *Code) []map[alpha.Reg]ildp.AccID {
+func inAccStates(c *translate.Result) []map[alpha.Reg]ildp.AccID {
 	states := make([]map[alpha.Reg]ildp.AccID, len(c.Insts))
 	inAcc := map[alpha.Reg]ildp.AccID{}
 	lost := map[alpha.Reg]bool{}
@@ -139,7 +141,7 @@ func inAccStates(c *Code) []map[alpha.Reg]ildp.AccID {
 
 // spliceInst removes instruction i, keeping the strand annotations
 // aligned.
-func spliceInst(c *Code, i int) {
+func spliceInst(c *translate.Result, i int) {
 	c.Insts = append(c.Insts[:i], c.Insts[i+1:]...)
 	if c.Strands != nil {
 		c.Strands = append(c.Strands[:i], c.Strands[i+1:]...)
@@ -147,7 +149,7 @@ func spliceInst(c *Code, i int) {
 }
 
 // insertInst inserts inst at position i with a strand-less annotation.
-func insertInst(c *Code, i int, inst ildp.Inst) {
+func insertInst(c *translate.Result, i int, inst ildp.Inst) {
 	c.Insts = append(c.Insts, ildp.Inst{})
 	copy(c.Insts[i+1:], c.Insts[i:])
 	c.Insts[i] = inst
@@ -185,8 +187,8 @@ func Mutations() []Mutation {
 
 // E1: give an accumulator-reading instruction a second GPR source by
 // rewriting its accumulator operand into a register read.
-func mutGPRSources(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleGPRSources, len(c.Insts), func(d *Code, i int) bool {
+func mutGPRSources(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleGPRSources, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if inst.NumGPRSources() != 1 || inst.NumAccSources() == 0 {
 			return false
@@ -204,8 +206,8 @@ func mutGPRSources(c *Code, cfg Config) bool {
 // E2: give a single-accumulator instruction a second accumulator source.
 // Both specifiers name the instruction's own accumulator, so the
 // dataflow rules stay satisfied and only the encoding rule can object.
-func mutAccSources(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleAccSources, len(c.Insts), func(d *Code, i int) bool {
+func mutAccSources(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleAccSources, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if inst.Kind == ildp.KindCMOV || inst.NumAccSources() != 1 {
 			return false
@@ -221,8 +223,8 @@ func mutAccSources(c *Code, cfg Config) bool {
 }
 
 // E3: point a pure accumulator reader past the configured file.
-func mutAccRange(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleAccRange, len(c.Insts), func(d *Code, i int) bool {
+func mutAccRange(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleAccRange, len(c.Insts), func(d *translate.Result, i int) bool {
 		if !pureReader(&d.Insts[i], cfg) {
 			return false
 		}
@@ -232,8 +234,8 @@ func mutAccRange(c *Code, cfg Config) bool {
 }
 
 // E4: strip the accumulator binding from a pure accumulator reader.
-func mutAccBinding(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleAccBinding, len(c.Insts), func(d *Code, i int) bool {
+func mutAccBinding(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleAccBinding, len(c.Insts), func(d *translate.Result, i int) bool {
 		if !pureReader(&d.Insts[i], cfg) {
 			return false
 		}
@@ -244,8 +246,8 @@ func mutAccBinding(c *Code, cfg Config) bool {
 
 // E5: record a fragment size the per-instruction size classes cannot sum
 // to.
-func mutSizeClass(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleSizeClass, 1, func(d *Code, _ int) bool {
+func mutSizeClass(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleSizeClass, 1, func(d *translate.Result, _ int) bool {
 		fixSize(d, cfg)
 		d.CodeBytes += 2
 		return true
@@ -255,8 +257,8 @@ func mutSizeClass(c *Code, cfg Config) bool {
 // E6: break the destination-specifier discipline — a Basic-form producer
 // that smuggles in a destination field, or a Modified-form producer whose
 // specifier disagrees with the architected result register.
-func mutFormDest(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleFormDest, len(c.Insts), func(d *Code, i int) bool {
+func mutFormDest(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleFormDest, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if !inst.ProducesResult() {
 			return false
@@ -281,12 +283,12 @@ func mutFormDest(c *Code, cfg Config) bool {
 
 // D1: redirect a pure accumulator reader to an accumulator nothing has
 // defined yet.
-func mutAccUndefined(c *Code, cfg Config) bool {
+func mutAccUndefined(c *translate.Result, cfg Config) bool {
 	if c.Strands == nil {
 		return false
 	}
 	owners := accOwners(c, cfg)
-	return search(c, cfg, RuleAccUndefined, len(c.Insts)*cfg.NumAcc, func(d *Code, site int) bool {
+	return search(c, cfg, RuleAccUndefined, len(c.Insts)*cfg.NumAcc, func(d *translate.Result, site int) bool {
 		i, a := site/cfg.NumAcc, site%cfg.NumAcc
 		if !pureReader(&d.Insts[i], cfg) || owners[i][a] != ownerNone {
 			return false
@@ -298,12 +300,12 @@ func mutAccUndefined(c *Code, cfg Config) bool {
 
 // D2: redirect a pure accumulator reader to an accumulator currently
 // owned by a different strand.
-func mutStrandBleed(c *Code, cfg Config) bool {
+func mutStrandBleed(c *translate.Result, cfg Config) bool {
 	if c.Strands == nil {
 		return false
 	}
 	owners := accOwners(c, cfg)
-	return search(c, cfg, RuleStrandBleed, len(c.Insts)*cfg.NumAcc, func(d *Code, site int) bool {
+	return search(c, cfg, RuleStrandBleed, len(c.Insts)*cfg.NumAcc, func(d *translate.Result, site int) bool {
 		i, a := site/cfg.NumAcc, site%cfg.NumAcc
 		if !pureReader(&d.Insts[i], cfg) {
 			return false
@@ -318,11 +320,11 @@ func mutStrandBleed(c *Code, cfg Config) bool {
 
 // D3: make a strand reload read back a register other than the one its
 // value was spilled to.
-func mutSpillRestore(c *Code, cfg Config) bool {
+func mutSpillRestore(c *translate.Result, cfg Config) bool {
 	if c.Strands == nil {
 		return false
 	}
-	return search(c, cfg, RuleSpillRestore, len(c.Insts), func(d *Code, i int) bool {
+	return search(c, cfg, RuleSpillRestore, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if inst.Kind != ildp.KindCopyFromGPR || d.Strands[i] < 0 ||
 			inst.SrcA.Kind != ildp.SrcGPR {
@@ -350,11 +352,11 @@ func mutSpillRestore(c *Code, cfg Config) bool {
 
 // P1: drop the last PEI point from every table, as a translator that
 // forgot to log a potentially excepting instruction would.
-func mutPEITable(c *Code, cfg Config) bool {
+func mutPEITable(c *translate.Result, cfg Config) bool {
 	if len(c.PEI) == 0 {
 		return false
 	}
-	return search(c, cfg, RulePEITable, 1, func(d *Code, _ int) bool {
+	return search(c, cfg, RulePEITable, 1, func(d *translate.Result, _ int) bool {
 		d.PEI = d.PEI[:len(d.PEI)-1]
 		if len(d.PEIRecover) > 0 {
 			d.PEIRecover = d.PEIRecover[:len(d.PEIRecover)-1]
@@ -369,9 +371,9 @@ func mutPEITable(c *Code, cfg Config) bool {
 // P2: corrupt one recovery entry — drop a pair the trap hardware needs,
 // or (when every entry is empty, as in the Modified form) invent a pair
 // that would restore a stale accumulator value over live state.
-func mutStateRecover(c *Code, cfg Config) bool {
+func mutStateRecover(c *translate.Result, cfg Config) bool {
 	n := len(c.PEIRecover)
-	return search(c, cfg, RuleStateRecover, 2*n, func(d *Code, site int) bool {
+	return search(c, cfg, RuleStateRecover, 2*n, func(d *translate.Result, site int) bool {
 		k, inject := site%n, site >= n
 		if inject {
 			d.PEIRecover[k] = append(d.PEIRecover[k],
@@ -390,8 +392,8 @@ func mutStateRecover(c *Code, cfg Config) bool {
 // table to match, leaving a window where an architected value is in no
 // accumulator and not in the register file — precisely the corruption
 // the recovery-table check alone cannot see.
-func mutStateLost(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleStateLost, len(c.Insts), func(d *Code, i int) bool {
+func mutStateLost(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleStateLost, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if inst.Kind != ildp.KindCopyToGPR || inst.Class != ildp.ClassCopy ||
 			inst.Dest == alpha.RegZero || int(inst.Dest) >= alpha.NumRegs {
@@ -407,9 +409,9 @@ func mutStateLost(c *Code, cfg Config) bool {
 // P4: redirect a register source at an architected register whose current
 // value lives in an accumulator, so the instruction would read the stale
 // register-file copy.
-func mutStaleRead(c *Code, cfg Config) bool {
+func mutStaleRead(c *translate.Result, cfg Config) bool {
 	states := inAccStates(c)
-	return search(c, cfg, RuleStaleRead, len(c.Insts)*alpha.NumRegs, func(d *Code, site int) bool {
+	return search(c, cfg, RuleStaleRead, len(c.Insts)*alpha.NumRegs, func(d *translate.Result, site int) bool {
 		i, r := site/alpha.NumRegs, alpha.Reg(site%alpha.NumRegs)
 		if _, ok := states[i][r]; !ok {
 			return false
@@ -431,8 +433,8 @@ func mutStaleRead(c *Code, cfg Config) bool {
 }
 
 // C1: make the set-VPC prologue claim the wrong fragment entry address.
-func mutPrologue(c *Code, cfg Config) bool {
-	return search(c, cfg, RulePrologue, 1, func(d *Code, _ int) bool {
+func mutPrologue(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RulePrologue, 1, func(d *translate.Result, _ int) bool {
 		if len(d.Insts) == 0 || d.Insts[0].Kind != ildp.KindSetVPC {
 			return false
 		}
@@ -443,8 +445,8 @@ func mutPrologue(c *Code, cfg Config) bool {
 
 // C2: append a second unconditional transfer, making the original
 // terminator unreachable body code.
-func mutTerminator(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleTerminator, 1, func(d *Code, _ int) bool {
+func mutTerminator(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleTerminator, 1, func(d *translate.Result, _ int) bool {
 		insertInst(d, len(d.Insts), ildp.Inst{
 			Kind: ildp.KindBranch, Acc: ildp.NoAcc,
 			Dest: alpha.RegZero, ArchDest: alpha.RegZero,
@@ -457,9 +459,9 @@ func mutTerminator(c *Code, cfg Config) bool {
 
 // C3: desynchronise the exit stubs from the chain mode — remove a
 // push-dual-ras under SWPredRAS, or plant one under a mode with no RAS.
-func mutChainMode(c *Code, cfg Config) bool {
+func mutChainMode(c *translate.Result, cfg Config) bool {
 	if cfg.Chain == translate.SWPredRAS {
-		return search(c, cfg, RuleChainMode, len(c.Insts), func(d *Code, i int) bool {
+		return search(c, cfg, RuleChainMode, len(c.Insts), func(d *translate.Result, i int) bool {
 			if d.Insts[i].Kind != ildp.KindPushRAS {
 				return false
 			}
@@ -468,7 +470,7 @@ func mutChainMode(c *Code, cfg Config) bool {
 			return true
 		})
 	}
-	return search(c, cfg, RuleChainMode, len(c.Insts), func(d *Code, i int) bool {
+	return search(c, cfg, RuleChainMode, len(c.Insts), func(d *translate.Result, i int) bool {
 		if i == 0 {
 			return false // never before the prologue
 		}
@@ -484,8 +486,8 @@ func mutChainMode(c *Code, cfg Config) bool {
 
 // C4: retarget the jump-target latch at a scratch register, so dispatch
 // transfers run on a stale latch.
-func mutJTarget(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleJTarget, len(c.Insts), func(d *Code, i int) bool {
+func mutJTarget(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleJTarget, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if inst.Dest != ildp.RegJTarget {
 			return false
@@ -498,8 +500,8 @@ func mutJTarget(c *Code, cfg Config) bool {
 
 // C5: attach a fragment link to a translator exit, which must leave
 // translated code unconditionally.
-func mutFragLink(c *Code, cfg Config) bool {
-	return search(c, cfg, RuleFragLink, len(c.Insts), func(d *Code, i int) bool {
+func mutFragLink(c *translate.Result, cfg Config) bool {
+	return search(c, cfg, RuleFragLink, len(c.Insts), func(d *translate.Result, i int) bool {
 		switch d.Insts[i].Kind {
 		case ildp.KindCallTrans, ildp.KindCallTransCond:
 		default:
@@ -523,7 +525,7 @@ func mutFragLink(c *Code, cfg Config) bool {
 // accepts, and returns false when the fragment offers no such site.
 type SemanticMutation struct {
 	Name  string
-	Apply func(c *Code, cfg Config) bool
+	Apply func(c *translate.Result, cfg Config) bool
 }
 
 // SemanticMutations returns the structurally-invisible corruptions.
@@ -538,13 +540,13 @@ func SemanticMutations() []SemanticMutation {
 
 // semSearch is search's semantic twin: the committed site must leave the
 // fragment fully acceptable to every structural rule.
-func semSearch(c *Code, cfg Config, n int, mutate func(d *Code, site int) bool) bool {
+func semSearch(c *translate.Result, cfg Config, n int, mutate func(d *translate.Result, site int) bool) bool {
 	for site := 0; site < n; site++ {
-		d := c.clone()
+		d := clone(c)
 		if !mutate(d, site) {
 			continue
 		}
-		if Check(d, cfg).OK() {
+		if Verify(d, cfg).OK() {
 			*c = *d
 			return true
 		}
@@ -558,7 +560,7 @@ func semSearch(c *Code, cfg Config, n int, mutate func(d *Code, site int) bool) 
 // state carries it), or the written accumulator is copied to such a
 // register before being overwritten. Conservative — it only admits
 // sites where a semantic change is guaranteed visible at some exit.
-func valueObservable(c *Code, i int) bool {
+func valueObservable(c *translate.Result, i int) bool {
 	inst := &c.Insts[i]
 	if archDestLivesOut(c, i+1, inst.Dest) {
 		return true
@@ -610,7 +612,7 @@ func readsAcc(inst *ildp.Inst, a ildp.AccID) bool {
 
 // archDestLivesOut reports whether r is an architected register no
 // instruction at or after index j writes.
-func archDestLivesOut(c *Code, j int, r alpha.Reg) bool {
+func archDestLivesOut(c *translate.Result, j int, r alpha.Reg) bool {
 	if r == alpha.RegZero || int(r) >= alpha.NumRegs {
 		return false
 	}
@@ -650,7 +652,7 @@ func sameSrc(a, b ildp.Src) bool {
 // S1: swap the operands of a non-commutative core ALU instruction. The
 // operand counts, accumulator dataflow, and encoding class are all
 // unchanged, but a-b becomes b-a.
-func mutSwapOperands(c *Code, cfg Config) bool {
+func mutSwapOperands(c *translate.Result, cfg Config) bool {
 	nonCommutative := map[alpha.Op]bool{
 		alpha.OpSUBQ: true, alpha.OpSUBL: true,
 		alpha.OpCMPLT: true, alpha.OpCMPLE: true,
@@ -658,7 +660,7 @@ func mutSwapOperands(c *Code, cfg Config) bool {
 		alpha.OpSLL: true, alpha.OpSRL: true, alpha.OpSRA: true,
 		alpha.OpBIC: true, alpha.OpORNOT: true,
 	}
-	return semSearch(c, cfg, len(c.Insts), func(d *Code, i int) bool {
+	return semSearch(c, cfg, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if inst.Kind != ildp.KindALU || inst.Class != ildp.ClassCore ||
 			!nonCommutative[inst.Op] || sameSrc(inst.SrcA, inst.SrcB) {
@@ -680,8 +682,8 @@ func mutSwapOperands(c *Code, cfg Config) bool {
 
 // S2: nudge an ALU immediate by one — the classic off-by-one a decoder
 // or constant pool could introduce with no structural trace.
-func mutLiteral(c *Code, cfg Config) bool {
-	return semSearch(c, cfg, len(c.Insts), func(d *Code, i int) bool {
+func mutLiteral(c *translate.Result, cfg Config) bool {
+	return semSearch(c, cfg, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if inst.Kind != ildp.KindALU || inst.Class != ildp.ClassCore ||
 			inst.SrcB.Kind != ildp.SrcImm {
@@ -699,8 +701,8 @@ func mutLiteral(c *Code, cfg Config) bool {
 // wrong address term directly; stores write the right value to the
 // wrong place. Always observable: the prover compares every memory
 // access's address.
-func mutDisplacement(c *Code, cfg Config) bool {
-	return semSearch(c, cfg, len(c.Insts), func(d *Code, i int) bool {
+func mutDisplacement(c *translate.Result, cfg Config) bool {
+	return semSearch(c, cfg, len(c.Insts), func(d *translate.Result, i int) bool {
 		inst := &d.Insts[i]
 		if inst.Class != ildp.ClassCore ||
 			(inst.Kind != ildp.KindLoad && inst.Kind != ildp.KindStore) {
@@ -715,8 +717,8 @@ func mutDisplacement(c *Code, cfg Config) bool {
 // register — the two-GPR-repair or strand-start copy now feeds the
 // strand from a different live value. Register liveness and strand
 // structure are untouched, so only term equivalence can object.
-func mutStrandSource(c *Code, cfg Config) bool {
-	return semSearch(c, cfg, len(c.Insts)*int(alpha.NumRegs), func(d *Code, site int) bool {
+func mutStrandSource(c *translate.Result, cfg Config) bool {
+	return semSearch(c, cfg, len(c.Insts)*int(alpha.NumRegs), func(d *translate.Result, site int) bool {
 		i, r := site/int(alpha.NumRegs), alpha.Reg(site%int(alpha.NumRegs))
 		inst := &d.Insts[i]
 		if inst.Kind != ildp.KindCopyFromGPR || inst.SrcA.Kind != ildp.SrcGPR ||

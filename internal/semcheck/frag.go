@@ -6,6 +6,7 @@ import (
 	"github.com/ildp/accdbt/internal/alpha"
 	"github.com/ildp/accdbt/internal/emu"
 	"github.com/ildp/accdbt/internal/ildp"
+	"github.com/ildp/accdbt/internal/translate"
 )
 
 // numIReg is the I-ISA register file size (architected + VM scratch).
@@ -18,7 +19,7 @@ const numIReg = ildp.NumGPR
 // dispatch alternative and continues under the fall-through assumption.
 type fragWalk struct {
 	b      *builder
-	code   *Code
+	code   *translate.Result
 	regs   [numIReg]*Term
 	acc    [ildp.MaxAccumulators]*Term
 	assume []assumption
@@ -27,7 +28,7 @@ type fragWalk struct {
 	out    sides
 }
 
-func runFrag(b *builder, code *Code) (*sides, error) {
+func runFrag(b *builder, code *translate.Result) (*sides, error) {
 	w := &fragWalk{b: b, code: code}
 	for r := alpha.Reg(0); r < alpha.NumRegs; r++ {
 		w.regs[r] = b.initReg(r)

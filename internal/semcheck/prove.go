@@ -5,40 +5,14 @@ import (
 	"strings"
 
 	"github.com/ildp/accdbt/internal/alpha"
-	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/tcache"
 	"github.com/ildp/accdbt/internal/translate"
 )
 
-// Code is the prover's view of a translated fragment: enough to run the
-// symbolic I-ISA frontend. Both translator results (pre-install) and
-// installed fragments (possibly patched — patching preserves V-ISA exit
-// targets) adapt to it.
-type Code struct {
-	VStart       uint64
-	Insts        []ildp.Inst
-	PEI          []uint64
-	PEIRecover   [][]translate.RegAcc
-	Straightened bool
-}
-
-// FromResult adapts a translation result.
-func FromResult(res *translate.Result) *Code {
-	return &Code{
-		VStart: res.VStart, Insts: res.Insts,
-		PEI: res.PEI, PEIRecover: res.PEIRecover,
-		Straightened: res.Straightened,
-	}
-}
-
-// FromFragment adapts an installed (possibly patched) fragment.
-func FromFragment(f *tcache.Fragment) *Code {
-	return &Code{
-		VStart: f.VStart, Insts: f.Insts,
-		PEI: f.PEI, PEIRecover: f.PEIRecover,
-		Straightened: f.Straightened,
-	}
-}
+// FromFragment returns an installed (possibly patched — patching
+// preserves V-ISA exit targets) fragment's translation, the form Check
+// and Reconstruct read.
+func FromFragment(f *tcache.Fragment) *translate.Result { return &f.Result }
 
 // CEKind classifies counterexamples.
 type CEKind uint8
@@ -145,13 +119,14 @@ func (p *prover) eq(x, y *Term, as []assumption) bool {
 	return p.b.subst(x, bind, memo) == p.b.subst(y, bind, memo)
 }
 
-// Prove symbolically runs the superblock and the fragment from a common
-// initial state and checks every obligation: per side exit the
+// Check symbolically runs the superblock and the translation — a
+// translator's result or an installed fragment's &f.Result — from a
+// common initial state and checks every obligation: per side exit the
 // condition, target, and architected register file; per fragment-end
 // alternative the register file, full memory-effect lists, and next
 // V-PC; and per potentially-excepting instruction the precise trap
 // state. It never returns nil.
-func Prove(sb *translate.Superblock, code *Code) *Report {
+func Check(sb *translate.Superblock, code *translate.Result) *Report {
 	rep := &Report{VStart: code.VStart, SrcInsts: len(sb.Insts), IInsts: len(code.Insts)}
 	p := &prover{b: newBuilder(), rep: rep}
 
@@ -174,11 +149,6 @@ func Prove(sb *translate.Superblock, code *Code) *Report {
 	rep.Exits = len(av.exits)
 	rep.Finals = len(fv.finals)
 	return rep
-}
-
-// Check proves a translation result against its source superblock.
-func Check(sb *translate.Superblock, res *translate.Result) *Report {
-	return Prove(sb, FromResult(res))
 }
 
 func (p *prover) compareExits(av, fv *sides) {

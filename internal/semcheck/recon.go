@@ -19,7 +19,7 @@ const reconLimit = 4096
 // and the branch sense is recovered by matching each decoded branch's
 // condition against the emitted (possibly reversed) exit condition.
 // read fetches one instruction word of guest memory.
-func Reconstruct(read func(addr uint64) (alpha.Word, error), code *Code) (*translate.Superblock, error) {
+func Reconstruct(read func(addr uint64) (alpha.Word, error), code *translate.Result) (*translate.Superblock, error) {
 	vpcs := sourceVPCs(code)
 	if len(vpcs) == 0 {
 		return nil, fmt.Errorf("semcheck: fragment at %#x has no source V-PCs", code.VStart)
@@ -128,7 +128,7 @@ func Reconstruct(read func(addr uint64) (alpha.Word, error), code *Code) (*trans
 
 // sourceVPCs returns the ordered distinct V-PCs of the fragment's
 // source instructions.
-func sourceVPCs(code *Code) []uint64 {
+func sourceVPCs(code *translate.Result) []uint64 {
 	var vpcs []uint64
 	for i := range code.Insts {
 		vpc := code.Insts[i].VPC
@@ -150,7 +150,7 @@ type exitSite struct {
 
 // coreExits returns the fragment's core conditional exits in order
 // (call-transfer conditionals, or direct links after patching).
-func coreExits(code *Code) []exitSite {
+func coreExits(code *translate.Result) []exitSite {
 	var exits []exitSite
 	for i := range code.Insts {
 		inst := &code.Insts[i]
@@ -167,7 +167,7 @@ func coreExits(code *Code) []exitSite {
 // chainTargets extracts the software-prediction target (last load-ETA)
 // and the fall-off continuation address (trailing unconditional
 // transfer with a V-ISA target).
-func chainTargets(code *Code) (predTarget, nextPC uint64, hasNext bool) {
+func chainTargets(code *translate.Result) (predTarget, nextPC uint64, hasNext bool) {
 	for i := range code.Insts {
 		if code.Insts[i].Kind == ildp.KindLoadETA {
 			predTarget = code.Insts[i].VAddr

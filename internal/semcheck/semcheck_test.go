@@ -3,6 +3,7 @@ package semcheck_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -261,7 +262,7 @@ func TestReconstructAndProve(t *testing.T) {
 	exits, finals := 0, 0
 	for i := range corpus(t) {
 		e := &corpus(t)[i]
-		code := semcheck.FromFragment(e.frag)
+		code := &e.frag.Result
 		sb, err := semcheck.Reconstruct(e.read, code)
 		if err != nil {
 			t.Errorf("%s: %v", e.label, err)
@@ -270,7 +271,7 @@ func TestReconstructAndProve(t *testing.T) {
 		if sb.StartPC != e.frag.VStart {
 			t.Errorf("%s: reconstructed start %#x, want %#x", e.label, sb.StartPC, e.frag.VStart)
 		}
-		rep := semcheck.Prove(sb, code)
+		rep := semcheck.Check(sb, code)
 		if !rep.OK() {
 			t.Errorf("%s:\n%s", e.label, rep)
 		}
@@ -347,26 +348,24 @@ func TestSemanticMutationsRejected(t *testing.T) {
 			applied := 0
 			for i := range entries {
 				e := &entries[i]
-				code := iverify.FromFragment(e.frag)
+				code := e.frag.Result
 				if code.Straightened {
 					continue // the structural verifier has no straightened rules
 				}
-				if !m.Apply(code, e.vcfg) {
+				if !m.Apply(&code, e.vcfg) {
 					continue
 				}
 				applied++
 				// The mutation is self-verifying: the structural rules
 				// still accept. Re-check to keep that honest.
-				if rep := iverify.Check(code, e.vcfg); !rep.OK() {
+				if rep := iverify.Verify(&code, e.vcfg); !rep.OK() {
 					t.Fatalf("%s: mutation is not structurally invisible:\n%s", e.label, rep)
 				}
-				sb, err := semcheck.Reconstruct(e.read, semcheck.FromFragment(e.frag))
+				sb, err := semcheck.Reconstruct(e.read, &e.frag.Result)
 				if err != nil {
 					t.Fatalf("%s: %v", e.label, err)
 				}
-				mutated := &semcheck.Code{VStart: code.VStart, Insts: code.Insts,
-					PEI: code.PEI, PEIRecover: code.PEIRecover}
-				rep := semcheck.Prove(sb, mutated)
+				rep := semcheck.Check(sb, &code)
 				if rep.OK() {
 					t.Errorf("%s: prover accepted the %s corruption", e.label, m.Name)
 				}
@@ -537,13 +536,13 @@ func BenchmarkProve(b *testing.B) {
 	insts := 0
 	type pair struct {
 		sb   *translate.Superblock
-		code *semcheck.Code
+		code *translate.Result
 	}
 	pairs := make([]pair, 0, len(entries))
 	for i := range entries {
 		e := &entries[i]
 		insts += len(e.frag.Insts)
-		code := semcheck.FromFragment(e.frag)
+		code := &e.frag.Result
 		sb, err := semcheck.Reconstruct(e.read, code)
 		if err != nil {
 			b.Fatal(err)
@@ -553,7 +552,7 @@ func BenchmarkProve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pairs {
-			if rep := semcheck.Prove(p.sb, p.code); !rep.OK() {
+			if rep := semcheck.Check(p.sb, p.code); !rep.OK() {
 				b.Fatal(rep)
 			}
 		}
@@ -561,4 +560,94 @@ func BenchmarkProve(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(entries)*b.N)/b.Elapsed().Seconds(), "frags/s")
 	b.ReportMetric(float64(insts*b.N)/b.Elapsed().Seconds(), "insts/s")
+}
+
+// overlap pins, per structural rule, how its mutation fared over the
+// corpus: the fragments where Apply found a site, and how many of those
+// mutated copies the prover also rejects.
+type overlap struct{ applied, proverRejects int }
+
+// TestCheckerOverlap records which checker catches each structural
+// corruption. Every mutation of iverify.Mutations is run on a deep copy
+// of every corpus fragment; wherever it applies, the structural rules
+// must reject the copy, and the prover's verdict on the same copy,
+// against the superblock reconstructed from the installed fragment, is
+// counted. A rule whose prover count equals its applied count is one
+// the prover covers at every site in the corpus — the evidence a
+// deletion of that rule would need.
+func TestCheckerOverlap(t *testing.T) {
+	want := map[string]overlap{
+		// The prover rejects every site.
+		"E1": {78, 78}, "D1": {141, 141}, "D3": {6, 6},
+		"P1": {156, 156}, "P2": {156, 156}, "P3": {39, 39}, "P4": {27, 27},
+		"C2": {180, 180}, "C4": {28, 28},
+		// The prover rejects some sites: the corrupted operand or
+		// specifier does not always change what the fragment computes.
+		"E2": {180, 96}, "E3": {160, 132}, "E4": {160, 156},
+		"E6": {180, 78}, "D2": {148, 144},
+		// The prover rejects no site: these rules check metadata it does
+		// not model (entry V-PC, recorded size, chain stub, link).
+		"E5": {180, 0}, "C1": {180, 0}, "C3": {124, 0}, "C5": {108, 0},
+	}
+	entries := corpus(t)
+	sbs := make([]*translate.Superblock, len(entries))
+	pristine := make([]translate.Result, len(entries))
+	for i := range entries {
+		e := &entries[i]
+		sb, err := semcheck.Reconstruct(e.read, &e.frag.Result)
+		if err != nil {
+			t.Fatalf("%s: %v", e.label, err)
+		}
+		sbs[i], pristine[i] = sb, deepCopy(&e.frag.Result)
+	}
+	got := map[string]overlap{}
+	for _, m := range iverify.Mutations() {
+		var o overlap
+		for i := range entries {
+			e := &entries[i]
+			res := deepCopy(&e.frag.Result)
+			if !m.Apply(&res, e.vcfg) {
+				continue
+			}
+			o.applied++
+			if iverify.Verify(&res, e.vcfg).OK() {
+				t.Errorf("%s on %s: the structural rules accept the mutated copy", m.Name, e.label)
+			}
+			if !semcheck.Check(sbs[i], &res).OK() {
+				o.proverRejects++
+			}
+		}
+		got[m.Rule.ID()] = o
+		t.Logf("%s %-24s applied %3d, prover rejects %3d", m.Rule.ID(), m.Name, o.applied, o.proverRejects)
+	}
+	for id, w := range want {
+		if got[id] != w {
+			t.Errorf("%s: applied %d, prover rejects %d; want %d, %d",
+				id, got[id].applied, got[id].proverRejects, w.applied, w.proverRejects)
+		}
+	}
+	for i := range entries {
+		if !reflect.DeepEqual(deepCopy(&entries[i].frag.Result), pristine[i]) {
+			t.Errorf("%s: the installed fragment changed", entries[i].label)
+		}
+	}
+}
+
+// deepCopy copies a translation's instruction stream and every table a
+// mutation may edit.
+func deepCopy(r *translate.Result) translate.Result {
+	d := *r
+	d.Insts = append([]ildp.Inst(nil), r.Insts...)
+	d.PEI = append([]uint64(nil), r.PEI...)
+	d.Strands = append([]int(nil), r.Strands...)
+	d.EndLive = append([]alpha.Reg(nil), r.EndLive...)
+	d.PEIRecover = make([][]translate.RegAcc, len(r.PEIRecover))
+	for i := range r.PEIRecover {
+		d.PEIRecover[i] = append([]translate.RegAcc(nil), r.PEIRecover[i]...)
+	}
+	d.ExitLive = make([][]alpha.Reg, len(r.ExitLive))
+	for i := range r.ExitLive {
+		d.ExitLive[i] = append([]alpha.Reg(nil), r.ExitLive[i]...)
+	}
+	return d
 }

@@ -147,11 +147,23 @@ func TestQuotaRejectThenReadmit(t *testing.T) {
 // TestQueueFull rejects admission beyond MaxSessions with ErrQueueFull.
 func TestQueueFull(t *testing.T) {
 	s := testServer(t, Options{Workers: 1, QuantumVInsts: 1 << 40, MaxSessions: 2})
+	// Hold the first session in its first quantum, so both sessions are
+	// still live when the over-capacity submit arrives however fast they
+	// would run.
+	release := make(chan struct{})
+	unhold := sync.OnceFunc(func() { close(release) })
+	defer unhold()
+	s.hookQuantum = func(sess *Session) {
+		if sess.Name == "vpr" {
+			<-release
+		}
+	}
 	a := submitWorkload(t, s, "vpr", 1, 0, "t0")
 	b := submitWorkload(t, s, "parser", 1, 0, "t0")
 	if _, err := s.Submit(nil, "t0", "over"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit: %v, want ErrQueueFull", err)
 	}
+	unhold()
 	waitDone(t, a, 60*time.Second)
 	waitDone(t, b, 60*time.Second)
 	// Capacity freed: admission works again.

@@ -24,20 +24,22 @@ const Base uint64 = 0x4000_0000
 // instructions").
 const DispatchLen = 20
 
-// Fragment is one translated superblock installed in the cache.
+// Fragment is one translated superblock installed in the cache: the
+// translator's Result (instructions, PEI and recovery tables, and the
+// metadata both fragment checkers read) plus its place in the cache.
+// Install aliases the Result's slices, so exit patching edits them in
+// place; a checker handed &f.Result sees the installed, possibly
+// patched, code.
 type Fragment struct {
-	ID     int32
-	VStart uint64
-	Insts  []ildp.Inst
+	translate.Result
+
+	ID int32
 
 	// IAddr is the fragment's base I-address; IAddrs the per-instruction
 	// addresses (laid out by encoded size for I-cache modelling).
 	IAddr  uint64
 	IAddrs []uint64
 	Sizes  []uint8
-
-	PEI        []uint64
-	PEIRecover [][]translate.RegAcc
 
 	// tallies[n] counts Insts[:n]; see Tally.
 	tallies []Tally
@@ -58,24 +60,8 @@ type Fragment struct {
 	// Insts must reset it to nil.
 	Ops []Op
 
-	// Strands, ExitLive, and EndLive carry the translation metadata the
-	// static fragment verifier checks installed code against (see
-	// translate.Result for their semantics). Strands is nil for
-	// straightened fragments.
-	Strands  []int
-	ExitLive [][]alpha.Reg
-	EndLive  []alpha.Reg
-
-	SrcCount  int
-	CodeBytes int
-	SrcBytes  int
-
 	// ExecCount counts entries into this fragment.
 	ExecCount uint64
-
-	// Straightened marks a code-straightening-only fragment (see
-	// translate.Result.Straightened).
-	Straightened bool
 
 	// StoreKey is the content address of the shared fragment-store
 	// artifact this fragment was installed from (all zero when the
@@ -489,20 +475,10 @@ func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
 		return nil, fmt.Errorf("tcache: duplicate fragment for %#x", res.VStart)
 	}
 	f := &Fragment{
-		ID:           int32(len(c.frags)),
-		VStart:       res.VStart,
-		Insts:        res.Insts,
-		PEI:          res.PEI,
-		PEIRecover:   res.PEIRecover,
-		tallies:      prefixTallies(res.Insts),
-		Strands:      res.Strands,
-		ExitLive:     res.ExitLive,
-		EndLive:      res.EndLive,
-		SrcCount:     res.SrcCount,
-		CodeBytes:    res.CodeBytes,
-		SrcBytes:     res.SrcBytes,
-		Straightened: res.Straightened,
-		IAddr:        c.next,
+		Result:  *res,
+		ID:      int32(len(c.frags)),
+		tallies: prefixTallies(res.Insts),
+		IAddr:   c.next,
 	}
 	form := c.form
 	for i := range f.Insts {

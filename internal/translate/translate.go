@@ -166,7 +166,9 @@ func (u *UsageCounts) Total() int64 {
 	return t
 }
 
-// Result is the output of translating one superblock.
+// Result is the output of translating one superblock. It is the one
+// fragment type from translator to cache: an installed tcache.Fragment
+// embeds it, and both fragment checkers (iverify, semcheck) read it.
 type Result struct {
 	VStart uint64
 	Form   ildp.Form

@@ -33,7 +33,7 @@ func lintInstalled(t *testing.T, label string, v *VM) int {
 	}
 	n := 0
 	for id := int32(0); int(id) < tc.Len(); id++ {
-		rep := iverify.Check(iverify.FromFragment(tc.Frag(id)), cfg)
+		rep := iverify.Verify(&tc.Frag(id).Result, cfg)
 		if !rep.OK() {
 			t.Errorf("%s: installed fragment %d:\n%s", label, id, rep)
 		}

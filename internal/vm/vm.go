@@ -23,7 +23,6 @@ import (
 	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/prof"
-	"github.com/ildp/accdbt/internal/semcheck"
 	"github.com/ildp/accdbt/internal/tcache"
 	"github.com/ildp/accdbt/internal/trace"
 	"github.com/ildp/accdbt/internal/translate"
@@ -640,11 +639,8 @@ func (v *VM) finishRecording(end translate.EndKind, nextPC uint64) error {
 		if errors.Is(err, translate.ErrEmptySuperblock) {
 			return nil // nothing worth translating (all NOPs)
 		}
-		werr := fmt.Errorf("vm: translating superblock at %#x: %w", sb.StartPC, err)
-		if v.cfg.SelfHeal {
-			return v.translateFailed(sb.StartPC, werr)
-		}
-		return werr
+		return v.translateFailed(sb.StartPC,
+			fmt.Errorf("vm: translating superblock at %#x: %w", sb.StartPC, err))
 	}
 	if injectKind == faultinject.KindPoisonTranslate && v.cfg.Verify {
 		// Poison is only applied where the install-time verifier will
@@ -683,35 +679,32 @@ func (v *VM) finishRecording(end translate.EndKind, nextPC uint64) error {
 	if v.testMutateResult != nil {
 		v.testMutateResult(res)
 	}
+	var want iverify.Checks
 	if v.cfg.Verify {
-		rep := iverify.Verify(res, iverify.Config{
-			Form: v.cfg.Form, NumAcc: v.cfg.NumAcc, Chain: v.cfg.Chain,
-		})
+		want |= iverify.CheckRules
+	}
+	if v.cfg.SemCheck {
+		want |= iverify.CheckProof
+	}
+	adm, err := iverify.Admit(res, &sb, iverify.Config{
+		Form: v.cfg.Form, NumAcc: v.cfg.NumAcc, Chain: v.cfg.Chain,
+	}, want)
+	if rep := adm.Rules; rep != nil {
 		v.cfg.Metrics.Event(metrics.Event{Kind: metrics.EventVerify, Frag: -1,
 			VStart: res.VStart, OK: rep.OK(), Skipped: rep.Skipped})
-		if !rep.OK() {
-			verr := fmt.Errorf("vm: fragment verification failed:\n%s", rep)
-			if v.cfg.SelfHeal {
-				return v.translateFailed(sb.StartPC, verr)
-			}
-			return verr
-		}
-		if !rep.Skipped {
+		if rep.OK() && !rep.Skipped {
 			v.Stats.FragsVerified++
 		}
 	}
-	if v.cfg.SemCheck {
-		rep := semcheck.Check(&sb, res)
+	if rep := adm.Proof; rep != nil {
 		v.cfg.Metrics.Event(metrics.Event{Kind: metrics.EventProve, Frag: -1,
 			VStart: res.VStart, OK: rep.OK()})
-		if !rep.OK() {
-			perr := fmt.Errorf("vm: fragment equivalence proof failed:\n%s", rep)
-			if v.cfg.SelfHeal {
-				return v.translateFailed(sb.StartPC, perr)
-			}
-			return perr
+		if rep.OK() {
+			v.Stats.FragsProved++
 		}
-		v.Stats.FragsProved++
+	}
+	if err != nil {
+		return v.translateFailed(sb.StartPC, fmt.Errorf("vm: %w", err))
 	}
 	if viaStore {
 		// The store's artifact is immutable and possibly shared with
@@ -745,13 +738,11 @@ func (v *VM) finishRecording(end translate.EndKind, nextPC uint64) error {
 // translateSB runs the configured translator over one superblock — the
 // pure function the shared fragment store memoizes.
 func (v *VM) translateSB(sb *translate.Superblock) (*translate.Result, error) {
-	if v.cfg.Straighten {
-		return translate.Straighten(sb, v.cfg.Chain)
+	cfg := v.storeConfig()
+	if cfg.Straighten {
+		return translate.Straighten(sb, cfg.Translate.Chain)
 	}
-	return translate.Translate(sb, translate.Config{
-		Form: v.cfg.Form, NumAcc: v.cfg.NumAcc, Chain: v.cfg.Chain,
-		FuseMemOps: v.cfg.FuseMemOps,
-	})
+	return translate.Translate(sb, cfg.Translate)
 }
 
 // storeConfig returns this VM's translation configuration as the
