@@ -97,6 +97,20 @@ echo "== interpreter benchmark smoke (one iteration)"
 # one iteration keeps it building and running.
 go test -run '^$' -bench '^BenchmarkInterpreter$' -benchtime 1x .
 
+echo "== interpreter inlining (fetch and memo hit paths)"
+# The interpreter's speed rests on the fetch slot's hit path
+# (mem.FetchHit) and the decode memo's (emu.decodedHit) inlining into
+# Step and FetchDecode. Losing either is silent: the build and every
+# test still pass, only slower. The compiler's -m report names each
+# inlined call.
+inl=$(go build -gcflags=-m ./internal/emu 2>&1)
+for call in 'mem.(*Memory).FetchHit' '(*CPU).decodedHit'; do
+    if ! printf '%s\n' "$inl" | grep -qF "inlining call to $call"; then
+        echo "ci: $call is no longer inlined into internal/emu" >&2
+        exit 1
+    fi
+done
+
 echo "== timing-model benchmark smoke (one iteration each)"
 # BenchmarkTimingModelILDP and BenchmarkTimingModelOoO are the timed
 # runs' ns-per-record rows (gzip on the ILDP and Original machines);

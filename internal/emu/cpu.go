@@ -55,24 +55,27 @@ type CPU struct {
 	lockFlag bool
 	lockAddr uint64
 
-	// memo caches decoded instructions, direct-mapped by a Fibonacci
-	// hash of the instruction word. Decode is a pure function of the
-	// word, and FetchDecode reads the word from memory on every step, so
-	// a store that rewrites code changes the key and needs no
-	// invalidation. An entry whose Op is OpInvalid is empty.
+	// memo caches decoded instructions. It is indexed by PC
+	// (MemoIndex) and keyed by the instruction word: an entry serves a
+	// fetch only when its Raw equals the word just fetched. Decode is a
+	// pure function of the word, and FetchDecode reads the word from
+	// memory on every step, so a store that rewrites code changes the
+	// word the next fetch compares and needs no invalidation. An entry
+	// whose Op is OpInvalid is empty.
 	memo [MemoSlots]alpha.Inst
 }
 
-// MemoSlots is the size of the decode memo, 7 KiB per CPU. Over the
-// twelve kernels at scale 2, 91% of fetches hit at 256 slots (parser,
-// the worst, 76%) and 95% at 1024; a server holds one memo per resident
-// CPU, so the table stays small. Other per-word memos (the VM's
-// interpreted trace records) use the same size and index.
+// MemoSlots is the size of the decode memo, 7 KiB per CPU. Indexed by
+// PC, 256 slots hold any loop of up to 256 instructions without a
+// conflict: over oracle-diff's 96 guests 99.95% of fetches hit (gcc,
+// the worst, 99.75%). A server holds one memo per resident CPU, so the
+// table stays small. The VM's memo of interpreted trace records uses
+// the same size and index.
 const MemoSlots = 256
 
-// MemoIndex is the memo slot of instruction word w: the top eight bits
-// of its Fibonacci hash.
-func MemoIndex(w uint32) uint32 { return (w * 0x9E3779B1) >> 24 }
+// MemoIndex is the memo slot of the instruction at pc: its word index
+// modulo MemoSlots.
+func MemoIndex(pc uint64) uint64 { return (pc >> 2) & (MemoSlots - 1) }
 
 // New returns a CPU with the given memory, PC 0, and all registers zero.
 func New(m *mem.Memory) *CPU {
@@ -115,22 +118,52 @@ func (c *CPU) WriteReg(r alpha.Reg, v uint64) {
 // the next FetchDecode on this CPU, which may overwrite it. Callers that
 // keep the instruction longer copy it.
 func (c *CPU) FetchDecode() (*alpha.Inst, error) {
+	if inst := c.decodedHit(); inst != nil {
+		return inst, nil
+	}
+	return c.fetchDecodeMiss()
+}
+
+// decodedHit is FetchDecode's hit path, small enough to inline into the
+// step loops: the memoised instruction at PC when the fetch slot holds
+// PC's page and the memo entry holds the word fetched, and nil
+// otherwise.
+func (c *CPU) decodedHit() *alpha.Inst {
+	w, ok := c.Mem.FetchHit(c.PC)
+	e := &c.memo[MemoIndex(c.PC)]
+	if !ok || e.Raw != alpha.Word(w) || e.Op == alpha.OpInvalid {
+		return nil
+	}
+	return e
+}
+
+// fetchDecodeMiss is FetchDecode's miss path: it fetches through
+// Fetch32, which raises every fault, and refills the memo entry when it
+// does not hold the word fetched.
+func (c *CPU) fetchDecodeMiss() (*alpha.Inst, error) {
 	w, err := c.Mem.Fetch32(c.PC)
 	if err != nil {
 		return nil, &Trap{PC: c.PC, Cause: err}
 	}
-	e := &c.memo[MemoIndex(w)]
+	e := &c.memo[MemoIndex(c.PC)]
 	if e.Raw != alpha.Word(w) || e.Op == alpha.OpInvalid {
 		*e = alpha.Decode(alpha.Word(w))
 	}
 	return e, nil
 }
 
-// Step fetches, decodes, and executes one instruction.
+// Step fetches, decodes, and executes one instruction. On a fetch and
+// memo hit it makes one call, to Exec. It repeats FetchDecode's two
+// paths rather than call it: FetchDecode is too large to inline, and
+// the extra call read slower in 17 of 20 oracle-diff benchmark pairs
+// (EXPERIMENTS.md note 20).
 func (c *CPU) Step() error {
-	inst, err := c.FetchDecode()
-	if err != nil {
-		return err
+	inst := c.decodedHit()
+	if inst == nil {
+		var err error
+		if inst, err = c.fetchDecodeMiss(); err != nil {
+			return err
+		}
 	}
 	return c.Exec(inst)
 }

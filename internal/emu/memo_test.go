@@ -37,52 +37,71 @@ patch:
 	}
 }
 
-// TestMemoSlotCollision executes two distinct words that share a memo
-// slot alternately: each refill evicts the other, and both must still
-// execute as themselves.
+// TestMemoSlotCollision executes two different words MemoSlots*4
+// bytes apart, which share a memo slot, alternately: each refill evicts
+// the other, and both must still execute as themselves.
 func TestMemoSlotCollision(t *testing.T) {
-	w1, err := alpha.EncodeOperateL(alpha.OpADDQ, alpha.RegV0, 1, alpha.RegV0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w2 alpha.Word
-	var rc alpha.Reg
-	var lit uint8
-search:
-	for _, rc = range []alpha.Reg{4, 5, 6, 7, 8} { // t3..t7
-		for l := 2; l < 256; l++ {
-			w, err := alpha.EncodeOperateL(alpha.OpADDQ, rc, uint8(l), rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if MemoIndex(uint32(w)) == MemoIndex(uint32(w1)) {
-				w2, lit = w, uint8(l)
-				break search
-			}
-		}
-	}
-	if w2 == 0 {
-		t.Fatal("no colliding word found")
+	const first, second = 0x10100, 0x10100 + MemoSlots*4
+	if MemoIndex(first) != MemoIndex(second) {
+		t.Fatalf("MemoIndex(%#x) = %d, MemoIndex(%#x) = %d; want one slot",
+			first, MemoIndex(first), second, MemoIndex(second))
 	}
 	const iters = 50
-	cpu := run(t, fmt.Sprintf(`
+	cpu := New(mem.New())
+	if err := cpu.LoadProgram(alphaasm.MustAssemble(fmt.Sprintf(`
 	.text 0x10000
 start:
 	lda  t2, %d(zero)
 	clr  v0
-	clr  %s
-loop:
+	clr  t3
+	br   first
+	.org %#x
+first:
 	addq v0, #1, v0
-	addq %s, #%d, %s
+	br   second
+back:
 	subq t2, #1, t2
-	bne  t2, loop
+	bne  t2, first
 	call_pal halt
-`, iters, rc, rc, lit, rc), 1000)
+	.org %#x
+second:
+	addq t3, #2, t3
+	br   back
+`, iters, first, second))); err != nil {
+		t.Fatal(err)
+	}
+	words := map[uint64]uint32{}
+	for _, pc := range []uint64{first, second} {
+		w, err := cpu.Mem.Read32(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words[pc] = w
+	}
+	if words[first] == words[second] {
+		t.Fatal("the two colliding words are equal")
+	}
+	visits := 0
+	for !cpu.Halted && cpu.InstCount < 10*iters {
+		pc := cpu.PC
+		if err := cpu.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := words[pc]; ok {
+			visits++
+			if got := uint32(cpu.memo[MemoIndex(pc)].Raw); got != w {
+				t.Fatalf("visit %d at %#x: slot holds %#x, want %#x", visits, pc, got, w)
+			}
+		}
+	}
+	if !cpu.Halted || visits != 2*iters {
+		t.Fatalf("halted %v after %d visits to the colliding words, want %d", cpu.Halted, visits, 2*iters)
+	}
 	if got := cpu.Reg[alpha.RegV0]; got != iters {
 		t.Errorf("v0 = %d, want %d", got, iters)
 	}
-	if got, want := cpu.Reg[rc], uint64(iters)*uint64(lit); got != want {
-		t.Errorf("%v = %d, want %d", rc, got, want)
+	if got := cpu.Reg[alpha.RegT0+3]; got != 2*iters {
+		t.Errorf("t3 = %d, want %d", got, 2*iters)
 	}
 }
 

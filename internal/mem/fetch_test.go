@@ -48,6 +48,93 @@ func TestFetch32FaultParity(t *testing.T) {
 	}
 }
 
+// TestFetchSlotParity checks the fetch slot's one-compare key: FetchHit
+// never serves a misaligned address, a page LoadSnapshot dropped or
+// replaced, or anything from the zero Memory, and each of those fetches
+// then fails or reads exactly as Read32 does.
+func TestFetchSlotParity(t *testing.T) {
+	same := func(t *testing.T, m *Memory, addr uint64) {
+		t.Helper()
+		if w, ok := m.FetchHit(addr); ok {
+			t.Fatalf("FetchHit(%#x) = %#x, true; want a miss", addr, w)
+		}
+		fv, ferr := m.Fetch32(addr)
+		rv, rerr := m.Read32(addr)
+		if !reflect.DeepEqual(ferr, rerr) || fv != rv {
+			t.Fatalf("Fetch32(%#x) = %#x, %#v; Read32 = %#x, %#v", addr, fv, ferr, rv, rerr)
+		}
+	}
+
+	t.Run("misaligned-after-hit", func(t *testing.T) {
+		m := New()
+		m.Strict = true
+		m.Map(0x3000, PageSize)
+		if _, err := m.Fetch32(0x3000); err != nil {
+			t.Fatal(err)
+		}
+		for _, addr := range []uint64{0x3001, 0x3002, 0x3003, 0x3ffd, 0x3fff} {
+			if _, ok := m.FetchHit(0x3004); !ok {
+				t.Fatal("aligned fetch on the slot's page missed")
+			}
+			same(t, m, addr)
+			var af *AlignmentFault
+			if _, err := m.Fetch32(addr); !errors.As(err, &af) {
+				t.Fatalf("Fetch32(%#x) = %v, want an AlignmentFault", addr, err)
+			}
+		}
+	})
+
+	t.Run("load-snapshot", func(t *testing.T) {
+		m := New()
+		m.Strict = true
+		m.Map(0x5000, PageSize)
+		m.Map(0x6000, PageSize)
+		if err := m.Write32(0x6000, 6); err != nil {
+			t.Fatal(err)
+		}
+		snap := m.Snapshot()
+		delete(snap, 0x5000>>PageBits)
+		for _, pc := range []uint64{0x5000, 0x6000} {
+			if err := m.Write32(pc, 99); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Fetch32(pc); err != nil {
+				t.Fatal(err)
+			}
+			m.LoadSnapshot(snap)
+			same(t, m, pc) // 0x5000 faults, 0x6000 reads the snapshot's 6
+		}
+		if v, _ := m.Fetch32(0x6000); v != 6 {
+			t.Fatalf("fetch after restore = %d, want the snapshot's 6", v)
+		}
+	})
+
+	t.Run("strict-unmapped", func(t *testing.T) {
+		m := New()
+		m.Strict = true
+		m.Map(0x7000, PageSize)
+		if _, err := m.Fetch32(0x7ffc); err != nil {
+			t.Fatal(err)
+		}
+		same(t, m, 0x8000) // the next page, unmapped
+		same(t, m, 0x6ffc) // the previous one
+		var af *AccessFault
+		if _, err := m.Fetch32(0x8000); !errors.As(err, &af) {
+			t.Fatalf("Fetch32 = %v, want an AccessFault", err)
+		}
+		if m.PageCount() != 1 {
+			t.Fatalf("%d pages mapped, want 1", m.PageCount())
+		}
+	})
+
+	t.Run("zero-memory", func(t *testing.T) {
+		for _, addr := range []uint64{0, 4} {
+			var m Memory
+			same(t, &m, addr)
+		}
+	})
+}
+
 // TestFetch32SeesWrites checks that a store to the page in the fetch
 // slot is visible to the next fetch: the slot caches the page, not its
 // bytes.

@@ -72,11 +72,13 @@ type Memory struct {
 	// Instruction fetch and data accesses alternate between text and
 	// data pages, so one shared slot would miss on nearly every access.
 	// Pages are never unmapped except by LoadSnapshot, which clears both
-	// slots, so a cached page is always the mapped one.
-	lastPN  uint64
-	last    *[PageSize]byte
-	fetchPN uint64
-	fetch   *[PageSize]byte
+	// slots, so a cached page is always the mapped one. fetchKey is the
+	// fetch page's base address with bit 2 set (fetchKeyOf), or zero
+	// when the slot is empty; no address's key is zero.
+	lastPN   uint64
+	last     *[PageSize]byte
+	fetchKey uint64
+	fetch    *[PageSize]byte
 	// Strict, when true, makes access to unmapped pages fault rather than
 	// allocate.
 	Strict bool
@@ -201,7 +203,7 @@ func (m *Memory) Snapshot() map[uint64][PageSize]byte {
 // previously mapped page not in the snapshot is unmapped. The snapshot
 // is copied, so later writes to the memory do not alias it.
 func (m *Memory) LoadSnapshot(pages map[uint64][PageSize]byte) {
-	m.last, m.fetch = nil, nil
+	m.last, m.fetchKey, m.fetch = nil, 0, nil
 	m.pages = make(map[uint64]*[PageSize]byte, len(pages))
 	for pn, data := range pages {
 		p := data
@@ -308,22 +310,39 @@ func (m *Memory) Read64(addr uint64) (uint64, error) {
 	return m.read(addr, 8)
 }
 
+// fetchKeyOf is the fetch-slot key of addr: its page base and its low
+// two bits, with bit 2 set. A 4-byte-aligned address has the key of its
+// page's base, and a misaligned one matches no stored key, so one
+// compare checks both page and alignment.
+func fetchKeyOf(addr uint64) uint64 { return addr&^(pageMask^3) | 4 }
+
+// FetchHit is Fetch32's hit path: the word at addr and true when addr is
+// 4-byte aligned and on the page in the fetch slot, and false otherwise,
+// when the caller falls back to Fetch32. It is small enough to inline.
+func (m *Memory) FetchHit(addr uint64) (uint32, bool) {
+	if fetchKeyOf(addr) != m.fetchKey {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(m.fetch[addr&pageMask:]), true
+}
+
 // Fetch32 is Read32 for instruction fetch: the same value, faults and
 // effects (alignment, Strict, Limit, relaxed allocation), but its page
 // is cached in the fetch slot, so fetches and data accesses on
 // different pages do not evict each other.
 func (m *Memory) Fetch32(addr uint64) (uint32, error) {
+	if w, ok := m.FetchHit(addr); ok {
+		return w, nil
+	}
 	if addr&3 != 0 {
 		return 0, &AlignmentFault{Addr: addr, Size: 4}
 	}
-	if m.fetch == nil || m.fetchPN != addr>>PageBits {
-		p, err := m.lookup(addr, false, false)
-		if err != nil {
-			return 0, err
-		}
-		m.fetchPN, m.fetch = addr>>PageBits, p
+	p, err := m.lookup(addr, false, false)
+	if err != nil {
+		return 0, err
 	}
-	return binary.LittleEndian.Uint32(m.fetch[addr&pageMask:]), nil
+	m.fetchKey, m.fetch = fetchKeyOf(addr), p
+	return binary.LittleEndian.Uint32(p[addr&pageMask:]), nil
 }
 
 // Write16 stores an aligned little-endian 16-bit value.

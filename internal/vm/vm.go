@@ -285,8 +285,9 @@ type VM struct {
 
 	// dispRecs are the dispatch routine's record templates, built only
 	// when a Sink is attached. interpRecs memoises the static half of
-	// interpreted instructions' records by instruction word; it is
-	// allocated only when InterpSink is set.
+	// interpreted instructions' records, indexed by PC like the decode
+	// memo and keyed by instruction word; it is allocated only when
+	// InterpSink is set.
 	dispRecs   []trace.Rec
 	interpRecs *[emu.MemoSlots]interpRec
 
@@ -532,7 +533,7 @@ func (v *VM) interpStep() error {
 	taken := inst.IsBranch() && next != pc+alpha.InstBytes
 
 	if v.cfg.InterpSink != nil {
-		e := &v.interpRecs[emu.MemoIndex(uint32(inst.Raw))]
+		e := &v.interpRecs[emu.MemoIndex(pc)]
 		if e.rec.Size == 0 || e.word != inst.Raw {
 			*e = interpRec{word: inst.Raw, rec: alphaRec(inst)}
 		}
