@@ -97,19 +97,31 @@ echo "== interpreter benchmark smoke (one iteration)"
 # one iteration keeps it building and running.
 go test -run '^$' -bench '^BenchmarkInterpreter$' -benchtime 1x .
 
-echo "== interpreter inlining (fetch and memo hit paths)"
+echo "== interpreter inlining (fetch, memo and data-slot hit paths)"
 # The interpreter's speed rests on the fetch slot's hit path
 # (mem.FetchHit) and the decode memo's (emu.decodedHit) inlining into
-# Step and FetchDecode. Losing either is silent: the build and every
-# test still pass, only slower. The compiler's -m report names each
-# inlined call.
+# Step and FetchDecode, and both executors' quadword loads and stores
+# on the data slot's (mem.Hit64, mem.PutHit64) inlining into execMemory
+# and LoadMem/StoreMem. Losing any is silent: the build and every test
+# still pass, only slower. The compiler's -m report names each inlined
+# call.
 inl=$(go build -gcflags=-m ./internal/emu 2>&1)
-for call in 'mem.(*Memory).FetchHit' '(*CPU).decodedHit'; do
+for call in 'mem.(*Memory).FetchHit' '(*CPU).decodedHit' \
+    'mem.(*Memory).Hit64' 'mem.(*Memory).PutHit64'; do
     if ! printf '%s\n' "$inl" | grep -qF "inlining call to $call"; then
         echo "ci: $call is no longer inlined into internal/emu" >&2
         exit 1
     fi
 done
+
+echo "== executor inlining (visit-end count)"
+# Translated code ends every fragment visit with one counter increment
+# (tcache.Fragment.End), inlined into the executor's leave.
+inl=$(go build -gcflags=-m ./internal/vm 2>&1)
+if ! printf '%s\n' "$inl" | grep -qF 'inlining call to tcache.(*Fragment).End'; then
+    echo "ci: tcache.(*Fragment).End is no longer inlined into internal/vm" >&2
+    exit 1
+fi
 
 echo "== timing-model benchmark smoke (one iteration each)"
 # BenchmarkTimingModelILDP and BenchmarkTimingModelOoO are the timed

@@ -277,9 +277,12 @@ func (c *CPU) execMemory(inst *alpha.Inst, pc uint64) error {
 		}
 		c.WriteReg(inst.Ra, sext32(uint64(v)))
 	case alpha.OpLDQ:
-		v, err := c.Mem.Read64(addr)
-		if err != nil {
-			return trap(err)
+		v, ok := c.Mem.Hit64(addr)
+		if !ok {
+			var err error
+			if v, err = c.Mem.Read64(addr); err != nil {
+				return trap(err)
+			}
 		}
 		c.WriteReg(inst.Ra, v)
 	case alpha.OpLDQU:
@@ -296,9 +299,12 @@ func (c *CPU) execMemory(inst *alpha.Inst, pc uint64) error {
 		c.lockFlag, c.lockAddr = true, addr
 		c.WriteReg(inst.Ra, sext32(uint64(v)))
 	case alpha.OpLDQL:
-		v, err := c.Mem.Read64(addr)
-		if err != nil {
-			return trap(err)
+		v, ok := c.Mem.Hit64(addr)
+		if !ok {
+			var err error
+			if v, err = c.Mem.Read64(addr); err != nil {
+				return trap(err)
+			}
 		}
 		c.lockFlag, c.lockAddr = true, addr
 		c.WriteReg(inst.Ra, v)
@@ -315,8 +321,10 @@ func (c *CPU) execMemory(inst *alpha.Inst, pc uint64) error {
 			return trap(err)
 		}
 	case alpha.OpSTQ:
-		if err := c.Mem.Write64(addr, c.ReadReg(inst.Ra)); err != nil {
-			return trap(err)
+		if v := c.ReadReg(inst.Ra); !c.Mem.PutHit64(addr, v) {
+			if err := c.Mem.Write64(addr, v); err != nil {
+				return trap(err)
+			}
 		}
 	case alpha.OpSTQU:
 		if err := c.Mem.Write64(addr&^7, c.ReadReg(inst.Ra)); err != nil {
@@ -337,8 +345,8 @@ func (c *CPU) execMemory(inst *alpha.Inst, pc uint64) error {
 		}
 	case alpha.OpSTQC:
 		ok := c.lockFlag && c.lockAddr == addr
-		if ok {
-			if err := c.Mem.Write64(addr, c.ReadReg(inst.Ra)); err != nil {
+		if v := c.ReadReg(inst.Ra); ok && !c.Mem.PutHit64(addr, v) {
+			if err := c.Mem.Write64(addr, v); err != nil {
 				return trap(err)
 			}
 		}

@@ -21,6 +21,9 @@ func LoadMem(m *mem.Memory, op alpha.Op, addr uint64) (uint64, error) {
 		v, err := m.Read32(addr)
 		return sext32(uint64(v)), err
 	case alpha.OpLDQ, alpha.OpLDQL:
+		if v, ok := m.Hit64(addr); ok {
+			return v, nil
+		}
 		return m.Read64(addr)
 	case alpha.OpLDQU:
 		return m.Read64(addr &^ 7)
@@ -40,6 +43,9 @@ func StoreMem(m *mem.Memory, op alpha.Op, addr uint64, v uint64) error {
 	case alpha.OpSTL, alpha.OpSTLC:
 		return m.Write32(addr, uint32(v))
 	case alpha.OpSTQ, alpha.OpSTQC:
+		if m.PutHit64(addr, v) {
+			return nil
+		}
 		return m.Write64(addr, v)
 	case alpha.OpSTQU:
 		return m.Write64(addr&^7, v)

@@ -135,6 +135,123 @@ func TestFetchSlotParity(t *testing.T) {
 	})
 }
 
+// TestDataSlotParity checks the data slot's one-compare key: a caller
+// that tries Hit64 or PutHit64 first and falls back to Read64 or Write64
+// on a miss reads, writes, faults and allocates exactly as one that
+// calls Read64 and Write64 alone. Each case runs the same accesses on
+// two memories, one through each caller, and names the accesses the
+// slot must serve and those it must miss: misaligned quadwords, the
+// first quadword past the slot's page, the zero Memory, pages
+// LoadSnapshot dropped or replaced, a Strict unmapped neighbour, and a
+// Limit at capacity, where a hit must never allocate.
+func TestDataSlotParity(t *testing.T) {
+	type pair struct{ hm, rm *Memory }
+	both := func(p pair, do func(m *Memory)) { do(p.hm); do(p.rm) }
+	// same stores v at addr, then loads it back, through each caller,
+	// and compares the two memories.
+	same := func(t *testing.T, p pair, addr, v uint64, wantHit bool) {
+		t.Helper()
+		if _, hit := p.hm.Hit64(addr); hit != wantHit {
+			t.Fatalf("Hit64(%#x) hit = %v, want %v", addr, hit, wantHit)
+		}
+		var herr error
+		if hit := p.hm.PutHit64(addr, v); hit != wantHit {
+			t.Fatalf("PutHit64(%#x) hit = %v, want %v", addr, hit, wantHit)
+		} else if !hit {
+			herr = p.hm.Write64(addr, v)
+		}
+		if rerr := p.rm.Write64(addr, v); !reflect.DeepEqual(herr, rerr) {
+			t.Fatalf("store at %#x: %#v through the slot, %#v through Write64", addr, herr, rerr)
+		}
+		hv, hit := p.hm.Hit64(addr)
+		var herr2 error
+		if !hit {
+			hv, herr2 = p.hm.Read64(addr)
+		}
+		rv, rerr := p.rm.Read64(addr)
+		if hv != rv || !reflect.DeepEqual(herr2, rerr) {
+			t.Fatalf("load at %#x: %#x, %#v through the slot; %#x, %#v through Read64", addr, hv, herr2, rv, rerr)
+		}
+		if p.hm.PageCount() != p.rm.PageCount() {
+			t.Fatalf("after %#x: %d pages through the slot, %d through Read64/Write64",
+				addr, p.hm.PageCount(), p.rm.PageCount())
+		}
+		if eq, at := Equal(p.hm, p.rm); !eq {
+			t.Fatalf("after %#x: contents differ at %#x", addr, at)
+		}
+	}
+	strict := func() pair {
+		p := pair{New(), New()}
+		both(p, func(m *Memory) { m.Strict = true })
+		return p
+	}
+	const v = 0x0807060504030201
+
+	t.Run("misaligned", func(t *testing.T) {
+		p := strict()
+		both(p, func(m *Memory) { m.Map(0x3000, PageSize) })
+		same(t, p, 0x3000, v, true) // Map left its page in the slot
+		for k := uint64(1); k < 8; k++ {
+			same(t, p, 0x3008, v, true)
+			same(t, p, 0x3008+k, v+k, false) // an AlignmentFault
+		}
+	})
+
+	t.Run("page-boundary", func(t *testing.T) {
+		p := strict()
+		both(p, func(m *Memory) { m.Map(0x3000, 2*PageSize) })
+		same(t, p, 0x3ff8, v, false)
+		same(t, p, 0x3ff8, v+1, true)  // the page's last quadword
+		same(t, p, 0x4000, v+2, false) // the next page's first
+		same(t, p, 0x4000, v+3, true)
+		same(t, p, 0x3ff8, v+4, false)
+	})
+
+	t.Run("zero-memory", func(t *testing.T) {
+		for _, addr := range []uint64{0, 8} {
+			same(t, pair{new(Memory), new(Memory)}, addr, v, false)
+		}
+	})
+
+	t.Run("load-snapshot", func(t *testing.T) {
+		p := strict()
+		both(p, func(m *Memory) {
+			m.Map(0x5000, PageSize)
+			m.Map(0x6000, PageSize)
+			m.Write64(0x6000, 6)
+		})
+		snap := p.rm.Snapshot()
+		delete(snap, 0x5000>>PageBits)
+		for _, addr := range []uint64{0x5000, 0x6000} {
+			same(t, p, addr, 99, false)
+			same(t, p, addr, 99, true)
+			both(p, func(m *Memory) { m.LoadSnapshot(snap) })
+			same(t, p, addr, 99, false) // 0x5000 faults, 0x6000 is the snapshot's
+		}
+	})
+
+	t.Run("strict-unmapped", func(t *testing.T) {
+		p := strict()
+		both(p, func(m *Memory) { m.Map(0x7000, PageSize) })
+		same(t, p, 0x7ff8, v, true)
+		same(t, p, 0x8000, v, false) // the next page, unmapped
+		same(t, p, 0x7ff8, v, true)
+		same(t, p, 0x6ff8, v, false) // the previous one
+	})
+
+	t.Run("limit", func(t *testing.T) {
+		p := pair{New(), New()}
+		both(p, func(m *Memory) { m.Limit = 1 })
+		same(t, p, 0x1000, v, false) // allocates the one page
+		same(t, p, 0x1008, v, true)
+		same(t, p, 0x5000, v, false) // a ResourceFault
+		same(t, p, 0x1ff8, v, true)
+		if n := p.hm.PageCount(); n != 1 {
+			t.Fatalf("%d pages resident, want the Limit's 1", n)
+		}
+	})
+}
+
 // TestFetch32SeesWrites checks that a store to the page in the fetch
 // slot is visible to the next fetch: the slot caches the page, not its
 // bytes.

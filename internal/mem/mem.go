@@ -67,16 +67,17 @@ func (f *AlignmentFault) Error() string {
 // memory.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
-	// Two one-page slots cache page lookups: last holds the page of the
+	// Two one-page slots cache page lookups: data holds the page of the
 	// most recent data access, fetch that of the most recent Fetch32.
 	// Instruction fetch and data accesses alternate between text and
 	// data pages, so one shared slot would miss on nearly every access.
 	// Pages are never unmapped except by LoadSnapshot, which clears both
-	// slots, so a cached page is always the mapped one. fetchKey is the
-	// fetch page's base address with bit 2 set (fetchKeyOf), or zero
-	// when the slot is empty; no address's key is zero.
-	lastPN   uint64
-	last     *[PageSize]byte
+	// slots, so a cached page is always the mapped one. Each key is its
+	// page's base address with one low bit set, bit 3 for data
+	// (dataKeyOf) and bit 2 for fetch (fetchKeyOf), or zero when the
+	// slot is empty; no address's key is zero.
+	dataKey  uint64
+	data     *[PageSize]byte
 	fetchKey uint64
 	fetch    *[PageSize]byte
 	// Strict, when true, makes access to unmapped pages fault rather than
@@ -94,15 +95,43 @@ func New() *Memory { return &Memory{pages: map[uint64]*[PageSize]byte{}} }
 
 // page returns the page holding addr through the data slot.
 func (m *Memory) page(addr uint64, write bool, allocate bool) (*[PageSize]byte, error) {
-	if p := m.last; p != nil && m.lastPN == addr>>PageBits {
-		return p, nil
+	if dataKeyOf(addr&^7) == m.dataKey {
+		return m.data, nil
 	}
 	p, err := m.lookup(addr, write, allocate)
 	if err != nil {
 		return nil, err
 	}
-	m.lastPN, m.last = addr>>PageBits, p
+	m.dataKey, m.data = dataKeyOf(addr&^7), p
 	return p, nil
+}
+
+// dataKeyOf is the data-slot key of addr: its page base and its low
+// three bits, with bit 3 set. An 8-byte-aligned address has the key of
+// its page's base, and a misaligned one matches no stored key, so one
+// compare checks both page and alignment.
+func dataKeyOf(addr uint64) uint64 { return addr&^(pageMask^7) | 8 }
+
+// Hit64 is Read64's hit path: the quadword at addr and true when addr is
+// 8-byte aligned and on the page in the data slot, and false otherwise,
+// when the caller falls back to Read64. It is small enough to inline.
+func (m *Memory) Hit64(addr uint64) (uint64, bool) {
+	if dataKeyOf(addr) != m.dataKey {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(m.data[addr&pageMask:]), true
+}
+
+// PutHit64 is Write64's hit path: it stores v at addr and returns true
+// when addr is 8-byte aligned and on the page in the data slot, and
+// returns false otherwise, having stored nothing, when the caller falls
+// back to Write64. It is small enough to inline.
+func (m *Memory) PutHit64(addr, v uint64) bool {
+	if dataKeyOf(addr) != m.dataKey {
+		return false
+	}
+	binary.LittleEndian.PutUint64(m.data[addr&pageMask:], v)
+	return true
 }
 
 // lookup finds the page holding addr in the page map, allocating it
@@ -203,7 +232,7 @@ func (m *Memory) Snapshot() map[uint64][PageSize]byte {
 // previously mapped page not in the snapshot is unmapped. The snapshot
 // is copied, so later writes to the memory do not alias it.
 func (m *Memory) LoadSnapshot(pages map[uint64][PageSize]byte) {
-	m.last, m.fetchKey, m.fetch = nil, 0, nil
+	m.dataKey, m.data, m.fetchKey, m.fetch = 0, nil, 0, nil
 	m.pages = make(map[uint64]*[PageSize]byte, len(pages))
 	for pn, data := range pages {
 		p := data

@@ -41,8 +41,11 @@ type Fragment struct {
 	IAddrs []uint64
 	Sizes  []uint8
 
-	// tallies[n] counts Insts[:n]; see Tally.
+	// tallies[n] counts Insts[:n]; see Tally. ends[n] counts the visits
+	// that ended after Insts[:n] since the last fold (see End and
+	// Cache.Fold).
 	tallies []Tally
+	ends    []uint64
 
 	// Recs holds the static half of each instruction's trace record:
 	// every field but MemAddr, Taken, Target and PredHit. A VM with a
@@ -107,12 +110,32 @@ type Op struct {
 
 // Tally is what executing a run of I-instructions adds to the VM's
 // per-instruction counters. Every visit to a fragment executes a prefix
-// of its instructions, so the executor adds one prefix Tally when the
-// visit ends instead of counting instruction by instruction.
+// of its instructions, so the executor counts one visit end (End)
+// instead of counting instruction by instruction.
 type Tally struct {
 	IInsts, VInsts, Copies uint32
 	Class                  [ildp.ClassSpecial + 1]uint32
 	Usage                  [ildp.UsageNoUserGlobal + 1]uint32 // UsageNone stays zero
+}
+
+// Counts is what executed instructions add to the VM's per-class,
+// per-usage and copy counters: the sum of the Tallies of every visit
+// folded into it.
+type Counts struct {
+	Class  [ildp.ClassSpecial + 1]uint64
+	Usage  [ildp.UsageNoUserGlobal + 1]uint64
+	Copies uint64
+}
+
+// add adds k runs of t to c.
+func (c *Counts) add(t *Tally, k uint64) {
+	for i, n := range t.Class {
+		c.Class[i] += k * uint64(n)
+	}
+	for i, n := range t.Usage {
+		c.Usage[i] += k * uint64(n)
+	}
+	c.Copies += k * uint64(t.Copies)
 }
 
 // prefixTallies returns t with t[n] tallying insts[:n].
@@ -139,6 +162,25 @@ func prefixTallies(insts []ildp.Inst) []Tally {
 // exit patching swaps a branch between its linked and unlinked kinds,
 // and injected faults flip operand, address and opcode fields.
 func (f *Fragment) Tally(n int) *Tally { return &f.tallies[n] }
+
+// End closes a visit that executed Insts[:n]: it counts the visit end
+// and returns the V-instructions Insts[:n] retire. The visit's class,
+// usage and copy counts wait in the fragment until Cache.Fold collects
+// them. It is small enough to inline.
+func (f *Fragment) End(n int) uint32 {
+	f.ends[n]++
+	return f.tallies[n].VInsts
+}
+
+// fold adds the fragment's pending visit ends to c and clears them.
+func (f *Fragment) fold(c *Counts) {
+	for n, k := range f.ends {
+		if k != 0 {
+			c.add(&f.tallies[n], k)
+			f.ends[n] = 0
+		}
+	}
+}
 
 // snapshotPristine captures the fragment's current instruction stream and
 // PEI table as the integrity baseline.
@@ -209,6 +251,12 @@ type Cache struct {
 	dispatch  []ildp.Inst
 	dispAddr  []uint64
 	dispTally Tally
+
+	// dispEnds counts the dispatch routine's runs since the last Fold,
+	// and folded holds the counts of fragments Flush and Invalidate
+	// dropped since then.
+	dispEnds uint64
+	folded   Counts
 
 	// Patches counts call-translator exits converted to direct branches.
 	Patches int
@@ -300,9 +348,29 @@ func (c *Cache) buildDispatch() {
 // Dispatch returns the dispatch routine instructions and their I-addresses.
 func (c *Cache) Dispatch() ([]ildp.Inst, []uint64) { return c.dispatch, c.dispAddr }
 
-// DispatchTally returns the counts of one run of the dispatch routine,
-// which always executes in full.
-func (c *Cache) DispatchTally() *Tally { return &c.dispTally }
+// EndDispatch counts one run of the dispatch routine, which always
+// executes in full, like End for a fragment, and returns the run's
+// Tally. It is small enough to inline.
+func (c *Cache) EndDispatch() *Tally {
+	c.dispEnds++
+	return &c.dispTally
+}
+
+// Fold returns the class, usage and copy counts of every visit and
+// dispatch run ended since the last Fold, including those of fragments
+// dropped since then, and starts the count again from zero.
+func (c *Cache) Fold() Counts {
+	out := c.folded
+	c.folded = Counts{}
+	for _, f := range c.frags {
+		if f != nil {
+			f.fold(&out)
+		}
+	}
+	out.add(&c.dispTally, c.dispEnds)
+	c.dispEnds = 0
+	return out
+}
 
 // Lookup returns the fragment translated from the given V-ISA address, or
 // nil (the PC translation lookup table of Fig. 3).
@@ -428,13 +496,12 @@ func (c *Cache) Flush() {
 		c.reg.Counter("tcache.flushes").Inc()
 		c.reg.Counter("tcache.evicted_fragments").Add(uint64(c.Live()))
 	}
-	if c.prof != nil {
-		for _, f := range c.frags {
-			if f == nil {
-				continue
-			}
-			c.prof.Evict(f.ID, f.VStart)
+	for _, f := range c.frags {
+		if f == nil {
+			continue
 		}
+		f.fold(&c.folded)
+		c.prof.Evict(f.ID, f.VStart)
 	}
 	c.frags = c.frags[:0]
 	c.byVPC = map[uint64]int32{}
@@ -446,8 +513,8 @@ func (c *Cache) Flush() {
 }
 
 // Reset returns the cache to its post-New state: no fragments, no
-// pending links, lifecycle counters zeroed, and the next I-address
-// recomputed exactly as construction laid it out. Unlike Flush it emits
+// pending links, lifecycle and visit counters zeroed, and the next
+// I-address recomputed exactly as construction laid it out. Unlike Flush it emits
 // no evict events and counts no flush — it is the cold start of a
 // checkpoint restore, where translation state was never architected and
 // is simply rebuilt, not evicted.
@@ -461,6 +528,7 @@ func (c *Cache) Reset() {
 	c.Patches = 0
 	c.Invalidates = 0
 	c.Flushes = 0
+	c.dispEnds, c.folded = 0, Counts{}
 }
 
 // Install places a translation into the cache: it assigns I-addresses,
@@ -478,6 +546,7 @@ func (c *Cache) Install(res *translate.Result) (*Fragment, error) {
 		Result:  *res,
 		ID:      int32(len(c.frags)),
 		tallies: prefixTallies(res.Insts),
+		ends:    make([]uint64, len(res.Insts)+1),
 		IAddr:   c.next,
 	}
 	form := c.form
@@ -598,6 +667,7 @@ func (c *Cache) Invalidate(id int32) bool {
 				patchSite{frag: g.ID, idx: i})
 		}
 	}
+	f.fold(&c.folded)
 	c.frags[id] = nil
 	c.Invalidates++
 	c.reg.Event(metrics.Event{Kind: metrics.EventEvict, Frag: id,

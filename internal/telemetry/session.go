@@ -232,9 +232,12 @@ func (s *Session) State(wait time.Duration) (live Live, at time.Time, fresh, ok 
 // ProbeVM returns the standard probe for a VM: Stats, the precise V-PC,
 // halt state, translation-cache occupancy, and (when p is a live
 // profiler) the hot-fragment profile. The returned closure must only
-// run on the VM goroutine; every field it returns is a copy.
+// run on the VM goroutine; every field it returns is a copy. It runs
+// from Poll, inside vm.Run, so it folds the pending visit counts into
+// Stats first (vm.FoldCounts).
 func ProbeVM(v *vm.VM, p *prof.Profiler) func() Live {
 	return func() Live {
+		v.FoldCounts()
 		cpu := v.CPU()
 		live := Live{
 			Stats:       v.Stats,

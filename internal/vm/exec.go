@@ -227,12 +227,11 @@ func (v *VM) writeBack() {
 // two slots and a store to two. With a Sink attached, a record is a
 // copy of the fragment's template (Fragment.Recs) with its dynamic
 // fields filled in. A visit to a fragment always executes a prefix of
-// its instructions, so the visit's counters are added in one step from
-// the fragment's install-time Tally when the visit ends (leave), which
-// happens before anything can observe Stats. A trapping instruction's
-// PEI index is found only when it traps. Before each instruction that
-// can panic with an *emu.SemanticsError, the loop publishes its index
-// in faultIdx, where Run's recover finds it to close the visit.
+// its instructions, so a visit is counted once, when it ends (leave),
+// by the length of that prefix. A trapping instruction's PEI index is
+// found only when it traps. Before each instruction that can panic
+// with an *emu.SemanticsError, the loop publishes its index in
+// faultIdx, where Run's recover finds it to close the visit.
 func (v *VM) runTranslated(frag *tcache.Fragment) (uint64, error) {
 	sink := v.cfg.Sink
 	rf := &v.rf
@@ -447,14 +446,29 @@ func fragRecs(f *tcache.Fragment) []trace.Rec {
 	return recs
 }
 
-// leave closes the open visit after its first n instructions and adds
-// their counters to Stats. Every path out of a visit — a transfer, a
-// trap, an error, a recovered panic — calls it before Stats can be seen.
-// An instruction that faults is not counted: it retires nothing and
-// emits no record, so Stats and the trace stay in step.
+// leave closes the open visit after its first n instructions. It adds
+// their I- and V-instruction counts to Stats, which the profiler and
+// the budget read as the run goes, and counts the visit end in the
+// fragment, from which FoldCounts later adds the class, usage and copy
+// counts. Every path out of a visit — a transfer, a trap, an error, a
+// recovered panic — calls it. An instruction that faults is not
+// counted: it retires nothing and emits no record, so Stats and the
+// trace stay in step.
 func (v *VM) leave(n int) {
-	v.Stats.add(v.visit.Tally(n))
+	v.Stats.TransIInsts += uint64(n)
+	v.Stats.TransVInsts += uint64(v.visit.End(n))
 	v.visit = nil
+}
+
+// FoldCounts completes Stats: it adds the class, usage and copy counts
+// of every visit ended since the last fold, which wait in the
+// translation cache while translated code runs. Run folds before it
+// returns, so Stats is complete whenever Run is not running; only an
+// observer that reads Stats from inside Run, through the Poll hook,
+// calls it. Folding changes no total, only when the counts reach Stats.
+func (v *VM) FoldCounts() {
+	c := v.tc.Fold()
+	v.Stats.add(&c)
 }
 
 // takeBranch resolves a taken control transfer whose record is rec:
@@ -489,9 +503,11 @@ func (v *VM) takeBranch(inst *ildp.Inst, rec *trace.Rec) (*tcache.Fragment, uint
 // runDispatch executes the shared dispatch routine, entered by the branch
 // whose record is from. Its instructions enter the trace, and the
 // PC-translation-table lookup happens at its final indirect jump. The
-// routine always runs in full, so its counters are added up front.
+// routine always runs in full, so its run is counted up front.
 func (v *VM) runDispatch(from *trace.Rec) (*tcache.Fragment, uint64) {
-	v.Stats.add(v.tc.DispatchTally())
+	t := v.tc.EndDispatch()
+	v.Stats.TransIInsts += uint64(t.IInsts)
+	v.Stats.TransVInsts += uint64(t.VInsts)
 	var rec trace.Rec
 	if sink := v.cfg.Sink; sink != nil {
 		last := len(v.dispRecs) - 1

@@ -80,18 +80,16 @@ func (s *Stats) Recoveries() uint64 {
 		s.StaleLinks + s.WatchdogTrips
 }
 
-// add counts a run of executed translated instructions, tallied at
-// install.
-func (s *Stats) add(t *tcache.Tally) {
-	s.TransIInsts += uint64(t.IInsts)
-	s.TransVInsts += uint64(t.VInsts)
-	for c, n := range t.Class {
-		s.ClassCounts[c] += uint64(n)
+// add adds the class, usage and copy counts the translation cache
+// folded.
+func (s *Stats) add(c *tcache.Counts) {
+	for i, n := range c.Class {
+		s.ClassCounts[i] += n
 	}
-	for u, n := range t.Usage {
-		s.UsageDyn[u] += uint64(n)
+	for i, n := range c.Usage {
+		s.UsageDyn[i] += n
 	}
-	s.CopiesExecuted += uint64(t.Copies)
+	s.CopiesExecuted += c.Copies
 }
 
 // TotalVInsts returns all V-ISA instructions architecturally retired.

@@ -152,9 +152,11 @@ type Config struct {
 	// service snapshot requests on the VM's own goroutine with the
 	// architected state precise and no locks on any hot structure. Poll
 	// must only read: it must not mutate VM, cache, or profiler state,
-	// and it must not block unboundedly, or it delays retirement. When
-	// nil (the default) the cost is one nil check per boundary and runs
-	// are bit-identical with and without the build.
+	// and it must not block unboundedly, or it delays retirement. The
+	// one exception is VM.FoldCounts, which a Poll that reads Stats
+	// calls first; it changes no total. When nil (the default) the cost
+	// is one nil check per boundary and runs are bit-identical with and
+	// without the build.
 	Poll func()
 
 	// WatchdogWindow, when > 0, arms the livelock watchdog: if the
@@ -398,7 +400,8 @@ func (v *VM) noteRunError(err error) error {
 // it. Out-of-domain semantic panics from the emulator core
 // (*emu.SemanticsError) are recovered here and surfaced as ordinary
 // errors tagged with the faulting instruction's V-PC, which the CPU
-// then holds; any other panic propagates.
+// then holds; any other panic propagates. Stats is complete when Run
+// returns (FoldCounts).
 func (v *VM) Run(maxVInsts int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -420,6 +423,7 @@ func (v *VM) Run(maxVInsts int64) (err error) {
 			}
 			err = fmt.Errorf("vm: at V-PC %#x: %w", v.cpu.PC, se)
 		}
+		v.FoldCounts()
 	}()
 	v.budget = maxVInsts
 	for !v.cpu.Halted {
