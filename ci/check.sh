@@ -6,11 +6,12 @@
 #
 # Steps, in order: formatting, vet, build, the full test suite, the
 # race detector over the packages with real concurrency exposure, CLI
-# smokes, a grep guard against second copies of the machine builder
-# and the chain-name parser, a cross-check of `ildpvm -timing` against
-# Fig. 8, the docs gate (EXPERIMENTS.md's generated block must match
-# the committed report), the scale-2 report pin, and small-scale smokes
-# of the JSON and text report paths.
+# smokes, a grep guard against second copies of the machine builder,
+# the chain-name parser and the splitmix64 step, a check that the fault
+# schedule imports no module package, a cross-check of `ildpvm -timing`
+# against Fig. 8, the docs gate (EXPERIMENTS.md's generated block must
+# match the committed report), the scale-2 report pin, and small-scale
+# smokes of the JSON and text report paths.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -65,11 +66,12 @@ go run ./cmd/ildpanalyze ./internal/... ./cmd/...
 # (the per-VM cache and the shared persistent store), the stream
 # envelope, the telemetry plane, the serving scheduler, the VM and its
 # checkpoint, flight-bundle and metrics surfaces, and the experiment
-# drivers and their report carries a doc comment.
+# drivers and their report, and the shared fault schedule carries a doc
+# comment.
 go run ./cmd/ildpanalyze -select exporteddoc ./internal/tcache ./internal/fragstore \
     ./internal/codec ./internal/telemetry ./internal/serve \
     ./internal/vm ./internal/flight ./internal/checkpoint ./internal/metrics \
-    ./internal/report ./internal/experiments
+    ./internal/report ./internal/experiments ./internal/faultinject
 
 echo "== go vet"
 go vet ./...
@@ -80,12 +82,13 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (vm, tcache, fragstore, metrics, telemetry, serve, mem, emu)"
+echo "== go test -race (vm, tcache, fragstore, metrics, telemetry, serve, mem, emu, iofs)"
 # mem and emu are here because mem.Memory holds mutable state on its
-# read path (the last-page cache).
+# read path (the last-page cache); iofs because Faulty promises to be
+# safe for concurrent use (DESIGN.md §15.1).
 go test -race ./internal/vm/... ./internal/tcache/... ./internal/fragstore/... \
     ./internal/metrics/... ./internal/telemetry/... ./internal/serve/... \
-    ./internal/mem/... ./internal/emu/...
+    ./internal/mem/... ./internal/emu/... ./internal/iofs/...
 
 echo "== warm translated-execution benchmark smoke (one iteration)"
 # BenchmarkWarmExecution fails if the warm store misses; one iteration
@@ -692,15 +695,30 @@ rm -rf "$chaos_dir"
 echo "== one home per run decision (grep guard)"
 # The timing models are built only by the machine builder in
 # internal/experiments (the public facade, the examples and the
-# benchmark drive them directly), and chaining-mode names are parsed
-# only in internal/translate. A copy anywhere else fails the gate.
+# benchmark drive them directly), chaining-mode names are parsed only
+# in internal/translate, and the splitmix64 step behind every fault and
+# kill schedule is faultinject.Rand. A copy anywhere else fails the gate.
 model_copies=$(grep -rn --include='*.go' -E 'uarch\.New(OoO|ILDP)\(' . | grep -v '_test\.go:' \
     | grep -v -E '^\./(internal/experiments/|accdbt\.go:|examples/|bench/|\.bench_build/)' || true)
 chain_copies=$(grep -rn --include='*.go' 'case "sw_pred' . | grep -v '_test\.go:' \
     | grep -v -E '^\./(internal/translate/|\.bench_build/)' || true)
-if [ -n "$model_copies$chain_copies" ]; then
-    echo "timing models or chain names handled outside their one home:" >&2
-    printf '%s\n%s\n' "$model_copies" "$chain_copies" >&2
+rng_copies=$(grep -rn --include='*.go' -E '\+= 0x9E3779B97F4A7C15' . | grep -v '_test\.go:' \
+    | grep -v -E '^\./(internal/faultinject/schedule\.go:|bench/|\.bench_build/)' || true)
+if [ -n "$model_copies$chain_copies$rng_copies" ]; then
+    echo "timing models, chain names or the splitmix64 step handled outside their one home:" >&2
+    printf '%s\n%s\n%s\n' "$model_copies" "$chain_copies" "$rng_copies" >&2
+    exit 1
+fi
+
+echo "== the fault schedule stands alone (faultinject imports no module package)"
+# internal/faultinject is the one seeded fault schedule both chaos
+# planes draw from; iofs imports it, so it must not pull in the VM or
+# any other package of this module.
+fi_deps=$(go list -deps ./internal/faultinject | grep '^github.com/ildp/accdbt/' \
+    | grep -v -x 'github.com/ildp/accdbt/internal/faultinject' || true)
+if [ -n "$fi_deps" ]; then
+    echo "internal/faultinject imports module packages:" >&2
+    echo "$fi_deps" >&2
     exit 1
 fi
 

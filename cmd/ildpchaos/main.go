@@ -39,7 +39,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"github.com/ildp/accdbt/internal/experiments"
@@ -54,21 +53,6 @@ import (
 // logger is the process-wide structured logger for diagnostics; sweep
 // results stay on stdout in their fixed format.
 var logger *slog.Logger
-
-func parseKinds(s string) ([]faultinject.Kind, error) {
-	if s == "all" {
-		return nil, nil // nil means "all kinds" to the injector
-	}
-	var out []faultinject.Kind
-	for _, name := range strings.Split(s, ",") {
-		k, err := faultinject.KindByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
 
 func main() {
 	seeds := flag.Int("seeds", 50, "number of consecutive seeds to sweep (0 = until interrupted)")
@@ -106,7 +90,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kinds, err := parseKinds(*kindsFlag)
+	kinds, err := faultinject.Kinds.Parse(*kindsFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -189,7 +173,7 @@ type sweepMode struct {
 
 // chaosSweep runs the differential chaos oracle with fault injection.
 func chaosSweep(wl *workload.Spec, kinds []faultinject.Kind, entryRate, transRate, maxFaults int, maxV int64) sweepMode {
-	var faults faultinject.Counts
+	var faults faultinject.Counts[faultinject.Kind]
 	var recoveries, quarantines uint64
 	return sweepMode{
 		name: "chaos",

@@ -83,7 +83,7 @@ func main() {
 
 	var fsys iofs.FS
 	if *chaosSeed != 0 {
-		kinds, err := iofs.KindsByNames(*chaosKinds)
+		kinds, err := iofs.Kinds.Parse(*chaosKinds)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ildpserve:", err)
 			os.Exit(2)

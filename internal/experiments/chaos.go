@@ -65,8 +65,8 @@ type ChaosOutcome struct {
 	Spec      ChaosSpec
 	VM        vm.Stats
 	Timing    uarch.Result
-	Faults    faultinject.Counts // faults actually applied, by kind
-	Decisions uint64             // injector decision points consulted
+	Faults    faultinject.Counts[faultinject.Kind] // faults actually applied, by kind
+	Decisions uint64                               // injector decision points consulted
 
 	// Mismatch is empty when the faulted run's final architected state is
 	// bit-identical to the oracle's; otherwise it names the first

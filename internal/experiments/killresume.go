@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"github.com/ildp/accdbt/internal/checkpoint"
+	"github.com/ildp/accdbt/internal/faultinject"
 	"github.com/ildp/accdbt/internal/fragstore"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/prof"
@@ -80,17 +81,6 @@ type KillResumeOutcome struct {
 	Mismatch string
 }
 
-// splitmix64 advances *state and returns the next value of the sequence
-// — the same tiny deterministic generator the fault injector uses, kept
-// local so kill schedules never shift when other packages change.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // RunKillResume executes one kill-and-resume differential run. A
 // non-nil error means the run could not be compared (assembly failure,
 // an unexpected VM error, a non-deterministic or non-idempotent
@@ -115,14 +105,14 @@ func RunKillResume(spec KillResumeSpec) (*KillResumeOutcome, error) {
 	if maxKills <= 0 {
 		maxKills = 1
 	}
-	rng := spec.Seed
-	nk := 1 + int(splitmix64(&rng)%uint64(maxKills))
+	rng := faultinject.Rand(spec.Seed)
+	nk := 1 + int(rng.Next()%uint64(maxKills))
 	if uint64(nk) > total-1 {
 		nk = int(total - 1)
 	}
 	targetSet := map[uint64]bool{}
 	for len(targetSet) < nk {
-		targetSet[1+splitmix64(&rng)%(total-1)] = true
+		targetSet[1+rng.Next()%(total-1)] = true
 	}
 	targets := make([]uint64, 0, len(targetSet))
 	for tgt := range targetSet {

@@ -325,6 +325,24 @@ func (i *Inst) IsControl() bool {
 	return false
 }
 
+// IsPEI reports whether the instruction is a PEI-table point: a load, a
+// store or a (possibly patched) conditional branch translated from a
+// V-ISA instruction. Chain-class instructions, such as compare branches,
+// are not. The executor, the verifiers and the translator's recovery
+// table count PEI points with it; the translator emits the PEI table
+// itself from its own per-node flag, so rule P1 still catches a
+// disagreement between the two.
+func (i *Inst) IsPEI() bool {
+	if i.Class != ClassCore {
+		return false
+	}
+	switch i.Kind {
+	case KindLoad, KindStore, KindCallTransCond, KindCondBranch:
+		return true
+	}
+	return false
+}
+
 // IsExit reports whether the instruction may leave translated code for the
 // VM (translator/interpreter).
 func (i *Inst) IsExit() bool {

@@ -3,8 +3,9 @@ package iofs
 import (
 	"fmt"
 	"io/fs"
-	"strings"
 	"sync"
+
+	"github.com/ildp/accdbt/internal/faultinject"
 )
 
 // Kind is one injectable I/O fault class.
@@ -30,59 +31,14 @@ const (
 	KindPartialRead
 	// KindRenameFail fails a rename, leaving both paths as they were.
 	KindRenameFail
-
-	numKinds
 )
 
-// NumKinds is the number of injectable fault kinds (excluding KindNone).
-const NumKinds = int(numKinds) - 1
-
-var kindNames = [numKinds]string{
-	"none", "enospc", "eio", "torn_write", "partial_read", "rename_fail",
-}
+// Kinds names the disk plane's fault kinds.
+var Kinds = faultinject.NewTable[Kind]("iofs",
+	"none", "enospc", "eio", "torn_write", "partial_read", "rename_fail")
 
 // String returns the lower-case kind name.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// KindByName parses a kind name as printed by String.
-func KindByName(name string) (Kind, error) {
-	for k := Kind(1); k < numKinds; k++ {
-		if kindNames[k] == name {
-			return k, nil
-		}
-	}
-	return KindNone, fmt.Errorf("iofs: unknown fault kind %q", name)
-}
-
-// KindsByNames parses a comma-separated kind list ("" = all kinds).
-func KindsByNames(list string) ([]Kind, error) {
-	if list == "" {
-		return nil, nil
-	}
-	var out []Kind
-	for _, name := range strings.Split(list, ",") {
-		k, err := KindByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// AllKinds returns every injectable kind.
-func AllKinds() []Kind {
-	out := make([]Kind, 0, NumKinds)
-	for k := Kind(1); k < numKinds; k++ {
-		out = append(out, k)
-	}
-	return out
-}
+func (k Kind) String() string { return Kinds.Name(k) }
 
 // writeKinds and readKinds partition the kinds by the operation they can
 // fire at; renames have their own single-kind pool.
@@ -93,30 +49,7 @@ var (
 )
 
 // Counts is the number of faults applied, by kind.
-type Counts [numKinds]uint64
-
-// Total returns the total applied faults.
-func (c Counts) Total() uint64 {
-	var n uint64
-	for _, v := range c {
-		n += v
-	}
-	return n
-}
-
-// String renders the non-zero counts, e.g. "enospc=3 torn_write=1".
-func (c Counts) String() string {
-	var parts []string
-	for k := Kind(1); k < numKinds; k++ {
-		if c[k] > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, c[k]))
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
-}
+type Counts = faultinject.Counts[Kind]
 
 // Fault is the typed error attached to injected I/O failures. It wraps
 // the kind's sentinel (ErrNoSpace, ErrIO, ErrTorn, ErrRename), so both
@@ -162,21 +95,19 @@ type Config struct {
 	MaxFaults int
 }
 
-// Faulty wraps an FS with a deterministic fault schedule. It is safe
-// for concurrent use: an internal mutex serialises operations, so the
-// fault stream stays a pure function of the seed and the operation
-// order (concurrent callers — e.g. serve workers — interleave
-// nondeterministically, but each single-threaded harness replays
-// exactly). A nil *Faulty is not valid; use Default/OS for "no faults".
+// Faulty wraps an FS with a deterministic fault schedule drawn from
+// faultinject's shared Schedule. It is safe for concurrent use: an
+// internal mutex serialises operations, so the fault stream stays a
+// pure function of the seed and the operation order (concurrent
+// callers — e.g. serve workers — interleave nondeterministically, but
+// each single-threaded harness replays exactly). A nil *Faulty is not
+// valid; use Default/OS for "no faults".
 type Faulty struct {
-	inner   FS
-	cfg     Config
-	enabled [numKinds]bool
+	inner FS
+	rate  int
 
-	mu        sync.Mutex
-	rng       uint64
-	decisions uint64
-	applied   Counts
+	mu sync.Mutex
+	s  faultinject.Schedule[Kind]
 }
 
 // NewFaulty wraps inner (nil = OS) with the given fault schedule.
@@ -184,69 +115,27 @@ func NewFaulty(inner FS, cfg Config) *Faulty {
 	if cfg.Rate <= 0 {
 		cfg.Rate = 8
 	}
-	f := &Faulty{inner: Default(inner), cfg: cfg, rng: cfg.Seed}
-	kinds := cfg.Kinds
-	if len(kinds) == 0 {
-		kinds = AllKinds()
-	}
-	for _, k := range kinds {
-		if k > KindNone && k < numKinds {
-			f.enabled[k] = true
-		}
-	}
-	return f
-}
-
-// next advances the splitmix64 stream.
-func (f *Faulty) next() uint64 {
-	f.rng += 0x9E3779B97F4A7C15
-	z := f.rng
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// decide draws one decision: fire with probability 1/Rate, choosing
-// uniformly among the enabled members of pool.
-func (f *Faulty) decide(pool []Kind) Kind {
-	f.decisions++
-	if f.cfg.MaxFaults > 0 && f.applied.Total() >= uint64(f.cfg.MaxFaults) {
-		return KindNone
-	}
-	draw := f.next()
-	if draw%uint64(f.cfg.Rate) != 0 {
-		return KindNone
-	}
-	var candidates []Kind
-	for _, k := range pool {
-		if f.enabled[k] {
-			candidates = append(candidates, k)
-		}
-	}
-	if len(candidates) == 0 {
-		return KindNone
-	}
-	return candidates[f.next()%uint64(len(candidates))]
+	return &Faulty{inner: Default(inner), rate: cfg.Rate,
+		s: faultinject.NewSchedule(Kinds, cfg.Seed, cfg.Kinds, cfg.MaxFaults)}
 }
 
 // fault records an applied fault and returns its typed error.
 func (f *Faulty) fault(op, path string, k Kind) *Fault {
-	f.applied[k]++
-	return &Fault{Op: op, Path: path, Kind: k, Seq: f.applied.Total()}
+	return &Fault{Op: op, Path: path, Kind: k, Seq: f.s.Applied(k)}
 }
 
 // Counts returns the faults applied so far, by kind.
 func (f *Faulty) Counts() Counts {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.applied
+	return f.s.Counts()
 }
 
 // Decisions returns the number of decision points consulted.
 func (f *Faulty) Decisions() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.decisions
+	return f.s.Decisions()
 }
 
 // ReadFile implements FS; it may fail with EIO or silently return a
@@ -254,7 +143,7 @@ func (f *Faulty) Decisions() uint64 {
 func (f *Faulty) ReadFile(name string) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch k := f.decide(readKinds); k {
+	switch k := f.s.Decide(f.rate, readKinds); k {
 	case KindEIO:
 		return nil, f.fault("read", name, k)
 	case KindPartialRead:
@@ -265,7 +154,7 @@ func (f *Faulty) ReadFile(name string) ([]byte, error) {
 		f.fault("read", name, k)
 		// Return a strict prefix: at least zero, at most len-1 bytes.
 		if len(data) > 0 {
-			data = data[:f.next()%uint64(len(data))]
+			data = data[:f.s.Next()%uint64(len(data))]
 		}
 		return data, nil
 	}
@@ -278,7 +167,7 @@ func (f *Faulty) ReadFile(name string) ([]byte, error) {
 func (f *Faulty) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch k := f.decide(writeKinds); k {
+	switch k := f.s.Decide(f.rate, writeKinds); k {
 	case KindNoSpace:
 		return f.fault("write", name, k)
 	case KindEIO:
@@ -287,7 +176,7 @@ func (f *Faulty) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	case KindTornWrite:
 		n := 0
 		if len(data) > 0 {
-			n = int(f.next() % uint64(len(data)))
+			n = int(f.s.Next() % uint64(len(data)))
 		}
 		f.inner.WriteFile(name, data[:n], perm)
 		return f.fault("write", name, k)
@@ -299,7 +188,7 @@ func (f *Faulty) WriteFile(name string, data []byte, perm fs.FileMode) error {
 func (f *Faulty) Rename(oldpath, newpath string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if k := f.decide(renameKinds); k == KindRenameFail {
+	if k := f.s.Decide(f.rate, renameKinds); k == KindRenameFail {
 		return f.fault("rename", oldpath, k)
 	}
 	return f.inner.Rename(oldpath, newpath)

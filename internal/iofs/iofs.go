@@ -10,9 +10,9 @@
 // bytes or the new bytes, never a torn mixture, and a failure partway
 // never clobbers a good existing file.
 //
-// Second, Faulty, a deterministic seed-driven fault-injecting FS in the
-// style of internal/faultinject: a splitmix64 stream seeded by
-// Config.Seed decides, at every filesystem operation, whether to fail it
+// Second, Faulty, a deterministic seed-driven fault-injecting FS that
+// draws from internal/faultinject's shared Schedule: its splitmix64
+// stream, seeded by Config.Seed, decides, at every filesystem operation, whether to fail it
 // with ENOSPC, EIO, a torn write (a prefix reaches the disk and the call
 // errors — the crash-mid-write model), a partial read (truncated bytes
 // returned with a nil error — only a content checksum can catch it), or

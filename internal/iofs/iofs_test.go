@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -87,76 +88,6 @@ func TestFaultSentinels(t *testing.T) {
 	}
 }
 
-func TestKindNamesRoundTrip(t *testing.T) {
-	for _, k := range AllKinds() {
-		got, err := KindByName(k.String())
-		if err != nil {
-			t.Fatalf("KindByName(%q): %v", k.String(), err)
-		}
-		if got != k {
-			t.Fatalf("KindByName(%q) = %v, want %v", k.String(), got, k)
-		}
-	}
-	if _, err := KindByName("bogus"); err == nil {
-		t.Fatal("KindByName(bogus) succeeded")
-	}
-	kinds, err := KindsByNames("enospc, torn_write")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) != 2 || kinds[0] != KindNoSpace || kinds[1] != KindTornWrite {
-		t.Fatalf("KindsByNames = %v", kinds)
-	}
-	if kinds, err := KindsByNames(""); err != nil || kinds != nil {
-		t.Fatalf("KindsByNames(\"\") = %v, %v", kinds, err)
-	}
-}
-
-// TestFaultyDeterministic proves a fault schedule is a pure function of
-// the seed: two walks of the same operation sequence apply identical
-// faults at identical decision points.
-func TestFaultyDeterministic(t *testing.T) {
-	walk := func(seed uint64) ([]string, Counts) {
-		dir := t.TempDir()
-		fsys := NewFaulty(OS{}, Config{Seed: seed, Rate: 3})
-		var outcomes []string
-		for i := 0; i < 200; i++ {
-			name := filepath.Join(dir, "f.bin")
-			werr := fsys.WriteFile(name, []byte("payload payload payload"), 0o644)
-			data, rerr := fsys.ReadFile(name)
-			outcomes = append(outcomes,
-				errString(werr), errString(rerr), string(data))
-		}
-		return outcomes, fsys.Counts()
-	}
-	a, ca := walk(42)
-	b, cb := walk(42)
-	if ca != cb {
-		t.Fatalf("counts diverge: %v vs %v", ca, cb)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("outcome %d diverges: %q vs %q", i, a[i], b[i])
-		}
-	}
-	c, _ := walk(43)
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("seeds 42 and 43 produced identical schedules")
-	}
-	if ca.Total() == 0 {
-		t.Fatal("rate-3 schedule applied no faults in 400 decisions")
-	}
-}
-
 // errString renders an outcome independent of the temp-dir path.
 func errString(err error) string {
 	if err == nil {
@@ -211,14 +142,47 @@ func TestPartialReadSilent(t *testing.T) {
 	}
 }
 
-// TestMaxFaults checks the fault cap.
-func TestMaxFaults(t *testing.T) {
+// TestFaultyConcurrent drives one Faulty from several goroutines, as
+// serve workers do: every decision is counted once, and the applied
+// faults carry distinct sequence numbers 1..N with N = Counts().Total().
+func TestFaultyConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	fsys := NewFaulty(OS{}, Config{Seed: 3, Rate: 1, MaxFaults: 2})
-	for i := 0; i < 50; i++ {
-		fsys.WriteFile(filepath.Join(dir, "f"), []byte("x"), 0o644)
+	fsys := NewFaulty(OS{}, Config{Seed: 5, Rate: 2})
+	const workers, ops = 4, 50
+	seqs := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			name := filepath.Join(dir, fmt.Sprintf("w%d", w))
+			for i := 0; i < ops; i++ {
+				var fault *Fault
+				if err := fsys.WriteFile(name, []byte("data"), 0o644); errors.As(err, &fault) {
+					seqs[w] = append(seqs[w], fault.Seq)
+				} else if err != nil {
+					t.Errorf("worker %d: unexpected error %v", w, err)
+				}
+			}
+		}(w)
 	}
-	if got := fsys.Counts().Total(); got != 2 {
-		t.Fatalf("applied %d faults, want 2", got)
+	wg.Wait()
+	if got := fsys.Decisions(); got != workers*ops {
+		t.Errorf("Decisions = %d, want %d", got, workers*ops)
+	}
+	seen := map[uint64]bool{}
+	for _, s := range seqs {
+		for _, q := range s {
+			seen[q] = true
+		}
+	}
+	total := fsys.Counts().Total()
+	if total == 0 || uint64(len(seen)) != total {
+		t.Fatalf("%d distinct fault sequence numbers, %d faults applied", len(seen), total)
+	}
+	for q := uint64(1); q <= total; q++ {
+		if !seen[q] {
+			t.Fatalf("fault sequence number %d missing of 1..%d", q, total)
+		}
 	}
 }

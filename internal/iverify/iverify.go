@@ -265,17 +265,3 @@ type checker struct {
 	cfg Config
 	rep *Report
 }
-
-// peiPoint mirrors the executor's PEI-table predicate: loads, stores, and
-// (possibly patched) conditional branches translated from V-ISA
-// instructions. Chain-class compare branches are not PEI points.
-func peiPoint(inst *ildp.Inst) bool {
-	if inst.Class != ildp.ClassCore {
-		return false
-	}
-	switch inst.Kind {
-	case ildp.KindLoad, ildp.KindStore, ildp.KindCallTransCond, ildp.KindCondBranch:
-		return true
-	}
-	return false
-}

@@ -35,7 +35,7 @@ func (k *checker) checkPreciseState() {
 	// P1: table shapes.
 	peiCount := 0
 	for i := range c.Insts {
-		if peiPoint(&c.Insts[i]) {
+		if c.Insts[i].IsPEI() {
 			peiCount++
 		}
 	}
@@ -122,7 +122,7 @@ func (k *checker) checkPreciseState() {
 			}
 		}
 
-		if peiPoint(inst) {
+		if inst.IsPEI() {
 			// P1: the table entry must record this instruction's V-address.
 			if peiIdx < len(c.PEI) && c.PEI[peiIdx] != inst.VPC {
 				k.rep.add(RulePEITable, i,
@@ -211,7 +211,7 @@ func recoverTable(insts []ildp.Inst) [][]translate.RegAcc {
 	var table [][]translate.RegAcc
 	for i := range insts {
 		inst := &insts[i]
-		if peiPoint(inst) {
+		if inst.IsPEI() {
 			var pairs []translate.RegAcc
 			var regs []alpha.Reg
 			for r := range inAcc {

@@ -19,25 +19,25 @@ func goldenFeed(p *Profiler) {
 	infoA := FragInfo{Insts: 10, SrcInsts: 7, Strands: 2, MaxStrand: 5}
 	infoB := FragInfo{Insts: 6, SrcInsts: 4, Strands: 1, MaxStrand: 3}
 
-	p.Translate(0x10040, 7, 10, 140)
+	p.Translate(0x10040, 140)
 	p.FragEnter(1, 0x10040, infoA, 0, 0)
-	p.Retire(0, 1, 2, 0)
-	p.Retire(1, 2, 4, 1)
-	p.Retire(0, 4, 6, 0)
+	p.Retire(0, 2, 0)
+	p.Retire(1, 4, 1)
+	p.Retire(0, 6, 0)
 	p.Chain(ChainDirect)
 	p.FragEnter(2, 0x10080, infoB, 10, 7)
-	p.Retire(1, 6, 8, 1)
-	p.Retire(0, 8, 9, 0xFF)
+	p.Retire(1, 8, 1)
+	p.Retire(0, 9, 0xFF)
 	p.Chain(ChainSWPredMiss)
 	p.EnterDispatch(16, 11)
-	p.Retire(0, 9, 12, 0xFF)
+	p.Retire(0, 12, 0xFF)
 	p.Chain(ChainDispatchHit)
 	p.FragEnter(1, 0x10040, infoA, 36, 11)
-	p.Retire(1, 12, 14, 1)
-	p.Retire(0, 14, 16, 0)
+	p.Retire(1, 14, 1)
+	p.Retire(0, 16, 0)
 	p.Evict(2, 0x10080)
 	p.FragExit(ExitVM, 46, 18)
-	p.Retire(0, 16, 18, 0xFF)
+	p.Retire(0, 18, 0xFF)
 	p.Finish()
 }
 

@@ -10,14 +10,14 @@ import "testing"
 func TestPreemptFrame(t *testing.T) {
 	p := New(Config{})
 	p.FragEnter(0, 0x2000, FragInfo{Insts: 4}, 0, 0)
-	p.Retire(0, 1, 4, 1)
+	p.Retire(0, 4, 1)
 	p.Preempt(4, 3)
 	// Cycles between preemption and resume (e.g. the checkpoint walk in
 	// a timed harness) charge to the preempt frame, not a fragment.
-	p.Retire(0, 5, 8, 0xFF)
+	p.Retire(0, 8, 0xFF)
 	p.Resume(4, 3)
 	p.FragEnter(1, 0x3000, FragInfo{Insts: 4}, 4, 3)
-	p.Retire(0, 9, 12, 1)
+	p.Retire(0, 12, 1)
 	p.FragExit(ExitVM, 8, 6)
 	p.Finish()
 
@@ -40,9 +40,9 @@ func TestPreemptFrame(t *testing.T) {
 func TestFinishClosesDanglingPreemptFrame(t *testing.T) {
 	p := New(Config{})
 	p.FragEnter(0, 0x2000, FragInfo{Insts: 4}, 0, 0)
-	p.Retire(0, 1, 4, 1)
+	p.Retire(0, 4, 1)
 	p.Preempt(4, 3)
-	p.Retire(0, 5, 6, 0xFF)
+	p.Retire(0, 6, 0xFF)
 	p.Finish()
 
 	pr := p.Profile()

@@ -318,11 +318,12 @@ func (p *Profiler) EventsDropped() uint64 {
 	return p.pushed - uint64(len(p.ring))
 }
 
-// frame returns (creating if needed) the aggregate for a frame key.
-func (p *Profiler) frame(key uint64, id int32, vstart uint64) *FragAgg {
+// frame returns (creating if needed) the aggregate for a frame key: a
+// fragment's V-start, or a pseudo-frame's key.
+func (p *Profiler) frame(key uint64, id int32) *FragAgg {
 	f := p.frames[key]
 	if f == nil {
-		f = &FragAgg{ID: id, VStart: vstart}
+		f = &FragAgg{ID: id, VStart: key}
 		p.frames[key] = f
 	}
 	f.ID = id // fragment IDs restart after a cache flush; keep the latest
@@ -387,15 +388,25 @@ func (p *Profiler) flushIVTotals(iTotal, vTotal uint64) {
 	p.iBase, p.vBase = iTotal, vTotal
 }
 
-// open starts a new activation of the frame keyed by key.
-func (p *Profiler) open(key uint64, id int32, vstart uint64, iTotal, vTotal uint64) *FragAgg {
-	f := p.frame(key, id, vstart)
+// enter closes the open frame with reason and starts an activation of
+// frame id keyed by key (a fragment's V-start, or a pseudo-frame's
+// key), recording the entry event when the activation is sampled. It is
+// the one body behind FragEnter and the pseudo-frame openers.
+func (p *Profiler) enter(reason ExitKind, id int32, key uint64, iTotal, vTotal uint64) *FragAgg {
+	entryChain := p.pendingChain
+	p.pendingChain = -1
+	p.closeFrame(reason, iTotal, vTotal)
+	p.pendingExit = ExitChain
+	f := p.frame(key, id)
 	f.Entries++
 	p.cur = f
 	p.curTS = p.clock
 	p.iBase, p.vBase = iTotal, vTotal
 	p.activations++
 	p.armed = (p.activations-1)%uint64(p.cfg.SampleEvery) == 0
+	if p.armed {
+		p.push(Event{Kind: EvEnter, TS: p.clock, Frag: id, VStart: key, Arg: entryChain, PE: -1})
+	}
 	return f
 }
 
@@ -407,33 +418,16 @@ func (p *Profiler) FragEnter(id int32, vstart uint64, info FragInfo, iTotal, vTo
 	if p == nil {
 		return
 	}
-	entryChain := p.pendingChain
-	p.pendingChain = -1
-	p.closeFrame(p.pendingExit, iTotal, vTotal)
-	p.pendingExit = ExitChain
-	f := p.open(vstart, id, vstart, iTotal, vTotal)
-	if f.Info == (FragInfo{}) {
+	if f := p.enter(p.pendingExit, id, vstart, iTotal, vTotal); f.Info == (FragInfo{}) {
 		f.Info = info
-	}
-	if p.armed {
-		p.push(Event{Kind: EvEnter, TS: p.clock, Frag: id, VStart: vstart, Arg: entryChain, PE: -1})
 	}
 }
 
 // EnterDispatch begins an activation of the shared dispatch routine; the
 // current fragment's activation closes with an ExitDispatch reason.
 func (p *Profiler) EnterDispatch(iTotal, vTotal uint64) {
-	if p == nil {
-		return
-	}
-	entryChain := p.pendingChain
-	p.pendingChain = -1
-	p.closeFrame(ExitDispatch, iTotal, vTotal)
-	p.pendingExit = ExitChain
-	p.open(KeyDispatch, FrameDispatch, KeyDispatch, iTotal, vTotal)
-	if p.armed {
-		p.push(Event{Kind: EvEnter, TS: p.clock, Frag: FrameDispatch, VStart: KeyDispatch,
-			Arg: entryChain, PE: -1})
+	if p != nil {
+		p.enter(ExitDispatch, FrameDispatch, KeyDispatch, iTotal, vTotal)
 	}
 }
 
@@ -442,17 +436,8 @@ func (p *Profiler) EnterDispatch(iTotal, vTotal uint64) {
 // reason, and cycles retired until the next fragment entry are
 // attributed to recovery, keeping the conservation invariant intact.
 func (p *Profiler) EnterRecovery(iTotal, vTotal uint64) {
-	if p == nil {
-		return
-	}
-	entryChain := p.pendingChain
-	p.pendingChain = -1
-	p.closeFrame(ExitRecover, iTotal, vTotal)
-	p.pendingExit = ExitChain
-	p.open(KeyRecovery, FrameRecovery, KeyRecovery, iTotal, vTotal)
-	if p.armed {
-		p.push(Event{Kind: EvEnter, TS: p.clock, Frag: FrameRecovery, VStart: KeyRecovery,
-			Arg: entryChain, PE: -1})
+	if p != nil {
+		p.enter(ExitRecover, FrameRecovery, KeyRecovery, iTotal, vTotal)
 	}
 }
 
@@ -463,17 +448,8 @@ func (p *Profiler) EnterRecovery(iTotal, vTotal uint64) {
 // intact. Finish closes the frame with ExitPreempt rather than
 // ExitTrap, so a preempted run is distinguishable from a crashed one.
 func (p *Profiler) Preempt(iTotal, vTotal uint64) {
-	if p == nil {
-		return
-	}
-	entryChain := p.pendingChain
-	p.pendingChain = -1
-	p.closeFrame(ExitPreempt, iTotal, vTotal)
-	p.pendingExit = ExitChain
-	p.open(KeyPreempt, FramePreempt, KeyPreempt, iTotal, vTotal)
-	if p.armed {
-		p.push(Event{Kind: EvEnter, TS: p.clock, Frag: FramePreempt, VStart: KeyPreempt,
-			Arg: entryChain, PE: -1})
+	if p != nil {
+		p.enter(ExitPreempt, FramePreempt, KeyPreempt, iTotal, vTotal)
 	}
 }
 
@@ -535,12 +511,10 @@ func (p *Profiler) Chain(kind ChainKind) {
 
 // Translate records a superblock translation (always ring-recorded;
 // translations are rare).
-func (p *Profiler) Translate(vstart uint64, srcInsts, outInsts int, cost int64) {
+func (p *Profiler) Translate(vstart uint64, cost int64) {
 	if p == nil {
 		return
 	}
-	_ = srcInsts
-	_ = outInsts
 	p.push(Event{Kind: EvTranslate, TS: p.clock, Frag: -1, VStart: vstart, Arg: cost, PE: -1})
 }
 
@@ -568,13 +542,13 @@ func (p *Profiler) Evict(id int32, vstart uint64) {
 }
 
 // Retire is the timing-model feed: one retired record on processing
-// element pe with the given issue and retire cycles, tagged with the
+// element pe with the given retire cycle, tagged with the
 // instruction's accumulator (strand), or 0xFF when it has none. The
 // delta from the previously seen retire cycle is attributed to the
 // active frame, so per-frame cycles always sum to total cycles. The
 // timing models call it on every record, so it is small enough to
 // inline: an unprofiled model pays the nil check and no call.
-func (p *Profiler) Retire(pe int, issue, retire int64, acc uint8) {
+func (p *Profiler) Retire(pe int, retire int64, acc uint8) {
 	if p != nil {
 		p.retire(pe, retire, acc)
 	}
@@ -592,7 +566,7 @@ func (p *Profiler) retire(pe int, retire int64, acc uint8) {
 	if f == nil {
 		// Records outside any fragment: the interpreted stream of the
 		// no-DBT baseline, charged to the VM pseudo-frame.
-		f = p.frame(KeyVM, FrameVM, KeyVM)
+		f = p.frame(KeyVM, FrameVM)
 		if f.Entries == 0 {
 			f.Entries = 1
 		}

@@ -17,7 +17,7 @@ func feed(p *Profiler, activations int) {
 		p.FragEnter(id, 0x10000+uint64(id)*0x40, info, iTotal, vTotal)
 		for k := 0; k < 4; k++ {
 			clock += 2
-			p.Retire(k%2, clock-1, clock, uint8(k%3))
+			p.Retire(k%2, clock, uint8(k%3))
 			iTotal++
 			vTotal++
 		}
@@ -109,8 +109,8 @@ func TestNilProfilerIsNoop(t *testing.T) {
 	p.EnterDispatch(0, 0)
 	p.Chain(ChainDirect)
 	p.FragExit(ExitVM, 0, 0)
-	p.Retire(0, 1, 2, 0)
-	p.Translate(0x1000, 1, 2, 3)
+	p.Retire(0, 2, 0)
+	p.Translate(0x1000, 3)
 	p.Evict(0, 0x1000)
 	p.Finish()
 	if p.Events() != nil || p.EventsRecorded() != 0 || p.Clock() != -1 {
@@ -125,11 +125,11 @@ func TestNilProfilerIsNoop(t *testing.T) {
 func TestConservationWithVMFrame(t *testing.T) {
 	p := New(Config{})
 	// Records before any fragment entry land on the VM pseudo-frame.
-	p.Retire(0, 4, 5, 0xFF)
+	p.Retire(0, 5, 0xFF)
 	p.FragEnter(0, 0x2000, FragInfo{Insts: 4}, 0, 0)
-	p.Retire(0, 9, 10, 1)
+	p.Retire(0, 10, 1)
 	p.FragExit(ExitVM, 4, 3)
-	p.Retire(0, 11, 12, 0xFF)
+	p.Retire(0, 12, 0xFF)
 	p.Finish()
 
 	pr := p.Profile()

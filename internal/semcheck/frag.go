@@ -137,7 +137,7 @@ func (w *fragWalk) pushFinal(target *Term, where string) {
 // unconditional transfer.
 func (w *fragWalk) step(i int, inst *ildp.Inst) (bool, error) {
 	b := w.b
-	isPEI := peiPoint(inst)
+	isPEI := inst.IsPEI()
 	if isPEI {
 		if err := w.notePEI(inst); err != nil {
 			return false, err
@@ -250,17 +250,4 @@ func (w *fragWalk) step(i int, inst *ildp.Inst) (bool, error) {
 		return false, fmt.Errorf("semcheck: cannot execute %v at I#%d", inst.Kind, i)
 	}
 	return false, nil
-}
-
-// peiPoint mirrors the VM executor's potentially-excepting-instruction
-// predicate.
-func peiPoint(inst *ildp.Inst) bool {
-	if inst.Class != ildp.ClassCore {
-		return false
-	}
-	switch inst.Kind {
-	case ildp.KindLoad, ildp.KindStore, ildp.KindCallTransCond, ildp.KindCondBranch:
-		return true
-	}
-	return false
 }

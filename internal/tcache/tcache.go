@@ -309,17 +309,6 @@ func New(form ildp.Form) *Cache {
 // both microarchitectures; its table lookup is performed functionally by
 // the executor at the final jump.
 func (c *Cache) buildDispatch() {
-	mk := func(kind ildp.Kind, op alpha.Op, ldst bool) ildp.Inst {
-		inst := ildp.Inst{
-			Kind: kind, Op: op,
-			SrcA: ildp.GPRSrc(ildp.RegJTarget), SrcB: ildp.ImmSrc(0),
-			Acc: 0, WritesAcc: kind == ildp.KindALU || kind == ildp.KindLoad,
-			Dest: alpha.RegZero, Frag: ildp.NoFrag,
-			Class: ildp.ClassChain,
-		}
-		_ = ldst
-		return inst
-	}
 	// 19 work instructions + the final indirect jump.
 	ops := []alpha.Op{
 		alpha.OpSRL, alpha.OpXOR, alpha.OpAND, alpha.OpSLL, alpha.OpADDQ,
@@ -328,8 +317,12 @@ func (c *Cache) buildDispatch() {
 		alpha.OpADDQ, alpha.OpXOR, alpha.OpBIS, alpha.OpADDQ,
 	}
 	for _, op := range ops {
-		inst := mk(ildp.KindDispatchOp, op, false)
-		c.dispatch = append(c.dispatch, inst)
+		c.dispatch = append(c.dispatch, ildp.Inst{
+			Kind: ildp.KindDispatchOp, Op: op,
+			SrcA: ildp.GPRSrc(ildp.RegJTarget), SrcB: ildp.ImmSrc(0),
+			Acc: 0, Dest: alpha.RegZero, Frag: ildp.NoFrag,
+			Class: ildp.ClassChain,
+		})
 	}
 	c.dispatch = append(c.dispatch, ildp.Inst{
 		Kind: ildp.KindJumpInd, SrcA: ildp.GPRSrc(ildp.RegJTarget),

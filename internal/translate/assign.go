@@ -239,19 +239,9 @@ func (t *xlat) finish() {
 // mapping is always empty.
 func (t *xlat) buildPEIRecovery() {
 	inAcc := map[alpha.Reg]ildp.AccID{}
-	isPEIPoint := func(inst *ildp.Inst) bool {
-		if inst.Class != ildp.ClassCore {
-			return false
-		}
-		switch inst.Kind {
-		case ildp.KindLoad, ildp.KindStore, ildp.KindCallTransCond, ildp.KindCondBranch:
-			return true
-		}
-		return false
-	}
 	for i := range t.out {
 		inst := &t.out[i]
-		if isPEIPoint(inst) {
+		if inst.IsPEI() {
 			var pairs []RegAcc
 			for r, a := range inAcc {
 				pairs = append(pairs, RegAcc{Reg: r, Acc: a})

@@ -43,8 +43,8 @@ type ILDP struct {
 
 	storeDone map[uint64]int64
 
-	// prof, when non-nil, receives every record's PE, issue, and retire
-	// cycle for cycle attribution (nil = profiling disabled).
+	// prof, when non-nil, receives every record's PE and retire cycle
+	// for cycle attribution (nil = profiling disabled).
 	prof *prof.Profiler
 
 	res Result
@@ -251,7 +251,7 @@ func (m *ILDP) Append(rec trace.Rec) {
 		m.robSlot = 0
 	}
 
-	m.prof.Retire(pe, issue, ret, profAcc(&rec))
+	m.prof.Retire(pe, ret, profAcc(&rec))
 
 	m.res.Insts++
 	m.res.VInsts += uint64(rec.VCredit)

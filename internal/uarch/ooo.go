@@ -27,7 +27,7 @@ type OoO struct {
 	// store-to-load dependences at 8-byte granularity.
 	storeDone map[uint64]int64
 
-	// prof, when non-nil, receives every record's issue and retire cycle
+	// prof, when non-nil, receives every record's retire cycle
 	// (the superscalar has no PEs; everything reports element 0).
 	prof *prof.Profiler
 
@@ -123,7 +123,7 @@ func (m *OoO) Append(rec trace.Rec) {
 		m.robSlot = 0
 	}
 
-	m.prof.Retire(0, issue, ret, profAcc(&rec))
+	m.prof.Retire(0, ret, profAcc(&rec))
 
 	m.res.Insts++
 	m.res.VInsts += uint64(rec.VCredit)

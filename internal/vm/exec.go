@@ -591,7 +591,7 @@ func (v *VM) preciseTrap(frag *tcache.Fragment, idx int, inst *ildp.Inst, cause 
 	v.leave(idx)
 	peiIdx := 0
 	for i := range frag.Insts[:idx] {
-		if peiPoint(&frag.Insts[i]) {
+		if frag.Insts[i].IsPEI() {
 			peiIdx++
 		}
 	}
@@ -609,17 +609,6 @@ func (v *VM) preciseTrap(frag *tcache.Fragment, idx int, inst *ildp.Inst, cause 
 	}
 	v.cpu.PC = vpc
 	return &emu.Trap{PC: vpc, Cause: cause}
-}
-
-func peiPoint(inst *ildp.Inst) bool {
-	if inst.Class != ildp.ClassCore {
-		return false
-	}
-	switch inst.Kind {
-	case ildp.KindLoad, ildp.KindStore, ildp.KindCallTransCond, ildp.KindCondBranch:
-		return true
-	}
-	return false
 }
 
 func dispatchEntry(tc *tcache.Cache) uint64 {

@@ -6,13 +6,15 @@ import (
 	"github.com/ildp/accdbt/internal/faultinject"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/tcache"
+	"github.com/ildp/accdbt/internal/translate"
 )
 
 // This file is the VM's self-healing layer: the per-entry integrity
 // re-check and fault-injection decision point (admit), the recovery
 // bookkeeping shared by every recovery path (noteRecovery), the
 // retranslate-with-backoff / quarantine policy for failed translations
-// (translateFailed), and the injected cache-capacity shrink. The design
+// (translateFailed), the injected corruptions (corruptFragment,
+// corruptResult) and the injected cache-capacity shrink. The design
 // invariant throughout is that a recovery never loses architected state:
 // translated code is entered only after it passes the entry check, so
 // every recovery action happens at a V-ISA instruction boundary where
@@ -89,7 +91,7 @@ func (v *VM) admit(f *tcache.Fragment) bool {
 			// Corrupt the fragment being entered, so detection (below) is
 			// exercised on this very entry and the applied-fault count
 			// stays in lockstep with the reverify-failure count.
-			if v.inj.CorruptFragment(f) {
+			if corruptFragment(v.inj, f) {
 				v.inj.Applied(k)
 				// Without Paranoid the corrupted code runs: rebuild its
 				// opcodes and record templates from the flipped
@@ -208,3 +210,70 @@ func (v *VM) shrinkCache() {
 // off) so harnesses can reconcile applied-fault counts against the
 // VM's recovery statistics.
 func (v *VM) Injector() *faultinject.Injector { return v.inj }
+
+// corruptFragment flips one field of f — a single-bit perturbation of a
+// random instruction field or PEI-table entry, drawn from in's stream —
+// and returns whether a change was made. The change is always detectable
+// by the paranoid entry re-check (any byte of the installed image
+// differs from the install-time pristine copy), which is what makes the
+// fault recoverable before the corrupted code can execute.
+func corruptFragment(in *faultinject.Injector, f *tcache.Fragment) bool {
+	if len(f.Insts) == 0 {
+		return false
+	}
+	sites := len(f.Insts) + len(f.PEI)
+	site := int(in.Next() % uint64(sites))
+	if site >= len(f.Insts) {
+		f.PEI[site-len(f.Insts)] ^= 1 << (in.Next() % 48)
+		return true
+	}
+	inst := &f.Insts[site]
+	switch in.Next() % 6 {
+	case 0:
+		inst.VAddr ^= 1 << (in.Next() % 48)
+	case 1:
+		inst.Disp ^= 1 << (in.Next() % 16)
+	case 2:
+		inst.Dest ^= 1 << (in.Next() % 5)
+	case 3:
+		inst.Op ^= 1 << (in.Next() % 6)
+	case 4:
+		inst.VPC ^= 1 << (in.Next() % 48)
+	default:
+		inst.Acc ^= 1 << (in.Next() % 3)
+	}
+	return true
+}
+
+// corruptResult perturbs a translation result before installation,
+// drawing from in's stream, so that the install-time verifier provably
+// rejects it, and returns whether a change was made.
+func corruptResult(in *faultinject.Injector, res *translate.Result) bool {
+	if len(res.Insts) == 0 {
+		return false
+	}
+	if res.Straightened {
+		// Straightened fragments carry no I-ISA invariants for the
+		// verifier to reject; poison is not applicable.
+		return false
+	}
+	switch in.Next() % 3 {
+	case 0:
+		// Corrupt the recorded code size: rule E5 (size-class) fires.
+		res.CodeBytes += 2
+	case 1:
+		// Truncate the PEI table: rule P1 fires.
+		if len(res.PEI) == 0 {
+			res.CodeBytes += 2
+			break
+		}
+		res.PEI = res.PEI[:len(res.PEI)-1]
+		if len(res.PEIRecover) > 0 {
+			res.PEIRecover = res.PEIRecover[:len(res.PEIRecover)-1]
+		}
+	default:
+		// Break the set-VPC prologue: rule C1 fires.
+		res.Insts[0].VAddr += 4
+	}
+	return true
+}

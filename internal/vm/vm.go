@@ -651,7 +651,7 @@ func (v *VM) finishRecording(end translate.EndKind, nextPC uint64) error {
 		// Poison is only applied where the install-time verifier will
 		// provably catch it (accumulator fragments under Verify); an
 		// unapplied decision is not counted as an injected fault.
-		if v.inj.CorruptResult(res) {
+		if corruptResult(v.inj, res) {
 			v.inj.Applied(injectKind)
 		}
 	}
@@ -679,7 +679,7 @@ func (v *VM) finishRecording(end translate.EndKind, nextPC uint64) error {
 		v.cfg.Metrics.Histogram("translate.cost_per_fragment").Observe(float64(res.Cost))
 		v.cfg.Metrics.Histogram("translate.src_insts_per_fragment").Observe(float64(res.SrcCount))
 		v.cfg.Metrics.Histogram("translate.code_bytes_per_fragment").Observe(float64(res.CodeBytes))
-		v.cfg.Prof.Translate(res.VStart, res.SrcCount, len(res.Insts), res.Cost)
+		v.cfg.Prof.Translate(res.VStart, res.Cost)
 	}
 	if v.testMutateResult != nil {
 		v.testMutateResult(res)
