@@ -186,3 +186,81 @@ func TestFaultyConcurrent(t *testing.T) {
 		}
 	}
 }
+
+func TestKindNamesRoundTrip(t *testing.T) {
+	for _, k := range Kinds.All() {
+		got, err := Kinds.ByName(k.String())
+		if err != nil {
+			t.Fatalf("Kinds.ByName(%q): %v", k.String(), err)
+		}
+		if got != k {
+			t.Fatalf("Kinds.ByName(%q) = %v, want %v", k.String(), got, k)
+		}
+	}
+	if _, err := Kinds.ByName("bogus"); err == nil {
+		t.Fatal("Kinds.ByName(bogus) succeeded")
+	}
+	kinds, err := Kinds.Parse("enospc, torn_write")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kinds) != 2 || kinds[0] != KindNoSpace || kinds[1] != KindTornWrite {
+		t.Fatalf("Kinds.Parse = %v", kinds)
+	}
+	if kinds, err := Kinds.Parse(""); err != nil || kinds != nil {
+		t.Fatalf("Kinds.Parse(\"\") = %v, %v", kinds, err)
+	}
+}
+
+func TestFaultyDeterministic(t *testing.T) {
+	walk := func(seed uint64) ([]string, Counts) {
+		dir := t.TempDir()
+		fsys := NewFaulty(OS{}, Config{Seed: seed, Rate: 3})
+		var outcomes []string
+		for i := 0; i < 200; i++ {
+			name := filepath.Join(dir, "f.bin")
+			werr := fsys.WriteFile(name, []byte("payload payload payload"), 0o644)
+			data, rerr := fsys.ReadFile(name)
+			outcomes = append(outcomes,
+				errString(werr), errString(rerr), string(data))
+		}
+		return outcomes, fsys.Counts()
+	}
+	a, ca := walk(42)
+	b, cb := walk(42)
+	if ca != cb {
+		t.Fatalf("counts diverge: %v vs %v", ca, cb)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("outcome %d diverges: %q vs %q", i, a[i], b[i])
+		}
+	}
+	c, _ := walk(43)
+	same := len(a) == len(c)
+	if same {
+		for i := range a {
+			if a[i] != c[i] {
+				same = false
+				break
+			}
+		}
+	}
+	if same {
+		t.Fatal("seeds 42 and 43 produced identical schedules")
+	}
+	if ca.Total() == 0 {
+		t.Fatal("rate-3 schedule applied no faults in 400 decisions")
+	}
+}
+
+func TestMaxFaults(t *testing.T) {
+	dir := t.TempDir()
+	fsys := NewFaulty(OS{}, Config{Seed: 3, Rate: 1, MaxFaults: 2})
+	for i := 0; i < 50; i++ {
+		fsys.WriteFile(filepath.Join(dir, "f"), []byte("x"), 0o644)
+	}
+	if got := fsys.Counts().Total(); got != 2 {
+		t.Fatalf("applied %d faults, want 2", got)
+	}
+}
