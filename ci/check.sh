@@ -82,13 +82,21 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (vm, tcache, fragstore, metrics, telemetry, serve, mem, emu, iofs)"
+echo "== go test -race (vm, tcache, fragstore, metrics, telemetry, serve, mem, emu, iofs, trace, uarch)"
 # mem and emu are here because mem.Memory holds mutable state on its
 # read path (the last-page cache); iofs because Faulty promises to be
-# safe for concurrent use (DESIGN.md §15.1).
+# safe for concurrent use (DESIGN.md §15.1); trace and uarch because a
+# timed run feeds its model through trace.Pipe on a second goroutine.
 go test -race ./internal/vm/... ./internal/tcache/... ./internal/fragstore/... \
     ./internal/metrics/... ./internal/telemetry/... ./internal/serve/... \
-    ./internal/mem/... ./internal/emu/... ./internal/iofs/...
+    ./internal/mem/... ./internal/emu/... ./internal/iofs/... \
+    ./internal/trace/... ./internal/uarch/...
+
+echo "== record pipe (timed runs against the synchronous path, under the race detector)"
+# Piped and synchronous timed runs must give equal Outcomes, and a
+# panic or error on either side must reach the caller and leave no
+# goroutine behind (DESIGN.md §19).
+go test -race -short -run 'TestPipe' ./internal/experiments/
 
 echo "== warm translated-execution benchmark smoke (one iteration)"
 # BenchmarkWarmExecution fails if the warm store misses; one iteration

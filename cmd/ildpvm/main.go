@@ -290,15 +290,14 @@ func main() {
 			s.Recoveries(), s.ReverifyFails, s.SpuriousTraps, s.ForcedEvicts,
 			s.TransFailures, s.StaleLinks, s.Quarantines, s.FallbackInsts, s.RecoveryCost)
 	}
-	if model.OoO != nil {
-		r := model.OoO.Finish()
-		printTiming("out-of-order superscalar", r)
-		r.Publish(reg, "uarch.ooo")
-	}
-	if model.ILDP != nil {
-		r := model.ILDP.Finish()
-		printTiming(fmt.Sprintf("ILDP %d-PE", *pes), r)
-		r.Publish(reg, "uarch.ildp")
+	res, _ := model.Finish()
+	switch {
+	case model.OoO != nil:
+		printTiming("out-of-order superscalar", res)
+		res.Publish(reg, "uarch.ooo")
+	case model.ILDP != nil:
+		printTiming(fmt.Sprintf("ILDP %d-PE", *pes), res)
+		res.Publish(reg, "uarch.ildp")
 	}
 	if *dump > 0 {
 		dumpFragments(v, *dump)

@@ -9,7 +9,9 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 
 	"github.com/ildp/accdbt/internal/alphaprog"
 	"github.com/ildp/accdbt/internal/checkpoint"
@@ -17,6 +19,7 @@ import (
 	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/metrics"
 	"github.com/ildp/accdbt/internal/prof"
+	"github.com/ildp/accdbt/internal/trace"
 	"github.com/ildp/accdbt/internal/translate"
 	"github.com/ildp/accdbt/internal/uarch"
 	"github.com/ildp/accdbt/internal/vm"
@@ -192,10 +195,16 @@ func (s RunSpec) execute(prog *alphaprog.Program, st *checkpoint.State, edit fun
 	if s.RASSize > 0 {
 		cfg.RASSize = s.RASSize
 	}
+	runsInFlight.Add(1)
+	defer runsInFlight.Add(-1)
 	model, err := s.Build(&cfg)
 	if err != nil {
 		return nil, err
 	}
+	// Finish closes the model's record pipe on the normal path; this
+	// closes it on the others (a LoadProgram error, a panic out of the
+	// VM or the model), so its goroutine never outlives the run.
+	defer model.close()
 	if edit != nil {
 		edit(&cfg)
 	}
@@ -214,41 +223,82 @@ func (s RunSpec) execute(prog *alphaprog.Program, st *checkpoint.State, edit fun
 	}
 	r := &run{vm: v, model: model, err: v.Run(s.MaxV)}
 	r.out = Outcome{Spec: s, VM: v.Stats}
-	switch {
-	case model.OoO != nil:
-		r.out.Timing = model.OoO.Finish()
-	case model.ILDP != nil:
-		r.out.Timing = model.ILDP.Finish()
-		r.out.PEDist = model.ILDP.PEDistribution()
-	}
+	r.out.Timing, r.out.PEDist = model.Finish()
 	s.Prof.Finish()
 	return r, nil
 }
 
+// runsInFlight counts the runs executing in this process, such as
+// perWorkload's concurrent evaluations. Build reads it to leave a
+// record pipe out when the runs already keep every CPU busy.
+var runsInFlight atomic.Int32
+
 // Model is the timing model a machine was built with: the out-of-order
 // superscalar or the ILDP core. At most one is set, and neither when
-// the run is untimed.
+// the run is untimed. Only Finish may read the model's state once the
+// run has started: with a record pipe, the model runs on the pipe's
+// goroutine until then.
 type Model struct {
 	OoO  *uarch.OoO
 	ILDP *uarch.ILDP
+
+	// pipe, when non-nil, is the VM's sink: it feeds the model on a
+	// goroutine of its own.
+	pipe *trace.Pipe
+}
+
+// Finish ends the run's record stream and returns the model's timing
+// result and, for the ILDP core, its PE distribution; both are zero
+// for an untimed run. A panic in the model during the run reaches
+// Finish's caller with the same value.
+func (m Model) Finish() (uarch.Result, []float64) {
+	if m.pipe != nil {
+		if r := m.pipe.Close(); r != nil {
+			panic(r)
+		}
+	}
+	switch {
+	case m.OoO != nil:
+		return m.OoO.Finish(), nil
+	case m.ILDP != nil:
+		return m.ILDP.Finish(), m.ILDP.PEDistribution()
+	}
+	return uarch.Result{}, nil
+}
+
+// close stops the record pipe, if there is one, and drops a panic from
+// the model: it is for exit paths on which the run has already failed.
+func (m Model) close() {
+	if m.pipe != nil {
+		m.pipe.Close()
+	}
 }
 
 // Build configures cfg for s.Machine and, when s.Timing is set, builds
 // and attaches the matching timing model with s.Prof as its profiler.
 // It is the one machine builder: Run, the harnesses and ildpvm all
 // model their machines here, so they model them identically.
+//
+// A timed run with no profiler feeds its model through a trace.Pipe
+// when GOMAXPROCS leaves every run in flight a CPU for its VM and one
+// for its model. The model then runs beside the VM on a second
+// goroutine and sees the same records in the same order, and the
+// caller must call the Model's Finish, which stops that goroutine. A
+// profiled run stays on one goroutine: the profiler interleaves the
+// VM's fragment events with the model's retire events.
 func (s RunSpec) Build(cfg *vm.Config) (Model, error) {
 	var m Model
+	hook := &cfg.Sink // the VM hook the model listens on
 	switch s.Machine {
 	case Original:
 		// No DBT: interpret everything; the timing model sees the native
 		// Alpha stream.
 		cfg.HotThreshold = math.MaxInt32
+		hook = &cfg.InterpSink
 		if s.Timing {
 			mc := uarch.DefaultOoO()
 			mc.UseHWRAS = !s.NoHWRAS
 			m.OoO = uarch.NewOoO(mc)
-			cfg.InterpSink = m.OoO
 		}
 	case Straightened:
 		cfg.Straighten = true
@@ -259,7 +309,6 @@ func (s RunSpec) Build(cfg *vm.Config) (Model, error) {
 			// with no return prediction; callers normally pass SWPred.
 			mc.DualRASTrace = s.Chain == translate.SWPredRAS && !s.NoHWRAS
 			m.OoO = uarch.NewOoO(mc)
-			cfg.Sink = m.OoO
 		}
 	case ILDPBasic, ILDPModified:
 		cfg.Form = ildp.Basic
@@ -277,16 +326,29 @@ func (s RunSpec) Build(cfg *vm.Config) (Model, error) {
 				mc.CacheOpts.DWays = 2
 			}
 			m.ILDP = uarch.NewILDP(mc)
-			cfg.Sink = m.ILDP
 		}
 	default:
 		return m, fmt.Errorf("experiments: unknown machine %v", s.Machine)
 	}
-	if m.OoO != nil {
-		m.OoO.SetProfiler(s.Prof)
+	var model interface {
+		trace.Sink
+		trace.BatchSink
 	}
-	if m.ILDP != nil {
+	switch {
+	case m.OoO != nil:
+		m.OoO.SetProfiler(s.Prof)
+		model = m.OoO
+	case m.ILDP != nil:
 		m.ILDP.SetProfiler(s.Prof)
+		model = m.ILDP
+	default:
+		return m, nil
+	}
+	if procs := runtime.GOMAXPROCS(0); s.Prof == nil && procs > 1 && 2*int(runsInFlight.Load()) <= procs {
+		m.pipe = trace.NewPipe(model)
+		*hook = m.pipe
+	} else {
+		*hook = model
 	}
 	return m, nil
 }

@@ -35,18 +35,24 @@ func TestKillMidQuantum(t *testing.T) {
 	// One worker and a huge quantum: the victim occupies the worker
 	// until the kill flag preempts it.
 	s := testServer(t, Options{Workers: 1, QuantumVInsts: 1 << 40})
+	// Hold the victim's first quantum, past its kill check, until the
+	// kill lands, so the kill reaches the running quantum however fast
+	// the victim would otherwise finish.
+	started, killed := make(chan struct{}), make(chan struct{})
+	unhold := sync.OnceFunc(func() { close(killed) })
+	defer unhold()
+	var once sync.Once
+	s.hookQuantum = func(sess *Session) {
+		if sess.Name == "vpr" {
+			once.Do(func() { close(started); <-killed })
+		}
+	}
 	victim := submitWorkload(t, s, "vpr", 50, 0, "t0")
 	sibling := submitWorkload(t, s, "gap", 1, 0, "t0")
 
-	// Wait until the victim is actually running, then kill it.
-	deadline := time.Now().Add(30 * time.Second)
-	for victim.StateNow() != StateRunning {
-		if time.Now().After(deadline) {
-			t.Fatalf("victim never ran (state %s)", victim.StateNow())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	recvWithin(t, started, "the victim's first quantum")
 	victim.Kill()
+	unhold()
 	waitDone(t, victim, 30*time.Second)
 	if got := victim.StateNow(); got != StateKilled {
 		t.Fatalf("victim state = %s (%s), want killed", got, victim.Err())
@@ -212,11 +218,19 @@ func TestShedCold(t *testing.T) {
 	s := testServer(t, Options{
 		Workers: 1, QuantumVInsts: 5_000, MaxResident: 1, SpillDir: dir,
 	})
+	// Hold the first quantum until all four sessions are queued, so they
+	// overlap by construction: none can finish before the next arrives,
+	// and MaxResident 1 must shed and reload.
+	queued := make(chan struct{})
+	unhold := sync.OnceFunc(func() { close(queued) })
+	defer unhold()
+	s.hookQuantum = func(*Session) { <-queued }
 	names := []string{"gap", "bzip2", "mcf", "twolf"}
 	var sessions []*Session
 	for _, name := range names {
 		sessions = append(sessions, submitWorkload(t, s, name, 1, 0, "t0"))
 	}
+	unhold()
 	for i, sess := range sessions {
 		waitDone(t, sess, 120*time.Second)
 		if got := sess.StateNow(); got != StateDone {

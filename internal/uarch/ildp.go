@@ -132,10 +132,20 @@ func (m *ILDP) newStrandPE(rec *trace.Rec) int {
 	return pe
 }
 
-// Append implements trace.Sink.
-func (m *ILDP) Append(rec trace.Rec) {
-	fc := m.fe.fetch(&rec)
-	pe := m.steer(&rec)
+// Append implements trace.Sink: schedule one committed instruction.
+func (m *ILDP) Append(rec trace.Rec) { m.schedule(&rec) }
+
+// AppendBatch implements trace.BatchSink: Append each record in order.
+func (m *ILDP) AppendBatch(recs []trace.Rec) {
+	for i := range recs {
+		m.schedule(&recs[i])
+	}
+}
+
+// schedule times one committed instruction for Append and AppendBatch.
+func (m *ILDP) schedule(rec *trace.Rec) {
+	fc := m.fe.fetch(rec)
+	pe := m.steer(rec)
 	p := &m.pes[pe]
 	p.insts++
 
@@ -251,18 +261,18 @@ func (m *ILDP) Append(rec trace.Rec) {
 		m.robSlot = 0
 	}
 
-	m.prof.Retire(pe, ret, profAcc(&rec))
+	m.prof.Retire(pe, ret, profAcc(rec))
 
 	m.res.Insts++
 	m.res.VInsts += uint64(rec.VCredit)
 	if rec.IsBranch() {
-		if isEndOfRun(&rec) {
+		if isEndOfRun(rec) {
 			m.res.Episodes++
 			m.fe.drain(ret + 1)
 			m.resetPipeline(ret)
 			return
 		}
-		m.fe.resolve(&rec, fc, done)
+		m.fe.resolve(rec, fc, done)
 	}
 }
 

@@ -54,8 +54,18 @@ func NewOoO(cfg Config) *OoO {
 }
 
 // Append implements trace.Sink: schedule one committed instruction.
-func (m *OoO) Append(rec trace.Rec) {
-	fc := m.fe.fetch(&rec)
+func (m *OoO) Append(rec trace.Rec) { m.schedule(&rec) }
+
+// AppendBatch implements trace.BatchSink: Append each record in order.
+func (m *OoO) AppendBatch(recs []trace.Rec) {
+	for i := range recs {
+		m.schedule(&recs[i])
+	}
+}
+
+// schedule times one committed instruction for Append and AppendBatch.
+func (m *OoO) schedule(rec *trace.Rec) {
+	fc := m.fe.fetch(rec)
 
 	// Dispatch one stage after fetch; wait for a ROB slot. A slot not
 	// yet written holds cycle 0, and disp >= 1, so it never delays
@@ -123,19 +133,19 @@ func (m *OoO) Append(rec trace.Rec) {
 		m.robSlot = 0
 	}
 
-	m.prof.Retire(0, ret, profAcc(&rec))
+	m.prof.Retire(0, ret, profAcc(rec))
 
 	m.res.Insts++
 	m.res.VInsts += uint64(rec.VCredit)
 	if rec.IsBranch() {
-		if isEndOfRun(&rec) {
+		if isEndOfRun(rec) {
 			// Mode switch: drain and restart with an empty pipeline.
 			m.res.Episodes++
 			m.fe.drain(ret + 1)
 			m.resetPipeline(ret)
 			return
 		}
-		m.fe.resolve(&rec, fc, done)
+		m.fe.resolve(rec, fc, done)
 	}
 }
 
