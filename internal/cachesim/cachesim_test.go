@@ -1,6 +1,9 @@
 package cachesim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestHitAfterMiss(t *testing.T) {
 	memory := &Memory{Latency: 72, Burst: 4}
@@ -99,5 +102,41 @@ func TestICacheDirectMapped(t *testing.T) {
 	h.I.Access(32<<10, false)
 	if lat := h.I.Access(0x0, false); lat == 0 {
 		t.Error("direct-mapped conflict should have evicted")
+	}
+}
+
+// TestCacheFillsWholeLines: a Cache is a whole number of 64-byte cache
+// lines, so the allocator's size class keeps caches on lines of their
+// own, and the Lookup/Access split between two CPUs shares none.
+func TestCacheFillsWholeLines(t *testing.T) {
+	if s := unsafe.Sizeof(Cache{}); s%64 != 0 {
+		t.Errorf("unsafe.Sizeof(Cache{}) = %d, want a multiple of 64", s)
+	}
+}
+
+// TestLookupThenNext splits an access the way a timing model's fetch
+// stage and core do: Lookup on the level, then the next level on a
+// miss. Latencies, counters and the next level's state must match
+// Access.
+func TestLookupThenNext(t *testing.T) {
+	whole, split := NewHierarchy(Options{}), NewHierarchy(Options{})
+	x := uint64(1)
+	for i := 0; i < 20000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		addr := x % (4 << 20)
+		want := whole.I.Access(addr, false)
+		got := split.I.Latency()
+		if !split.I.Lookup(addr) {
+			got += split.I.Next().Access(addr, false)
+		}
+		if got != want {
+			t.Fatalf("access %d to %#x: split latency %d, Access %d", i, addr, got, want)
+		}
+	}
+	if whole.I.Accesses != split.I.Accesses || whole.I.Misses != split.I.Misses ||
+		whole.L2.Misses != split.L2.Misses || whole.Mem.Accesses != split.Mem.Accesses {
+		t.Errorf("split counters differ: I %d/%d misses, L2 %d/%d misses", split.I.Misses, whole.I.Misses, split.L2.Misses, whole.L2.Misses)
 	}
 }

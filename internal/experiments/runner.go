@@ -281,11 +281,12 @@ func (m Model) close() {
 //
 // A timed run with no profiler feeds its model through a trace.Pipe
 // when GOMAXPROCS leaves every run in flight a CPU for its VM and one
-// for its model. The model then runs beside the VM on a second
-// goroutine and sees the same records in the same order, and the
-// caller must call the Model's Finish, which stops that goroutine. A
-// profiled run stays on one goroutine: the profiler interleaves the
-// VM's fragment events with the model's retire events.
+// for its model. The model's timing core then runs beside the VM on a
+// second goroutine and sees the same records in the same order; its
+// fetch stage runs on whichever of the two reaches a record first (see
+// trace.Pipe). The caller must call the Model's Finish, which stops
+// that goroutine. A profiled run stays on one goroutine: the profiler
+// interleaves the VM's fragment events with the model's retire events.
 func (s RunSpec) Build(cfg *vm.Config) (Model, error) {
 	var m Model
 	hook := &cfg.Sink // the VM hook the model listens on
@@ -332,7 +333,7 @@ func (s RunSpec) Build(cfg *vm.Config) (Model, error) {
 	}
 	var model interface {
 		trace.Sink
-		trace.BatchSink
+		Stages() (trace.Stage, trace.BatchSink)
 	}
 	switch {
 	case m.OoO != nil:
@@ -345,7 +346,7 @@ func (s RunSpec) Build(cfg *vm.Config) (Model, error) {
 		return m, nil
 	}
 	if procs := runtime.GOMAXPROCS(0); s.Prof == nil && procs > 1 && 2*int(runsInFlight.Load()) <= procs {
-		m.pipe = trace.NewPipe(model)
+		m.pipe = trace.NewPipe(model.Stages())
 		*hook = m.pipe
 	} else {
 		*hook = model

@@ -75,15 +75,22 @@ func (d *digestSink) result(r uarch.Result, peDist []float64) {
 // Fig. 8's specs) and every field of each run's timing Result. The
 // gzip ILDP-modified run also carries a profiler, so the profiled
 // retire path is covered, and its retire count and cycle total are
-// hashed too.
+// hashed too. Every record is also checked against the record
+// contract, trace.Rec.Validate.
 func TestTraceDigest(t *testing.T) {
 	d := &digestSink{h: 14695981039346656037}
+	var checkers []*trace.Checker
+	check := func(s trace.Sink) trace.Sink {
+		c := &trace.Checker{Next: s}
+		checkers = append(checkers, c)
+		return c
+	}
 	tap := func(cfg *vm.Config) {
 		if cfg.Sink != nil {
-			cfg.Sink = trace.Multi{d, cfg.Sink}
+			cfg.Sink = check(trace.Multi{d, cfg.Sink})
 		}
 		if cfg.InterpSink != nil {
-			cfg.InterpSink = trace.Multi{d, cfg.InterpSink}
+			cfg.InterpSink = check(trace.Multi{d, cfg.InterpSink})
 		}
 	}
 	for _, name := range workload.Names() {
@@ -108,6 +115,11 @@ func TestTraceDigest(t *testing.T) {
 				d.mix(p.Retires())
 				d.mix(uint64(p.Profile().TotalCycles))
 			}
+		}
+	}
+	for _, c := range checkers {
+		if c.Err != nil {
+			t.Errorf("the VM broke the record contract: %v", c.Err)
 		}
 	}
 	if d.h != traceDigest {

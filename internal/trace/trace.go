@@ -6,6 +6,8 @@
 // microarchitecture.
 package trace
 
+import "fmt"
+
 // Class is the execution class of a dynamic instruction.
 type Class uint8
 
@@ -37,6 +39,14 @@ func (c Class) String() string {
 const (
 	NoReg uint8 = 0xFF
 	NoAcc uint8 = 0xFF
+)
+
+// NumRegs and NumAccs bound a record's register and accumulator
+// numbers: 64 GPRs (the 32 architected ones plus the VM's scratch
+// registers) and 8 accumulators.
+const (
+	NumRegs = 64
+	NumAccs = 8
 )
 
 // Rec is one committed dynamic instruction.
@@ -80,6 +90,40 @@ type Rec struct {
 
 	// VCredit is the number of V-ISA instructions retired at this record.
 	VCredit uint8
+
+	// Verdict belongs to the timing model: its fetch stage writes what
+	// it decided about the record here, for its timing core to read.
+	// Producers leave it zero. It sits in what was padding, so a Rec
+	// stays 48 bytes.
+	Verdict uint8
+}
+
+// Validate checks r against the record contract: the ranges the timing
+// models index by (registers below NumRegs, accumulators below NumAccs,
+// a known Class), an encoded Size of 2, 4 or 8 bytes, and a zero
+// Verdict, as every producer leaves it. It returns nil for a valid
+// record.
+func (r *Rec) Validate() error {
+	for _, reg := range [...]uint8{r.SrcReg[0], r.SrcReg[1], r.DstReg} {
+		if reg != NoReg && reg >= NumRegs {
+			return fmt.Errorf("trace: register %d at PC %#x, want below %d", reg, r.PC, NumRegs)
+		}
+	}
+	for _, acc := range [...]uint8{r.SrcAcc, r.DstAcc} {
+		if acc != NoAcc && acc >= NumAccs {
+			return fmt.Errorf("trace: accumulator %d at PC %#x, want below %d", acc, r.PC, NumAccs)
+		}
+	}
+	if int(r.Class) >= len(classNames) {
+		return fmt.Errorf("trace: class %d at PC %#x", r.Class, r.PC)
+	}
+	if r.Size != 2 && r.Size != 4 && r.Size != 8 {
+		return fmt.Errorf("trace: size %d at PC %#x, want 2, 4 or 8", r.Size, r.PC)
+	}
+	if r.Verdict != 0 {
+		return fmt.Errorf("trace: verdict %#x at PC %#x as produced, want 0", r.Verdict, r.PC)
+	}
+	return nil
 }
 
 // IsBranch reports whether the record can redirect fetch.
@@ -116,6 +160,25 @@ type Counter struct {
 func (c *Counter) Append(r Rec) {
 	c.Recs++
 	c.VCredit += uint64(r.VCredit)
+}
+
+// Checker is a Sink that validates each record (see Rec.Validate) and
+// forwards it to Next, for tests. It keeps the first violation.
+type Checker struct {
+	Next Sink
+	Recs uint64 // records checked
+	Err  error  // the first violation, or nil
+}
+
+// Append implements Sink.
+func (c *Checker) Append(r Rec) {
+	c.Recs++
+	if c.Err == nil {
+		if err := r.Validate(); err != nil {
+			c.Err = fmt.Errorf("record %d: %w", c.Recs-1, err)
+		}
+	}
+	c.Next.Append(r)
 }
 
 // Buffer is a Sink that retains all records, for tests.

@@ -7,9 +7,41 @@ import (
 	"github.com/ildp/accdbt/internal/trace"
 )
 
-func newFE(cfg Config) *frontEnd {
+// testFE drives the front end's two halves one record at a time, as a
+// model's Append does, for tests that choose each record's done cycle.
+type testFE struct {
+	*fetchStage
+	clk fetchClock
+	cfg Config
+	v   verdict // the last record's verdict
+}
+
+func newFE(cfg Config) *testFE {
 	hier := cachesim.NewHierarchy(cfg.CacheOpts)
-	return newFrontEnd(&cfg, hier.I)
+	f := &testFE{cfg: cfg}
+	f.fetchStage = newFetchStage(&f.cfg, hier.I)
+	f.clk = newFetchClock(&f.cfg, hier.I)
+	return f
+}
+
+// fetch runs the fetch stage over rec and returns its fetch cycle.
+func (f *testFE) fetch(rec *trace.Rec) int64 {
+	f.v = f.step(rec)
+	if f.v&iMiss != 0 {
+		f.clk.fetch(f.v)
+		return f.clk.miss(rec)
+	}
+	return f.clk.fetch(f.v)
+}
+
+// resolve schedules the redirect of the last record, fetched at fc and
+// done at done.
+func (f *testFE) resolve(_ *trace.Rec, fc, done int64) { f.clk.redirect(f.v, fc, done, done) }
+
+// redirect starts the next fetch group at cycle at, or the next cycle.
+func (f *testFE) redirect(at int64) {
+	f.breakPending = true
+	f.clk.nextAt = max(f.clk.nextAt, at)
 }
 
 func brRec(pc uint64, class trace.Class, taken bool, target uint64) trace.Rec {
@@ -25,7 +57,7 @@ func TestFetchGroupsWidthLimited(t *testing.T) {
 	fe := newFE(DefaultOoO())
 	// Warm the I-cache line first.
 	fe.fetch(&trace.Rec{PC: 0x1000, Size: 4})
-	base := fe.cycle
+	base := fe.clk.cycle
 	cycles := map[int64]int{}
 	for i := 1; i < 12; i++ {
 		fc := fe.fetch(&trace.Rec{PC: 0x1000 + uint64(i)*4, Size: 4})
@@ -164,11 +196,11 @@ func TestThreeBlockFetchLimit(t *testing.T) {
 			fe.resolve(&rec, fc, fc+1)
 		}
 		// Reset the group between warm-up rounds.
-		fe.redirect(fe.cycle + 1)
+		fe.redirect(fe.clk.cycle + 1)
 	}
 	// Now fetch four correctly-predicted not-taken branches in a row: the
 	// fourth must start a new cycle (3 sequential basic blocks max).
-	fe.redirect(fe.cycle + 2)
+	fe.redirect(fe.clk.cycle + 2)
 	var fcs []int64
 	for _, pc := range pcs {
 		rec := brRec(pc, trace.ClassBranch, false, 0)

@@ -16,7 +16,8 @@ import (
 type ILDP struct {
 	cfg  Config
 	hier *cachesim.Hierarchy
-	fe   *frontEnd
+	fs   *fetchStage
+	fc   fetchClock
 
 	// Per-GPR readiness plus the PE that produced the value (for the
 	// communication latency).
@@ -72,7 +73,8 @@ func NewILDP(cfg Config) *ILDP {
 	m := &ILDP{
 		cfg:       cfg,
 		hier:      hier,
-		fe:        newFrontEnd(&cfg, hier.I),
+		fs:        newFetchStage(&cfg, hier.I),
+		fc:        newFetchClock(&cfg, hier.I),
 		pes:       make([]peState, cfg.PEs),
 		rob:       make([]int64, cfg.ROB),
 		storeDone: map[uint64]int64{},
@@ -90,27 +92,23 @@ func NewILDP(cfg Config) *ILDP {
 	return m
 }
 
-// steer picks the processing element for an instruction: accumulator-based
-// steering (§1.1) with dependence-aware placement of new strands — a
-// strand whose first input is a GPR value follows that value's producer
-// onto its PE, so inter-strand chains avoid the global wire latency; this
-// is what lets the hierarchical ISA tolerate communication delay (§5).
-// Strands with no live GPR input round-robin across PEs.
-func (m *ILDP) steer(rec *trace.Rec) int {
-	acc := rec.DstAcc
-	if acc == trace.NoAcc {
-		acc = rec.SrcAcc
-	}
+// steer picks the processing element for an instruction that starts a
+// strand or has none; acc is its strand's accumulator (its destination,
+// else its source), or NoAcc. A record that continues a strand stays on
+// its PE, and schedule handles that case itself. Steering is
+// accumulator-based (§1.1) with dependence-aware placement of new
+// strands — a strand whose first input is a GPR value follows that
+// value's producer onto its PE, so inter-strand chains avoid the global
+// wire latency; this is what lets the hierarchical ISA tolerate
+// communication delay (§5). Strands with no live GPR input round-robin
+// across PEs, and so do accumulator-free instructions (GPR-only stores,
+// saves, branches on GPRs) whose producer is no longer hot.
+func (m *ILDP) steer(rec *trace.Rec, acc uint8) int {
+	pe := m.newStrandPE(rec)
 	if acc != trace.NoAcc {
-		readsAcc := rec.SrcAcc != trace.NoAcc
-		if !readsAcc || m.accPE[acc] < 0 {
-			m.accPE[acc] = int8(m.newStrandPE(rec))
-		}
-		return int(m.accPE[acc])
+		m.accPE[acc] = int8(pe)
 	}
-	// Accumulator-free instructions (GPR-only stores, saves, branches on
-	// GPRs) follow their producer when it is still hot, else round-robin.
-	return m.newStrandPE(rec)
+	return pe
 }
 
 // newStrandPE places a strand start: on the PE of a still-hot GPR source
@@ -133,39 +131,59 @@ func (m *ILDP) newStrandPE(rec *trace.Rec) int {
 }
 
 // Append implements trace.Sink: schedule one committed instruction.
-func (m *ILDP) Append(rec trace.Rec) { m.schedule(&rec) }
+func (m *ILDP) Append(rec trace.Rec) { m.schedule(&rec, m.fs.step(&rec)) }
 
 // AppendBatch implements trace.BatchSink: Append each record in order.
+// It decides each record's verdict afresh, ignoring rec.Verdict.
 func (m *ILDP) AppendBatch(recs []trace.Rec) {
 	for i := range recs {
-		m.schedule(&recs[i])
+		m.schedule(&recs[i], m.fs.step(&recs[i]))
 	}
 }
 
-// schedule times one committed instruction for Append and AppendBatch.
-func (m *ILDP) schedule(rec *trace.Rec) {
-	fc := m.fe.fetch(rec)
-	pe := m.steer(rec)
+// Stages returns the model's two halves, for a trace.Pipe, as
+// OoO.Stages does.
+func (m *ILDP) Stages() (trace.Stage, trace.BatchSink) { return m.fs, (*ildpCore)(m) }
+
+// ildpCore is the timing core of an ILDP model.
+type ildpCore ILDP
+
+// AppendBatch implements trace.BatchSink.
+func (c *ildpCore) AppendBatch(recs []trace.Rec) {
+	m := (*ILDP)(c)
+	for i := range recs {
+		m.schedule(&recs[i], verdict(recs[i].Verdict))
+	}
+}
+
+// schedule times one committed instruction whose fetch verdict is v.
+func (m *ILDP) schedule(rec *trace.Rec, v verdict) {
+	fc := m.fc.fetch(v)
+	if v&iMiss != 0 {
+		fc = m.fc.miss(rec)
+	}
+	acc := rec.DstAcc
+	if acc == trace.NoAcc {
+		acc = rec.SrcAcc
+	}
+	var pe int
+	if acc != trace.NoAcc && rec.SrcAcc != trace.NoAcc && m.accPE[acc] >= 0 {
+		pe = int(m.accPE[acc]) // the record continues its strand
+	} else {
+		pe = m.steer(rec, acc)
+	}
 	p := &m.pes[pe]
 	p.insts++
 
-	// Rename/dispatch one stage after fetch; ROB and FIFO occupancy. A
-	// ring slot not yet written holds cycle 0, and disp >= 1, so it
-	// never delays dispatch.
-	disp := fc + 1
-	if oldest := m.rob[m.robSlot]; oldest+1 > disp {
-		disp = oldest + 1
-	}
-	// The target FIFO must have a free slot: it drains one per issue.
-	if old := p.fifo[p.fifoSlot]; old+1 > disp {
-		disp = old + 1
-	}
+	// Rename/dispatch one stage after fetch; ROB and FIFO occupancy:
+	// the target FIFO must have a free slot, and it drains one per
+	// issue. A ring slot not yet written holds cycle 0, and disp >= 1,
+	// so it never delays dispatch.
+	disp := max(fc, m.rob[m.robSlot], p.fifo[p.fifoSlot]) + 1
 	// A strand start rebinds its logical accumulator: it must wait until
 	// the previous strand holding the accumulator has drained its FIFO.
 	if rec.DstAcc != trace.NoAcc && rec.SrcAcc == trace.NoAcc {
-		if m.accBusy[rec.DstAcc] > disp {
-			disp = m.accBusy[rec.DstAcc]
-		}
+		disp = max(disp, m.accBusy[rec.DstAcc])
 	}
 
 	// Operand readiness: accumulator values stay inside the PE;
@@ -173,9 +191,7 @@ func (m *ILDP) schedule(rec *trace.Rec) {
 	// elsewhere.
 	ready := disp
 	if rec.SrcAcc != trace.NoAcc {
-		if t := m.accReady[rec.SrcAcc]; t > ready {
-			ready = t
-		}
+		ready = max(ready, m.accReady[rec.SrcAcc])
 	}
 	for _, r := range rec.SrcReg {
 		if r == trace.NoReg {
@@ -185,16 +201,11 @@ func (m *ILDP) schedule(rec *trace.Rec) {
 		if m.gprPE[gprIdx(r)] >= 0 && int(m.gprPE[gprIdx(r)]) != pe {
 			t += m.cfg.CommLat
 		}
-		if t > ready {
-			ready = t
-		}
+		ready = max(ready, t)
 	}
 
 	// In-order issue from the PE's FIFO head: one per cycle, head-blocking.
-	issue := ready
-	if issue <= p.lastIssue {
-		issue = p.lastIssue + 1
-	}
+	issue := max(ready, p.lastIssue+1)
 	p.lastIssue = issue
 	p.fifo[p.fifoSlot] = issue
 	if p.fifoSlot++; p.fifoSlot == len(p.fifo) {
@@ -209,8 +220,8 @@ func (m *ILDP) schedule(rec *trace.Rec) {
 		lat := p.dcache.Access(rec.MemAddr, false)
 		m.res.DCacheStall += lat - 2
 		done = issue + lat
-		if sd, ok := m.storeDone[rec.MemAddr>>3]; ok && sd > done {
-			done = sd
+		if sd, ok := m.storeDone[rec.MemAddr>>3]; ok {
+			done = max(done, sd)
 		}
 	case trace.ClassStore:
 		p.dcache.Access(rec.MemAddr, true)
@@ -229,21 +240,13 @@ func (m *ILDP) schedule(rec *trace.Rec) {
 	// The logical accumulator's rename binding is held until this
 	// instruction has entered its FIFO; a later strand reusing the name
 	// stalls at dispatch until then.
-	acc := rec.DstAcc
-	if acc == trace.NoAcc {
-		acc = rec.SrcAcc
-	}
 	if acc != trace.NoAcc {
-		hold := disp + 1
-		if issue-disp > 4 {
-			// A deeply-stalled strand also delays rename reuse: the
-			// steering table entry cannot be reassigned while the strand
-			// head is blocking its FIFO.
-			hold = issue - 3
-		}
-		if hold > m.accBusy[acc] {
-			m.accBusy[acc] = hold
-		}
+		// A deeply-stalled strand (issue more than 4 cycles after
+		// dispatch) also delays rename reuse: the steering table entry
+		// cannot be reassigned while the strand head is blocking its
+		// FIFO.
+		hold := max(disp+1, issue-3)
+		m.accBusy[acc] = max(m.accBusy[acc], hold)
 	}
 	if rec.DstReg != trace.NoReg {
 		if rec.DstOperational {
@@ -265,14 +268,12 @@ func (m *ILDP) schedule(rec *trace.Rec) {
 
 	m.res.Insts++
 	m.res.VInsts += uint64(rec.VCredit)
-	if rec.IsBranch() {
-		if isEndOfRun(rec) {
+	if v&redirects != 0 {
+		m.fc.redirect(v, fc, done, ret)
+		if v&fromRet != 0 {
 			m.res.Episodes++
-			m.fe.drain(ret + 1)
 			m.resetPipeline(ret)
-			return
 		}
-		m.fe.resolve(rec, fc, done)
 	}
 }
 
@@ -321,16 +322,12 @@ func (m *ILDP) PEDistribution() []float64 {
 func (m *ILDP) Finish() Result {
 	r := m.res
 	r.Cycles = m.ret.last + 1
-	r.CondMispredicts = m.fe.condMiss
-	r.TargetMispredicts = m.fe.targetMiss
-	r.Misfetches = m.fe.misfetches
-	r.Branches = m.fe.branches
+	m.fs.result(&r)
+	m.fc.result(&r)
 	r.ICacheMisses = m.hier.I.Misses
 	for _, d := range m.hier.D {
 		r.DCacheMisses += d.Misses
 	}
 	r.L2Misses = m.hier.L2.Misses
-	r.ICacheStall = m.fe.icacheStall
-	r.RedirectLoss = m.fe.redirectLoss
 	return r
 }

@@ -11,7 +11,8 @@ import (
 type OoO struct {
 	cfg  Config
 	hier *cachesim.Hierarchy
-	fe   *frontEnd
+	fs   *fetchStage
+	fc   fetchClock
 
 	regReady [regSpace]int64 // completion cycle of each register's value
 
@@ -46,7 +47,8 @@ func NewOoO(cfg Config) *OoO {
 	return &OoO{
 		cfg:       cfg,
 		hier:      hier,
-		fe:        newFrontEnd(&cfg, hier.I),
+		fs:        newFetchStage(&cfg, hier.I),
+		fc:        newFetchClock(&cfg, hier.I),
 		rob:       make([]int64, cfg.ROB),
 		fuBusy:    newBookRing(),
 		storeDone: map[uint64]int64{},
@@ -54,40 +56,54 @@ func NewOoO(cfg Config) *OoO {
 }
 
 // Append implements trace.Sink: schedule one committed instruction.
-func (m *OoO) Append(rec trace.Rec) { m.schedule(&rec) }
+func (m *OoO) Append(rec trace.Rec) { m.schedule(&rec, m.fs.step(&rec)) }
 
 // AppendBatch implements trace.BatchSink: Append each record in order.
+// It decides each record's verdict afresh, ignoring rec.Verdict.
 func (m *OoO) AppendBatch(recs []trace.Rec) {
 	for i := range recs {
-		m.schedule(&recs[i])
+		m.schedule(&recs[i], m.fs.step(&recs[i]))
 	}
 }
 
-// schedule times one committed instruction for Append and AppendBatch.
-func (m *OoO) schedule(rec *trace.Rec) {
-	fc := m.fe.fetch(rec)
+// Stages returns the model's two halves, for a trace.Pipe: its fetch
+// stage, which writes each record's verdict, and its timing core, which
+// schedules records by the verdicts they carry. Fed every record in
+// order, the two together time a stream exactly as Append does.
+func (m *OoO) Stages() (trace.Stage, trace.BatchSink) { return m.fs, (*oooCore)(m) }
+
+// oooCore is the timing core of an OoO model.
+type oooCore OoO
+
+// AppendBatch implements trace.BatchSink.
+func (c *oooCore) AppendBatch(recs []trace.Rec) {
+	m := (*OoO)(c)
+	for i := range recs {
+		m.schedule(&recs[i], verdict(recs[i].Verdict))
+	}
+}
+
+// schedule times one committed instruction whose fetch verdict is v.
+func (m *OoO) schedule(rec *trace.Rec, v verdict) {
+	fc := m.fc.fetch(v)
+	if v&iMiss != 0 {
+		fc = m.fc.miss(rec)
+	}
 
 	// Dispatch one stage after fetch; wait for a ROB slot. A slot not
 	// yet written holds cycle 0, and disp >= 1, so it never delays
 	// dispatch.
-	disp := fc + 1
-	if oldest := m.rob[m.robSlot]; oldest+1 > disp {
-		disp = oldest + 1
-	}
+	disp := max(fc, m.rob[m.robSlot]) + 1
 
 	// Operand readiness.
 	ready := disp
 	for _, r := range rec.SrcReg {
 		if r != trace.NoReg {
-			if t := m.regReady[gprIdx(r)]; t > ready {
-				ready = t
-			}
+			ready = max(ready, m.regReady[gprIdx(r)])
 		}
 	}
 	if rec.SrcAcc != trace.NoAcc {
-		if t := m.regReady[accIdx(rec.SrcAcc)]; t > ready {
-			ready = t
-		}
+		ready = max(ready, m.regReady[accIdx(rec.SrcAcc)])
 	}
 
 	// Issue: oldest-first through the shared FU pool.
@@ -101,8 +117,8 @@ func (m *OoO) schedule(rec *trace.Rec) {
 		lat := m.hier.D[0].Access(rec.MemAddr, false)
 		m.res.DCacheStall += lat - 2
 		done = issue + lat
-		if sd, ok := m.storeDone[rec.MemAddr>>3]; ok && sd > done {
-			done = sd
+		if sd, ok := m.storeDone[rec.MemAddr>>3]; ok {
+			done = max(done, sd)
 		}
 	case trace.ClassStore:
 		issue = m.fuBusy.reserve(ready, uint16(m.cfg.FUs))
@@ -137,15 +153,13 @@ func (m *OoO) schedule(rec *trace.Rec) {
 
 	m.res.Insts++
 	m.res.VInsts += uint64(rec.VCredit)
-	if rec.IsBranch() {
-		if isEndOfRun(rec) {
-			// Mode switch: drain and restart with an empty pipeline.
+	if v&redirects != 0 {
+		m.fc.redirect(v, fc, done, ret)
+		if v&fromRet != 0 {
+			// Mode switch: restart with an empty pipeline.
 			m.res.Episodes++
-			m.fe.drain(ret + 1)
 			m.resetPipeline(ret)
-			return
 		}
-		m.fe.resolve(rec, fc, done)
 	}
 }
 
@@ -167,14 +181,10 @@ func (m *OoO) resetPipeline(at int64) {
 func (m *OoO) Finish() Result {
 	r := m.res
 	r.Cycles = m.ret.last + 1
-	r.CondMispredicts = m.fe.condMiss
-	r.TargetMispredicts = m.fe.targetMiss
-	r.Misfetches = m.fe.misfetches
-	r.Branches = m.fe.branches
+	m.fs.result(&r)
+	m.fc.result(&r)
 	r.ICacheMisses = m.hier.I.Misses
 	r.DCacheMisses = m.hier.D[0].Misses
 	r.L2Misses = m.hier.L2.Misses
-	r.ICacheStall = m.fe.icacheStall
-	r.RedirectLoss = m.fe.redirectLoss
 	return r
 }

@@ -44,14 +44,15 @@ type retireBW struct {
 // retire returns the retire cycle of a record whose result is ready at
 // done, with at most width records retiring per cycle, and books it.
 func (r *retireBW) retire(done int64, width int) int64 {
-	switch {
-	case done > r.last:
-		r.last, r.count = done, 1
-	case r.count < width:
-		r.count++
-	default:
-		r.last++
-		r.count = 1
+	// Written as selects rather than branches: which case applies
+	// depends on the timing, so a branch would often mispredict.
+	last, count := r.last, r.count+1
+	if r.count >= width {
+		last, count = r.last+1, 1
 	}
-	return r.last
+	if done > r.last {
+		last, count = done, 1
+	}
+	r.last, r.count = last, count
+	return last
 }

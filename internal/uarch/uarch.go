@@ -12,10 +12,14 @@
 //
 // Both share the fetch front-end (g-share + BTB + RAS prediction, up to
 // four instructions and three sequential basic blocks per cycle, 3-cycle
-// redirects) and in-order retirement. Models consume the committed
-// instruction stream produced by the VM (package trace) and reconstruct
-// timing; a record with Taken and a zero Target marks a mode-switch
-// boundary where the pipeline drains and restarts empty (§4.1).
+// redirects) and in-order retirement. The front end is split in two: a
+// fetch stage that needs only the record stream, and the timing core's
+// fetch clock (frontend.go). Append runs both per record; Stages hands
+// them to a trace.Pipe, which may run the stage on another goroutine.
+// Models consume the committed instruction stream produced by the VM
+// (package trace) and reconstruct timing; a record with Taken and a
+// zero Target marks a mode-switch boundary where the pipeline drains
+// and restarts empty (§4.1).
 package uarch
 
 import (
@@ -172,10 +176,11 @@ func (r Result) Publish(reg *metrics.Registry, prefix string) {
 }
 
 // regSpace is the unified dependence-tracking register space: 64 GPRs
-// (architected + VM scratch) followed by 8 accumulators.
+// (architected + VM scratch) followed by 8 accumulators, the ranges of
+// the record contract (trace.Rec.Validate).
 const (
-	numGPRTrack = 64
-	numAccTrack = 8
+	numGPRTrack = trace.NumRegs
+	numAccTrack = trace.NumAccs
 	regSpace    = numGPRTrack + numAccTrack
 )
 
