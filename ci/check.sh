@@ -125,14 +125,18 @@ for call in 'mem.(*Memory).FetchHit' '(*CPU).decodedHit' \
     fi
 done
 
-echo "== executor inlining (visit-end count)"
+echo "== executor inlining (visit-end count, profiler guard)"
 # Translated code ends every fragment visit with one counter increment
-# (tcache.Fragment.End), inlined into the executor's leave.
+# (tcache.Fragment.End), inlined into the executor's leave, and opens
+# every visit with the profiler's nil check ((*VM).profEnter), inlined
+# into the executor so an unprofiled entry makes no call.
 inl=$(go build -gcflags=-m ./internal/vm 2>&1)
-if ! printf '%s\n' "$inl" | grep -qF 'inlining call to tcache.(*Fragment).End'; then
-    echo "ci: tcache.(*Fragment).End is no longer inlined into internal/vm" >&2
-    exit 1
-fi
+for call in 'tcache.(*Fragment).End' '(*VM).profEnter'; do
+    if ! printf '%s\n' "$inl" | grep -qF "inlining call to $call"; then
+        echo "ci: $call is no longer inlined into internal/vm" >&2
+        exit 1
+    fi
+done
 
 echo "== timing-model benchmark smoke (one iteration each)"
 # BenchmarkTimingModelILDP and BenchmarkTimingModelOoO are the timed

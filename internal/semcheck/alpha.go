@@ -66,9 +66,7 @@ type alphaWalk struct {
 
 func runAlpha(b *builder, sb *translate.Superblock) (*sides, error) {
 	w := &alphaWalk{b: b}
-	for r := alpha.Reg(0); r < alpha.NumRegs; r++ {
-		w.regs[r] = b.initReg(r)
-	}
+	copy(w.regs[:], b.initial().regs[:alpha.NumRegs])
 	ended := false
 	for si := range sb.Insts {
 		rec := &sb.Insts[si]

@@ -24,25 +24,23 @@ type fragWalk struct {
 	acc    [ildp.MaxAccumulators]*Term
 	assume []assumption
 	peiIdx int
-	dead   bool // a constant chain compare made the rest unreachable
+	dead   bool  // a constant chain compare made the rest unreachable
+	cond   *Term // the condition the last conditional branch read
 	out    sides
 }
 
 func runFrag(b *builder, code *translate.Result) (*sides, error) {
-	w := &fragWalk{b: b, code: code}
-	for r := alpha.Reg(0); r < alpha.NumRegs; r++ {
-		w.regs[r] = b.initReg(r)
-	}
-	for r := alpha.Reg(alpha.NumRegs); r < numIReg; r++ {
-		w.regs[r] = b.initScratch(r)
-	}
-	for i := range w.acc {
-		w.acc[i] = b.initAcc(i)
-	}
+	init := b.initial()
+	w := &fragWalk{b: b, code: code, regs: init.regs, acc: init.acc}
 	for i := range code.Insts {
 		inst := &code.Insts[i]
 		if w.dead {
 			break
+		}
+		if inst.IsPEI() {
+			if err := w.notePEI(inst); err != nil {
+				return nil, err
+			}
 		}
 		done, err := w.step(i, inst)
 		if err != nil {
@@ -134,16 +132,10 @@ func (w *fragWalk) pushFinal(target *Term, where string) {
 }
 
 // step executes one I-instruction; done reports a fragment-ending
-// unconditional transfer.
+// unconditional transfer. Its caller notes a PEI's trap obligation
+// first.
 func (w *fragWalk) step(i int, inst *ildp.Inst) (bool, error) {
 	b := w.b
-	isPEI := inst.IsPEI()
-	if isPEI {
-		if err := w.notePEI(inst); err != nil {
-			return false, err
-		}
-	}
-
 	switch inst.Kind {
 	case ildp.KindALU:
 		val := b.op2(inst.Op, w.readSrc(inst, inst.SrcA), w.readSrc(inst, inst.SrcB))
@@ -201,6 +193,7 @@ func (w *fragWalk) step(i int, inst *ildp.Inst) (bool, error) {
 
 	case ildp.KindCondBranch, ildp.KindCallTransCond:
 		cond := w.readSrc(inst, inst.SrcA)
+		w.cond = cond
 		if inst.Frag == ildp.FragDispatch {
 			// Software-prediction verdict: taken enters the dispatch
 			// routine at the latched target; fall-through pins the

@@ -29,11 +29,12 @@ const (
 	CELoad                     // load op/address/ordering differs
 	CEPEICount                 // differing number of potentially-excepting points
 	CEPEI                      // precise-trap state differs at a PEI
+	CEOp                       // an executor op differs from its I-instruction (Alpha: the instruction's side)
 )
 
 var ceKindNames = [...]string{
 	"structure", "exit-count", "cond", "exit-target", "reg", "next-pc",
-	"mem-count", "store", "load", "pei-count", "pei",
+	"mem-count", "store", "load", "pei-count", "pei", "op",
 }
 
 func (k CEKind) String() string {
@@ -125,7 +126,9 @@ func (p *prover) eq(x, y *Term, as []assumption) bool {
 // condition, target, and architected register file; per fragment-end
 // alternative the register file, full memory-effect lists, and next
 // V-PC; and per potentially-excepting instruction the precise trap
-// state. It never returns nil.
+// state. It then checks the op list the VM's executor runs for the
+// translation against its instructions, op by op (ops.go). It never
+// returns nil.
 func Check(sb *translate.Superblock, code *translate.Result) *Report {
 	rep := &Report{VStart: code.VStart, SrcInsts: len(sb.Insts), IInsts: len(code.Insts)}
 	p := &prover{b: newBuilder(), rep: rep}
@@ -145,6 +148,7 @@ func Check(sb *translate.Superblock, code *translate.Result) *Report {
 	p.comparePEIs(av, fv)
 	p.compareMemory(av, fv)
 	p.compareFinals(av, fv)
+	rep.Counterexamples = append(rep.Counterexamples, checkOps(p.b, code)...)
 
 	rep.Exits = len(av.exits)
 	rep.Finals = len(fv.finals)

@@ -21,6 +21,7 @@ import (
 
 	"github.com/ildp/accdbt/internal/alpha"
 	"github.com/ildp/accdbt/internal/emu"
+	"github.com/ildp/accdbt/internal/ildp"
 )
 
 // TermKind discriminates symbolic term nodes.
@@ -34,6 +35,7 @@ const (
 	TOp                      // EvalOp(Op, Args[0], Args[1])
 	TLoad                    // memory read: Op width/extension, Args[0] address, K store epoch
 	TITE                     // EvalCond(Op, Args[0]) ? Args[1] : Args[2]
+	TSlot                    // initial value of executor register-file slot K (per-op check)
 )
 
 // Term is one interned node of the shared term language. Terms are
@@ -48,12 +50,21 @@ type Term struct {
 	id uint32 // intern order; the canonical commutative sort key
 }
 
-// termKey identifies a term up to interning.
+// termKey identifies a term up to interning: its kind and op, K, and
+// its arguments by id plus one (zero for none). It holds no pointer and
+// no padding, so the map hashes it as plain memory.
 type termKey struct {
-	kind       TermKind
-	op         alpha.Op
-	k          uint64
-	a0, a1, a2 *Term
+	kindOp uint32 // Kind<<16 | Op
+	a0     uint32
+	k      uint64
+	a1, a2 uint32
+}
+
+func argKey(t *Term) uint32 {
+	if t == nil {
+		return 0
+	}
+	return t.id + 1
 }
 
 // builder interns terms and applies normalization at construction time.
@@ -62,6 +73,33 @@ type termKey struct {
 type builder struct {
 	interned map[termKey]*Term
 	zero     *Term
+	init     *fragInit
+}
+
+// fragInit is the fragment side's initial state: every I-ISA register's
+// and accumulator's initial term. Both walks and the per-op check start
+// from it, so a builder interns it once.
+type fragInit struct {
+	regs [numIReg]*Term
+	acc  [ildp.MaxAccumulators]*Term
+}
+
+// initial returns the builder's fragInit, building it on first use.
+func (b *builder) initial() *fragInit {
+	if b.init == nil {
+		s := &fragInit{}
+		for r := alpha.Reg(0); r < alpha.NumRegs; r++ {
+			s.regs[r] = b.initReg(r)
+		}
+		for r := alpha.Reg(alpha.NumRegs); r < numIReg; r++ {
+			s.regs[r] = b.initScratch(r)
+		}
+		for i := range s.acc {
+			s.acc[i] = b.initAcc(i)
+		}
+		b.init = s
+	}
+	return b.init
 }
 
 func newBuilder() *builder {
@@ -70,18 +108,18 @@ func newBuilder() *builder {
 	return b
 }
 
-func (b *builder) intern(k termKey) *Term {
-	if t, ok := b.interned[k]; ok {
+func (b *builder) intern(kind TermKind, op alpha.Op, k uint64, a0, a1, a2 *Term) *Term {
+	key := termKey{kindOp: uint32(kind)<<16 | uint32(op), a0: argKey(a0), k: k, a1: argKey(a1), a2: argKey(a2)}
+	if t, ok := b.interned[key]; ok {
 		return t
 	}
-	t := &Term{Kind: k.kind, Op: k.op, K: k.k,
-		Args: [3]*Term{k.a0, k.a1, k.a2}, id: uint32(len(b.interned))}
-	b.interned[k] = t
+	t := &Term{Kind: kind, Op: op, K: k, Args: [3]*Term{a0, a1, a2}, id: uint32(len(b.interned))}
+	b.interned[key] = t
 	return t
 }
 
 func (b *builder) konst(v uint64) *Term {
-	return b.intern(termKey{kind: TConst, k: v})
+	return b.intern(TConst, 0, v, nil, nil, nil)
 }
 
 // initReg is the symbolic initial value of architected register r; the
@@ -90,27 +128,27 @@ func (b *builder) initReg(r alpha.Reg) *Term {
 	if r == alpha.RegZero {
 		return b.zero
 	}
-	return b.intern(termKey{kind: TReg, k: uint64(r)})
+	return b.intern(TReg, 0, uint64(r), nil, nil, nil)
 }
 
 // initScratch is the symbolic initial value of VM scratch register r
 // (I-ISA register number, 32..63). Scratch state persists across
 // fragment entries, so its initial value is unconstrained.
 func (b *builder) initScratch(r alpha.Reg) *Term {
-	return b.intern(termKey{kind: TScratch, k: uint64(r)})
+	return b.intern(TScratch, 0, uint64(r), nil, nil, nil)
 }
 
 // initAcc is the symbolic initial value of accumulator i (stale state
 // from whatever ran before this fragment).
 func (b *builder) initAcc(i int) *Term {
-	return b.intern(termKey{kind: TAcc, k: uint64(i)})
+	return b.intern(TAcc, 0, uint64(i), nil, nil, nil)
 }
 
 // load builds the symbolic result of a memory read at addr under the
 // given store epoch (number of stores already performed). Two loads
 // with the same op, address term, and epoch read the same value.
 func (b *builder) load(op alpha.Op, addr *Term, epoch int) *Term {
-	return b.intern(termKey{kind: TLoad, op: op, k: uint64(epoch), a0: addr})
+	return b.intern(TLoad, op, uint64(epoch), addr, nil, nil)
 }
 
 // commutative reports ops for which operand order is canonicalized.
@@ -153,7 +191,7 @@ func (b *builder) op2(op alpha.Op, x, y *Term) *Term {
 	if commutative(op) && y.id < x.id {
 		x, y = y, x
 	}
-	return b.intern(termKey{kind: TOp, op: op, a0: x, a1: y})
+	return b.intern(TOp, op, 0, x, y, nil)
 }
 
 // ite builds the conditional select EvalCond(op, cond) ? then : els
@@ -169,7 +207,7 @@ func (b *builder) ite(op alpha.Op, cond, then, els *Term) *Term {
 	if then == els {
 		return then
 	}
-	return b.intern(termKey{kind: TITE, op: op, a0: cond, a1: then, a2: els})
+	return b.intern(TITE, op, 0, cond, then, els)
 }
 
 // subst rewrites t replacing each key term with its binding, re-folding
@@ -226,6 +264,8 @@ func (t *Term) render(sb *strings.Builder, depth int) {
 		fmt.Fprintf(sb, "s%d", t.K)
 	case TAcc:
 		fmt.Fprintf(sb, "a%d", t.K)
+	case TSlot:
+		fmt.Fprintf(sb, "slot%d", t.K)
 	case TOp:
 		fmt.Fprintf(sb, "(%v ", t.Op)
 		t.Args[0].render(sb, depth+1)

@@ -56,11 +56,12 @@ type Fragment struct {
 	Recs []trace.Rec
 
 	// Ops holds the VM executor's resolved form of each instruction: its
-	// opcode and its operands as register-file indices. The VM builds it
-	// on its first visit to the fragment; it is nil until then. Each
-	// patch pair shares one opcode and exit patching changes no operand,
-	// so patching never makes it stale; anything else that rewrites
-	// Insts must reset it to nil.
+	// opcode and its operands as register-file indices (ResolveAll), with
+	// adjacent pairs fused (Fuse) when the VM emits no trace. The VM
+	// builds it on its first visit to the fragment; it is nil until then.
+	// Each patch pair shares one opcode and exit patching changes no
+	// operand, so patching never makes it stale; anything else that
+	// rewrites Insts must reset it to nil.
 	Ops []Op
 
 	// ExecCount counts entries into this fragment.
@@ -92,20 +93,6 @@ type Fragment struct {
 	// strand statistics, computed lazily for the profiler.
 	strandN, strandMax int
 	strandsDone        bool
-}
-
-// Op is one instruction in the VM executor's resolved form. The
-// operands are indices into the executor's register file, whose layout
-// the VM defines: A and B are the sources, D the accumulator
-// destination and E the GPR destination, with an absent destination
-// resolved to a discard slot. Imm holds the immediates of sources A and
-// B, which the executor loads into its two immediate slots before the
-// instruction runs. An Op holds indices, never pointers, so it belongs
-// to no VM.
-type Op struct {
-	Code       uint8
-	A, B, D, E uint8
-	Imm        [2]uint64
 }
 
 // Tally is what executing a run of I-instructions adds to the VM's

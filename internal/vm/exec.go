@@ -13,16 +13,21 @@ import (
 
 // profEnter, profExit, and profChain forward frame transitions and
 // chain-verdict events to the execution profiler. The profiler's
-// methods are nil-safe, so only profEnter guards: its guard avoids
-// computing StrandStats when profiling is disabled.
+// methods are nil-safe, so only profEnter guards: its guard, inlined
+// into every fragment entry, avoids computing StrandStats and a call
+// when profiling is disabled.
 func (v *VM) profEnter(f *tcache.Fragment) {
-	if p := v.cfg.Prof; p != nil {
-		n, maxLen := f.StrandStats()
-		p.FragEnter(f.ID, f.VStart, prof.FragInfo{
-			Insts: len(f.Insts), SrcInsts: f.SrcCount,
-			Strands: n, MaxStrand: maxLen, Straightened: f.Straightened,
-		}, v.Stats.TransIInsts, v.Stats.TransVInsts)
+	if v.cfg.Prof != nil {
+		v.profEnterSlow(f)
 	}
+}
+
+func (v *VM) profEnterSlow(f *tcache.Fragment) {
+	n, maxLen := f.StrandStats()
+	v.cfg.Prof.FragEnter(f.ID, f.VStart, prof.FragInfo{
+		Insts: len(f.Insts), SrcInsts: f.SrcCount,
+		Strands: n, MaxStrand: maxLen, Straightened: f.Straightened,
+	}, v.Stats.TransIInsts, v.Stats.TransVInsts)
 }
 
 func (v *VM) profExit(reason prof.ExitKind) {
@@ -33,164 +38,14 @@ func (v *VM) profChain(kind prof.ChainKind) {
 	v.cfg.Prof.Chain(kind)
 }
 
-// The executor's register file (VM.rf). Translated code reads and
-// writes only these slots: the I-ISA GPRs at their own numbers, then
-// the accumulators, two immediate slots, a slot that is always zero and
-// one that absorbs writes to no destination. The file has 256 slots and
-// is indexed by uint8, so no access needs a bounds check.
-const (
-	rfAcc     = ildp.NumGPR                  // accumulator a is rfAcc+a
-	rfImmA    = rfAcc + ildp.MaxAccumulators // source A's immediate
-	rfImmB    = rfImmA + 1                   // source B's immediate
-	rfZero    = rfImmB + 1                   // r31 and absent sources
-	rfDiscard = rfZero + 1                   // r31 and absent destinations
-)
-
-// accSlot, srcSlot and gprDest resolve operands to register-file
-// indices.
-func accSlot(a ildp.AccID) uint8 { return rfAcc + uint8(a&7) }
-
-// srcSlot returns the index source s reads; imm is the slot an
-// immediate is loaded into, and the value to load there.
-func srcSlot(inst *ildp.Inst, s ildp.Src, imm uint8) (uint8, uint64) {
-	switch s.Kind {
-	case ildp.SrcAcc:
-		return accSlot(inst.Acc), 0
-	case ildp.SrcGPR:
-		if s.Reg == alpha.RegZero {
-			return rfZero, 0
-		}
-		return uint8(s.Reg), 0
-	case ildp.SrcImm:
-		return imm, uint64(s.Imm)
-	}
-	return rfZero, 0
-}
-
-func gprDest(r alpha.Reg) uint8 {
-	if r == alpha.RegZero {
-		return rfDiscard
-	}
-	return uint8(r)
-}
-
-// Executor opcodes: the one key execTranslated switches on. Every
-// installed instruction has one (execOp), resolved with its operands
-// once per fragment on its first visit (Fragment.Ops). The hot ALU ops
-// have their own opcodes and run inline; every other ALU op goes
-// through emu.EvalOp. Each patch pair shares an opcode, so exit
-// patching never makes one stale.
-const (
-	xInvalid uint8 = iota // no executable kind: the run stops with an error
-	xALU                  // an ALU op without an inline case: emu.EvalOp
-	xAdd                  // lda, addq
-	xSub                  // subq
-	xAnd
-	xXor
-	xBis
-	xSrl
-	xSll
-	xS8Add // s8addq
-	xCMOV
-	xLoad
-	xStore
-	xMove // copy-to-GPR, copy-from-GPR, load-ETA, save-VRA
-	xNop  // set-vpc, dispatch-op
-	xPushRAS
-	xCondBranch // cond-branch, call-translator-if
-	xBranch     // branch, call-translator
-	xJumpRet
-	xJumpInd
-)
-
-// execOp returns the executor opcode of inst.
-func execOp(inst *ildp.Inst) uint8 {
-	switch inst.Kind {
-	case ildp.KindALU:
-		switch inst.Op {
-		case alpha.OpLDA, alpha.OpADDQ:
-			return xAdd
-		case alpha.OpSUBQ:
-			return xSub
-		case alpha.OpAND:
-			return xAnd
-		case alpha.OpXOR:
-			return xXor
-		case alpha.OpBIS:
-			return xBis
-		case alpha.OpSRL:
-			return xSrl
-		case alpha.OpSLL:
-			return xSll
-		case alpha.OpS8ADDQ:
-			return xS8Add
-		}
-		return xALU
-	case ildp.KindCMOV:
-		return xCMOV
-	case ildp.KindLoad:
-		return xLoad
-	case ildp.KindStore:
-		return xStore
-	case ildp.KindCopyToGPR, ildp.KindCopyFromGPR, ildp.KindLoadETA, ildp.KindSaveVRA:
-		return xMove
-	case ildp.KindSetVPC, ildp.KindDispatchOp:
-		return xNop
-	case ildp.KindPushRAS:
-		return xPushRAS
-	case ildp.KindCondBranch, ildp.KindCallTransCond:
-		return xCondBranch
-	case ildp.KindBranch, ildp.KindCallTrans:
-		return xBranch
-	case ildp.KindJumpRet:
-		return xJumpRet
-	case ildp.KindJumpInd:
-		return xJumpInd
-	}
-	return xInvalid
-}
-
-// resolve returns the resolved form of inst: its executor opcode and
-// its operands as register-file indices. Results go to D (the
-// accumulator, when inst writes one) and E (the destination GPR); a
-// move copies source A to both. A register number past the I-ISA's,
-// which would alias another slot, resolves to xInvalid.
-func resolve(inst *ildp.Inst) tcache.Op {
-	op := tcache.Op{Code: execOp(inst), D: rfDiscard, E: gprDest(inst.Dest)}
-	for _, s := range [...]ildp.Src{inst.SrcA, inst.SrcB, ildp.GPRSrc(inst.Dest)} {
-		if s.Kind == ildp.SrcGPR && s.Reg >= ildp.NumGPR {
-			op.Code = xInvalid
-		}
-	}
-	op.A, op.Imm[0] = srcSlot(inst, inst.SrcA, rfImmA)
-	op.B, op.Imm[1] = srcSlot(inst, inst.SrcB, rfImmB)
-	if inst.WritesAcc {
-		op.D = accSlot(inst.Acc)
-	}
-	switch inst.Kind {
-	case ildp.KindCMOV:
-		// The condition is a GPR source or the accumulator.
-		if inst.SrcA.Kind != ildp.SrcGPR {
-			op.A = accSlot(inst.Acc)
-		}
-		op.D = rfDiscard
-	case ildp.KindCopyToGPR:
-		op.A, op.D = accSlot(inst.Acc), rfDiscard
-	case ildp.KindCopyFromGPR:
-		op.D, op.E = accSlot(inst.Acc), rfDiscard
-	case ildp.KindLoadETA:
-		op.A, op.Imm[0], op.D, op.E = rfImmA, inst.VAddr, accSlot(inst.Acc), rfDiscard
-	case ildp.KindSaveVRA:
-		op.A, op.Imm[0], op.D = rfImmA, inst.VAddr, rfDiscard
-	}
-	return op
-}
-
-// fragOps builds the resolved form of f's instructions.
-func fragOps(f *tcache.Fragment) []tcache.Op {
-	ops := make([]tcache.Op, len(f.Insts))
-	for i := range f.Insts {
-		ops[i] = resolve(&f.Insts[i])
+// fragOps builds the op list the executor runs for f: the resolved form
+// of its instructions, with adjacent pairs fused when no Sink is
+// attached. A timed run keeps the one-to-one list, so it emits one
+// record per instruction.
+func (v *VM) fragOps(f *tcache.Fragment) []tcache.Op {
+	ops := tcache.ResolveAll(f.Insts)
+	if v.cfg.Sink == nil {
+		tcache.Fuse(ops)
 	}
 	return ops
 }
@@ -222,16 +77,20 @@ func (v *VM) writeBack() {
 // runTranslated is execTranslated's loop over the register file.
 //
 // The loop does no per-instruction bookkeeping. It switches once per
-// instruction, on the fragment's resolved opcodes, and reads and writes
-// operands at their resolved indices, so an inline ALU op is a load of
-// two slots and a store to two. With a Sink attached, a record is a
-// copy of the fragment's template (Fragment.Recs) with its dynamic
-// fields filled in. A visit to a fragment always executes a prefix of
-// its instructions, so a visit is counted once, when it ends (leave),
-// by the length of that prefix. A trapping instruction's PEI index is
-// found only when it traps. Before each instruction that can panic
-// with an *emu.SemanticsError, the loop publishes its index in
-// faultIdx, where Run's recover finds it to close the visit.
+// op, on the fragment's resolved opcodes, and reads and writes operands
+// at their resolved slots, so an inline ALU op is a load of two slots
+// and a store to two. A fused op (tcache.Fuse) runs its two components
+// in one case: the first at idx, then the second at idx+1, with that
+// index for faults, traps and the visit's end, exactly as if each had
+// had its own dispatch. With a Sink attached, the list is one-to-one
+// and a record is a copy of the fragment's template (Fragment.Recs)
+// with its dynamic fields filled in. A visit to a fragment always
+// executes a prefix of its instructions, so a visit is counted once,
+// when it ends (leave), by the length of that prefix. A trapping
+// instruction's PEI index is found only when it traps. Before each
+// instruction that can panic with an *emu.SemanticsError, the loop
+// publishes its index in faultIdx, where Run's recover finds it to
+// close the visit.
 func (v *VM) runTranslated(frag *tcache.Fragment) (uint64, error) {
 	sink := v.cfg.Sink
 	rf := &v.rf
@@ -240,8 +99,9 @@ func (v *VM) runTranslated(frag *tcache.Fragment) (uint64, error) {
 visits:
 	for {
 		v.enter(frag)
+		v.profEnter(frag)
 		if frag.Ops == nil {
-			frag.Ops = fragOps(frag)
+			frag.Ops = v.fragOps(frag)
 		}
 		insts := frag.Insts
 		ops := frag.Ops[:len(insts)] // proves ops[idx] in range for the compiler
@@ -260,51 +120,39 @@ visits:
 			if sink != nil {
 				rec = recs[idx]
 			}
-			// One 16-byte store fills both immediate slots, whether or
-			// not the instruction reads them: no branch.
-			*(*[2]uint64)(rf[rfImmA:]) = op.Imm
+			loadImm(rf, op)
 
 			switch op.Code {
-			case xAdd:
-				val := rf[op.A] + rf[op.B]
-				rf[op.D], rf[op.E] = val, val
-			case xSub:
-				val := rf[op.A] - rf[op.B]
-				rf[op.D], rf[op.E] = val, val
-			case xAnd:
-				val := rf[op.A] & rf[op.B]
-				rf[op.D], rf[op.E] = val, val
-			case xXor:
-				val := rf[op.A] ^ rf[op.B]
-				rf[op.D], rf[op.E] = val, val
-			case xBis:
-				val := rf[op.A] | rf[op.B]
-				rf[op.D], rf[op.E] = val, val
-			case xSrl:
-				val := rf[op.A] >> (rf[op.B] & 63)
-				rf[op.D], rf[op.E] = val, val
-			case xSll:
-				val := rf[op.A] << (rf[op.B] & 63)
-				rf[op.D], rf[op.E] = val, val
-			case xS8Add:
-				val := rf[op.A]<<3 + rf[op.B]
-				rf[op.D], rf[op.E] = val, val
-			case xMove:
-				val := rf[op.A]
-				rf[op.D], rf[op.E] = val, val
+			case tcache.XAdd:
+				add(rf, op)
+			case tcache.XSub:
+				sub(rf, op)
+			case tcache.XAnd:
+				and(rf, op)
+			case tcache.XXor:
+				xor(rf, op)
+			case tcache.XBis:
+				put(rf, op, rf[op.A]|rf[op.B])
+			case tcache.XSrl:
+				srl(rf, op)
+			case tcache.XSll:
+				sll(rf, op)
+			case tcache.XS8Add:
+				s8add(rf, op)
+			case tcache.XMove:
+				move(rf, op)
 
-			case xALU:
+			case tcache.XALU:
 				v.faultIdx = idx
-				val := emu.EvalOp(insts[idx].Op, rf[op.A], rf[op.B])
-				rf[op.D], rf[op.E] = val, val
+				put(rf, op, emu.EvalOp(insts[idx].Op, rf[op.A], rf[op.B]))
 
-			case xCMOV:
+			case tcache.XCMOV:
 				v.faultIdx = idx
 				if emu.EvalCond(insts[idx].Op, rf[op.A]) {
 					rf[op.E] = rf[op.B]
 				}
 
-			case xLoad:
+			case tcache.XLoad:
 				inst := &insts[idx]
 				addr := rf[op.A] + uint64(int64(inst.Disp))
 				v.faultIdx = idx
@@ -316,9 +164,9 @@ visits:
 				if inst.Op == alpha.OpLDQU {
 					rec.MemAddr = addr &^ 7
 				}
-				rf[op.D], rf[op.E] = val, val
+				put(rf, op, val)
 
-			case xStore:
+			case tcache.XStore:
 				inst := &insts[idx]
 				addr := rf[op.A] + uint64(int64(inst.Disp))
 				v.faultIdx = idx
@@ -330,34 +178,22 @@ visits:
 					rec.MemAddr = addr &^ 7
 				}
 
-			case xNop:
+			case tcache.XNop:
 				// set-vpc writes the implementation PC base for trap
 				// recovery, functionally a special register; a dispatch
 				// body op does work whose lookup happens at the final
 				// jump.
 
-			case xPushRAS:
-				vaddr := insts[idx].VAddr
-				target := ildp.NoFrag
-				if f := v.tc.Lookup(vaddr); f != nil {
-					target = f.ID
-				}
-				v.ras.push(vaddr, target)
+			case tcache.XPushRAS:
+				v.pushRAS(insts[idx].VAddr)
 
-			case xCondBranch:
+			case tcache.XCondBranch:
 				inst := &insts[idx]
 				v.faultIdx = idx
 				taken := emu.EvalCond(inst.Op, rf[op.A])
 				rec.Taken = taken
 				if inst.Class == ildp.ClassChain && inst.Frag == ildp.FragDispatch {
-					// Software jump prediction verdict.
-					if taken {
-						v.Stats.SWPredMisses++
-						v.profChain(prof.ChainSWPredMiss)
-					} else {
-						v.Stats.SWPredHits++
-						v.profChain(prof.ChainSWPredHit)
-					}
+					v.swPredVerdict(taken)
 				}
 				if !taken {
 					break
@@ -370,7 +206,7 @@ visits:
 				frag = next
 				continue visits
 
-			case xBranch:
+			case tcache.XBranch:
 				rec.Taken = true
 				v.leave(idx + 1)
 				next, exitV := v.takeBranch(&insts[idx], &rec)
@@ -380,7 +216,7 @@ visits:
 				frag = next
 				continue visits
 
-			case xJumpRet:
+			case tcache.XJumpRet:
 				target := rf[op.A] &^ 3
 				entry, ok := v.ras.pop()
 				if ok && entry.v == target && entry.frag != ildp.NoFrag {
@@ -406,9 +242,165 @@ visits:
 				rf[ildp.RegJTarget] = target
 				rec.Taken = false
 
-			case xJumpInd:
+			case tcache.XJumpInd:
 				v.leave(idx + 1)
 				next, exitV := v.jumpInd(&rec, nil)
+				if next == nil {
+					return exitV, nil
+				}
+				frag = next
+				continue visits
+
+			// Fused pairs, untimed runs only, so no case touches rec. Each
+			// runs its first component at idx, then moves idx and op to the
+			// second (second) and runs it there.
+			case tcache.XAddAdd:
+				add(rf, op)
+				op, idx = second(rf, ops, idx)
+				add(rf, op)
+			case tcache.XAddAnd:
+				add(rf, op)
+				op, idx = second(rf, ops, idx)
+				and(rf, op)
+			case tcache.XAddS8Add:
+				add(rf, op)
+				op, idx = second(rf, ops, idx)
+				s8add(rf, op)
+			case tcache.XAddMove:
+				add(rf, op)
+				op, idx = second(rf, ops, idx)
+				move(rf, op)
+			case tcache.XSrlAnd:
+				srl(rf, op)
+				op, idx = second(rf, ops, idx)
+				and(rf, op)
+			case tcache.XSrlAdd:
+				srl(rf, op)
+				op, idx = second(rf, ops, idx)
+				add(rf, op)
+			case tcache.XSrlXor:
+				srl(rf, op)
+				op, idx = second(rf, ops, idx)
+				xor(rf, op)
+			case tcache.XAndAdd:
+				and(rf, op)
+				op, idx = second(rf, ops, idx)
+				add(rf, op)
+			case tcache.XXorSrl:
+				xor(rf, op)
+				op, idx = second(rf, ops, idx)
+				srl(rf, op)
+			case tcache.XXorAnd:
+				xor(rf, op)
+				op, idx = second(rf, ops, idx)
+				and(rf, op)
+			case tcache.XSllSub:
+				sll(rf, op)
+				op, idx = second(rf, ops, idx)
+				sub(rf, op)
+			case tcache.XMoveXor:
+				move(rf, op)
+				op, idx = second(rf, ops, idx)
+				xor(rf, op)
+			case tcache.XNopAdd:
+				op, idx = second(rf, ops, idx)
+				add(rf, op)
+
+			case tcache.XAddALU:
+				add(rf, op)
+				op, idx = second(rf, ops, idx)
+				v.faultIdx = idx
+				put(rf, op, emu.EvalOp(insts[idx].Op, rf[op.A], rf[op.B]))
+			case tcache.XAndALU:
+				and(rf, op)
+				op, idx = second(rf, ops, idx)
+				v.faultIdx = idx
+				put(rf, op, emu.EvalOp(insts[idx].Op, rf[op.A], rf[op.B]))
+			case tcache.XMoveALU:
+				move(rf, op)
+				op, idx = second(rf, ops, idx)
+				v.faultIdx = idx
+				put(rf, op, emu.EvalOp(insts[idx].Op, rf[op.A], rf[op.B]))
+
+			case tcache.XMovePushRAS:
+				move(rf, op)
+				op, idx = second(rf, ops, idx)
+				v.pushRAS(insts[idx].VAddr)
+
+			case tcache.XAddLoad, tcache.XS8AddLoad, tcache.XNopLoad:
+				switch op.Code {
+				case tcache.XAddLoad:
+					add(rf, op)
+				case tcache.XS8AddLoad:
+					s8add(rf, op)
+				}
+				op, idx = second(rf, ops, idx)
+				inst := &insts[idx]
+				v.faultIdx = idx
+				val, err := emu.LoadMem(v.mem, inst.Op, rf[op.A]+uint64(int64(inst.Disp)))
+				if err != nil {
+					return 0, v.preciseTrap(frag, idx, inst, err)
+				}
+				put(rf, op, val)
+
+			case tcache.XLoadAdd, tcache.XLoadSrl:
+				inst := &insts[idx]
+				v.faultIdx = idx
+				val, err := emu.LoadMem(v.mem, inst.Op, rf[op.A]+uint64(int64(inst.Disp)))
+				if err != nil {
+					return 0, v.preciseTrap(frag, idx, inst, err)
+				}
+				put(rf, op, val)
+				code := op.Code
+				op, idx = second(rf, ops, idx)
+				if code == tcache.XLoadAdd {
+					add(rf, op)
+				} else {
+					srl(rf, op)
+				}
+
+			case tcache.XAddStore:
+				add(rf, op)
+				op, idx = second(rf, ops, idx)
+				inst := &insts[idx]
+				v.faultIdx = idx
+				if err := emu.StoreMem(v.mem, inst.Op, rf[op.A]+uint64(int64(inst.Disp)), rf[op.B]); err != nil {
+					return 0, v.preciseTrap(frag, idx, inst, err)
+				}
+
+			case tcache.XStoreAdd, tcache.XStoreXor:
+				inst := &insts[idx]
+				v.faultIdx = idx
+				if err := emu.StoreMem(v.mem, inst.Op, rf[op.A]+uint64(int64(inst.Disp)), rf[op.B]); err != nil {
+					return 0, v.preciseTrap(frag, idx, inst, err)
+				}
+				code := op.Code
+				op, idx = second(rf, ops, idx)
+				if code == tcache.XStoreAdd {
+					add(rf, op)
+				} else {
+					xor(rf, op)
+				}
+
+			case tcache.XSubCondBranch, tcache.XALUCondBranch:
+				if op.Code == tcache.XSubCondBranch {
+					sub(rf, op)
+				} else {
+					v.faultIdx = idx
+					put(rf, op, emu.EvalOp(insts[idx].Op, rf[op.A], rf[op.B]))
+				}
+				op, idx = second(rf, ops, idx)
+				inst := &insts[idx]
+				v.faultIdx = idx
+				taken := emu.EvalCond(inst.Op, rf[op.A])
+				if inst.Class == ildp.ClassChain && inst.Frag == ildp.FragDispatch {
+					v.swPredVerdict(taken)
+				}
+				if !taken {
+					break
+				}
+				v.leave(idx + 1)
+				next, exitV := v.takeBranch(inst, &rec)
 				if next == nil {
 					return exitV, nil
 				}
@@ -429,12 +421,61 @@ visits:
 	}
 }
 
+// The executor's inline ops: each reads its sources from the register
+// file and writes its result to both destinations.
+func put(rf *[tcache.RFSize]uint64, op *tcache.Op, val uint64) { rf[op.D], rf[op.E] = val, val }
+func add(rf *[tcache.RFSize]uint64, op *tcache.Op)             { put(rf, op, rf[op.A]+rf[op.B]) }
+func sub(rf *[tcache.RFSize]uint64, op *tcache.Op)             { put(rf, op, rf[op.A]-rf[op.B]) }
+func and(rf *[tcache.RFSize]uint64, op *tcache.Op)             { put(rf, op, rf[op.A]&rf[op.B]) }
+func xor(rf *[tcache.RFSize]uint64, op *tcache.Op)             { put(rf, op, rf[op.A]^rf[op.B]) }
+func srl(rf *[tcache.RFSize]uint64, op *tcache.Op)             { put(rf, op, rf[op.A]>>(rf[op.B]&63)) }
+func sll(rf *[tcache.RFSize]uint64, op *tcache.Op)             { put(rf, op, rf[op.A]<<(rf[op.B]&63)) }
+func s8add(rf *[tcache.RFSize]uint64, op *tcache.Op)           { put(rf, op, rf[op.A]<<3+rf[op.B]) }
+func move(rf *[tcache.RFSize]uint64, op *tcache.Op)            { put(rf, op, rf[op.A]) }
+
+// loadImm fills both immediate slots with op's immediates: one 16-byte
+// store, whether or not op reads them, so no branch.
+func loadImm(rf *[tcache.RFSize]uint64, op *tcache.Op) {
+	*(*[2]uint64)(rf[tcache.RFImmA:]) = op.Imm
+}
+
+// second moves a fused op's execution from its first component at idx
+// to its second: it returns the second's op and index, with the op's
+// immediates loaded.
+func second(rf *[tcache.RFSize]uint64, ops []tcache.Op, idx int) (*tcache.Op, int) {
+	idx++
+	op := &ops[idx]
+	loadImm(rf, op)
+	return op, idx
+}
+
+// pushRAS pushes the return address vaddr, with its fragment if one is
+// translated, onto the dual-address RAS.
+func (v *VM) pushRAS(vaddr uint64) {
+	target := ildp.NoFrag
+	if f := v.tc.Lookup(vaddr); f != nil {
+		target = f.ID
+	}
+	v.ras.push(vaddr, target)
+}
+
+// swPredVerdict counts a software jump prediction verdict: the chain
+// compare before the dispatch routine was taken (a miss) or not.
+func (v *VM) swPredVerdict(taken bool) {
+	if taken {
+		v.Stats.SWPredMisses++
+		v.profChain(prof.ChainSWPredMiss)
+	} else {
+		v.Stats.SWPredHits++
+		v.profChain(prof.ChainSWPredHit)
+	}
+}
+
 // enter opens a visit to f: control reaches its first instruction.
 func (v *VM) enter(f *tcache.Fragment) {
 	f.ExecCount++
 	v.Stats.FragEntries++
 	v.visit = f
-	v.profEnter(f)
 }
 
 // fragRecs builds the record templates of f's instructions.
@@ -604,7 +645,7 @@ func (v *VM) preciseTrap(frag *tcache.Fragment, idx int, inst *ildp.Inst, cause 
 	}
 	if peiIdx < len(frag.PEIRecover) {
 		for _, pair := range frag.PEIRecover[peiIdx] {
-			v.rf[gprDest(pair.Reg)] = v.rf[accSlot(pair.Acc)]
+			v.rf[tcache.GPRDest(pair.Reg)] = v.rf[tcache.AccSlot(pair.Acc)]
 		}
 	}
 	v.cpu.PC = vpc

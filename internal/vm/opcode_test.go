@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/ildp/accdbt/internal/alpha"
@@ -11,59 +12,9 @@ import (
 	"github.com/ildp/accdbt/internal/ildp"
 	"github.com/ildp/accdbt/internal/mem"
 	"github.com/ildp/accdbt/internal/tcache"
+	"github.com/ildp/accdbt/internal/trace"
 	"github.com/ildp/accdbt/internal/translate"
 )
-
-// inlinedOps are the ALU ops the executor runs without emu.EvalOp, with
-// their opcodes.
-var inlinedOps = map[alpha.Op]uint8{
-	alpha.OpLDA: xAdd, alpha.OpADDQ: xAdd, alpha.OpSUBQ: xSub,
-	alpha.OpAND: xAnd, alpha.OpXOR: xXor, alpha.OpBIS: xBis,
-	alpha.OpSRL: xSrl, alpha.OpSLL: xSll, alpha.OpS8ADDQ: xS8Add,
-}
-
-// TestExecOpTable checks that every I-ISA kind has an executable
-// opcode, that each patch pair shares one, and that exactly the inlined
-// ALU ops leave the emu.EvalOp fallback.
-func TestExecOpTable(t *testing.T) {
-	op := func(k ildp.Kind) uint8 { return execOp(&ildp.Inst{Kind: k, Op: alpha.OpADDL}) }
-	if got := op(ildp.KindInvalid); got != xInvalid {
-		t.Errorf("invalid kind: opcode %d, want xInvalid", got)
-	}
-	if got := op(ildp.KindDispatchOp + 1); got != xInvalid {
-		t.Errorf("kind past the last: opcode %d, want xInvalid", got)
-	}
-	for k := ildp.KindInvalid + 1; k <= ildp.KindDispatchOp; k++ {
-		if op(k) == xInvalid {
-			t.Errorf("kind %v has no executable opcode", k)
-		}
-	}
-	for _, pair := range [][2]ildp.Kind{
-		{ildp.KindCallTrans, ildp.KindBranch},
-		{ildp.KindCallTransCond, ildp.KindCondBranch},
-	} {
-		if op(pair[0]) != op(pair[1]) {
-			t.Errorf("patch pair %v/%v: opcodes %d and %d differ", pair[0], pair[1], op(pair[0]), op(pair[1]))
-		}
-	}
-	alu := 0
-	for o := alpha.Op(0); o < 1<<10; o++ {
-		if !emu.IsALUOp(o) {
-			continue
-		}
-		alu++
-		want, ok := inlinedOps[o]
-		if !ok {
-			want = xALU
-		}
-		if got := execOp(&ildp.Inst{Kind: ildp.KindALU, Op: o}); got != want {
-			t.Errorf("ALU op %v: opcode %d, want %d", o, got, want)
-		}
-	}
-	if alu <= len(inlinedOps) {
-		t.Fatalf("found %d ALU ops, fewer than the inlined ones", alu)
-	}
-}
 
 // TestOutOfRangeRegisterRefused checks that an instruction naming a
 // register past the I-ISA's 64 stops the run with an error instead of
@@ -132,7 +83,7 @@ func TestInlinedALUMatchesEvalOp(t *testing.T) {
 		set func(v *VM, val uint64) uint64
 	}
 	acc := source{"acc", func(uint64) ildp.Src { return ildp.AccSrc() },
-		func(v *VM, val uint64) uint64 { v.rf[accSlot(0)] = val; return val }}
+		func(v *VM, val uint64) uint64 { v.rf[tcache.AccSlot(0)] = val; return val }}
 	gpr := func(r alpha.Reg) source {
 		return source{"gpr", func(uint64) ildp.Src { return ildp.GPRSrc(r) },
 			func(v *VM, val uint64) uint64 { v.cpu.WriteReg(r, val); return val }}
@@ -144,7 +95,11 @@ func TestInlinedALUMatchesEvalOp(t *testing.T) {
 
 	v := New(mem.New(), DefaultConfig())
 	vstart := uint64(0x10000)
-	for op, want := range inlinedOps {
+	for op := alpha.Op(0); op < 1<<10; op++ {
+		want := tcache.ExecOp(&ildp.Inst{Kind: ildp.KindALU, Op: op})
+		if !emu.IsALUOp(op) || want == tcache.XALU {
+			continue // not an inlined ALU op
+		}
 		for _, sa := range []source{acc, gpr(ra), imm, zero} {
 			for _, sb := range []source{acc, gpr(rb), imm, zero} {
 				f := installBody(t, v, vstart, aluInst(op, sa.src(0), sb.src(0)))
@@ -169,7 +124,7 @@ func TestInlinedALUMatchesEvalOp(t *testing.T) {
 							t.Fatalf("%v %s=%#x %s=%#x: scratch %#x, EvalOp %#x",
 								op, sa.name, x, sb.name, y, got, want)
 						}
-						if got := v.rf[accSlot(0)]; got != want {
+						if got := v.rf[tcache.AccSlot(0)]; got != want {
 							t.Fatalf("%v %s=%#x %s=%#x: accumulator %#x, EvalOp %#x",
 								op, sa.name, x, sb.name, y, got, want)
 						}
@@ -239,5 +194,224 @@ func TestSemanticsPanicClosesVisit(t *testing.T) {
 	if want := uint64(f.Tally(2).IInsts); v.Stats.TransIInsts != want || v.Stats.FragEntries != 1 {
 		t.Errorf("TransIInsts = %d in %d entries, want %d in 1: the set-vpc and the addq, not the faulting op",
 			v.Stats.TransIInsts, v.Stats.FragEntries, want)
+	}
+}
+
+// discard is a Sink that drops every record. A VM with a Sink keeps its
+// one-to-one op list, so attaching discard turns fusion off and
+// changes nothing else.
+type discard struct{}
+
+func (discard) Append(trace.Rec) {}
+
+// fusedEdges are TestInlinedALUMatchesEvalOp's edge operands.
+var fusedEdges = []uint64{0, 1, 3, 63, 64, 65, 127, 128, 0xFF,
+	0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0x100000000,
+	1<<63 - 1, 1 << 63, ^uint64(0), 0xDEADBEEFCAFEF00D}
+
+// fusedData is the mapped data page of TestFusedOpsMatchComponents:
+// r7 points into it, and every other address faults.
+const fusedData = 0x20000
+
+// componentInsts returns instructions resolving to the base opcode code,
+// over accumulator, GPR (r5, r6, and r7 as a base address), immediate
+// and r31 sources. Each writes accumulator 0 when it writes one, and
+// GPR dest or a register the other component reads when it writes a
+// GPR. An immediate source's value is a placeholder that the caller
+// sets.
+func componentInsts(code uint8, dest alpha.Reg) []ildp.Inst {
+	acc, imm, zero := ildp.AccSrc(), ildp.ImmSrc(0), ildp.GPRSrc(alpha.RegZero)
+	r5, r6, r7 := ildp.GPRSrc(5), ildp.GPRSrc(6), ildp.GPRSrc(7)
+	base := ildp.Inst{Acc: 0, Dest: dest, Frag: ildp.NoFrag}
+	with := func(kind ildp.Kind, op alpha.Op, a, b ildp.Src, writesAcc bool, d alpha.Reg) ildp.Inst {
+		inst := base
+		inst.Kind, inst.Op, inst.SrcA, inst.SrcB, inst.WritesAcc, inst.Dest = kind, op, a, b, writesAcc, d
+		return inst
+	}
+	var out []ildp.Inst
+	alu := func(ops ...alpha.Op) {
+		for i, s := range [][2]ildp.Src{{acc, r6}, {r5, imm}, {imm, acc}, {zero, r5}, {r6, zero}, {acc, acc}} {
+			d := dest
+			if i == 4 {
+				d = alpha.RegZero
+			}
+			out = append(out, with(ildp.KindALU, ops[i%len(ops)], s[0], s[1], true, d))
+		}
+	}
+	switch code {
+	case tcache.XAdd:
+		alu(alpha.OpADDQ, alpha.OpLDA)
+	case tcache.XSub:
+		alu(alpha.OpSUBQ)
+	case tcache.XAnd:
+		alu(alpha.OpAND)
+	case tcache.XXor:
+		alu(alpha.OpXOR)
+	case tcache.XSrl:
+		alu(alpha.OpSRL)
+	case tcache.XSll:
+		alu(alpha.OpSLL)
+	case tcache.XS8Add:
+		alu(alpha.OpS8ADDQ)
+	case tcache.XALU:
+		alu(alpha.OpCMPLT, alpha.OpMULQ, alpha.OpSRA, alpha.OpCMPULE)
+	case tcache.XMove:
+		out = append(out,
+			with(ildp.KindCopyToGPR, 0, acc, zero, false, dest),
+			with(ildp.KindCopyFromGPR, 0, r5, zero, true, alpha.RegZero),
+			with(ildp.KindCopyFromGPR, 0, zero, zero, true, alpha.RegZero))
+		eta := with(ildp.KindLoadETA, 0, zero, zero, true, alpha.RegZero)
+		vra := with(ildp.KindSaveVRA, 0, zero, zero, false, dest)
+		eta.VAddr, vra.VAddr = 0x12345678, 0xFFFFFFFF87654320
+		out = append(out, eta, vra)
+	case tcache.XLoad:
+		for i, a := range []ildp.Src{r7, r7, acc, r5} {
+			ld := with(ildp.KindLoad, []alpha.Op{alpha.OpLDQ, alpha.OpLDL}[i%2], a, zero, true, dest)
+			ld.Disp = int32(8 * i)
+			out = append(out, ld)
+		}
+	case tcache.XStore:
+		for i, s := range [][2]ildp.Src{{r7, acc}, {r7, r5}, {acc, r6}, {r7, zero}} {
+			st := with(ildp.KindStore, []alpha.Op{alpha.OpSTQ, alpha.OpSTL}[i%2], s[0], s[1], false, alpha.RegZero)
+			st.Disp = int32(16 - 8*i)
+			out = append(out, st)
+		}
+	case tcache.XNop:
+		vpc := with(ildp.KindSetVPC, 0, zero, zero, false, alpha.RegZero)
+		vpc.VAddr = 0x4444
+		out = append(out, vpc)
+	case tcache.XPushRAS:
+		ras := with(ildp.KindPushRAS, 0, zero, zero, false, alpha.RegZero)
+		ras.VAddr = 0x5550
+		out = append(out, ras)
+	case tcache.XCondBranch:
+		for i, a := range []ildp.Src{acc, r5, r6} {
+			br := with(ildp.KindCallTransCond, []alpha.Op{alpha.OpBEQ, alpha.OpBNE, alpha.OpBLT}[i], a, zero, false, alpha.RegZero)
+			br.VAddr = 0x9000
+			out = append(out, br)
+		}
+	}
+	return out
+}
+
+// setImm gives every immediate source of inst the value val.
+func setImm(inst *ildp.Inst, val uint64) {
+	for _, s := range []*ildp.Src{&inst.SrcA, &inst.SrcB} {
+		if s.Kind == ildp.SrcImm {
+			s.Imm = int64(val)
+		}
+	}
+}
+
+// installPEI installs body as a fragment at vstart of v, followed by a
+// call-translator exit to 0x8000, with each instruction at its own V-PC
+// and a PEI table, so a faulting load or store traps precisely.
+func installPEI(t *testing.T, v *VM, vstart uint64, body ...ildp.Inst) *tcache.Fragment {
+	t.Helper()
+	exit := ildp.Inst{Kind: ildp.KindCallTrans, VAddr: 0x8000, Acc: ildp.NoAcc, Dest: alpha.RegZero, Frag: ildp.NoFrag}
+	insts := append(body, exit)
+	res := &translate.Result{VStart: vstart, Insts: insts}
+	for i := range insts {
+		insts[i].VPC = vstart + 4*uint64(i)
+		if insts[i].IsPEI() {
+			res.PEI = append(res.PEI, insts[i].VPC)
+		}
+	}
+	f, err := v.tc.Install(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestFusedOpsMatchComponents runs every fused opcode against its two
+// components. For each fusion-table entry, a fragment holding an
+// instruction of each component runs in an untimed VM, which fuses the
+// pair, and in a VM with a discarding Sink, which runs it one to one,
+// from the same register file and memory. The operands are edge values
+// from accumulator, GPR, immediate and r31 sources; the components
+// share accumulator 0, and the first writes r5, which the second reads
+// or writes too. Both runs must end alike (exit address or trap) with
+// all 256 register-file slots, Stats and memory equal.
+func TestFusedOpsMatchComponents(t *testing.T) {
+	newVM := func(sink trace.Sink) *VM {
+		m := mem.New()
+		m.Strict = true
+		if err := m.Map(fusedData, 0x1000); err != nil {
+			t.Fatal(err)
+		}
+		for a := uint64(0); a < 0x1000; a += 8 {
+			m.Write64(fusedData+a, 0x0123456789ABCDEF*(a+1))
+		}
+		cfg := DefaultConfig()
+		cfg.Sink = sink
+		return New(m, cfg)
+	}
+	fused, plain := newVM(nil), newVM(discard{})
+	vstart := uint64(0x100000)
+	n := len(fusedEdges)
+	for code := uint8(0); code < 255; code++ {
+		first, second, ok := tcache.Components(code)
+		if !ok {
+			continue
+		}
+		firsts, seconds := componentInsts(first, 5), componentInsts(second, 6)
+		if len(firsts) == 0 || len(seconds) == 0 {
+			t.Fatalf("fused opcode %d: no instructions for components %d, %d", code, first, second)
+		}
+		runs := 0
+		for i, i1 := range firsts {
+			for j, i2 := range seconds {
+				if (i+j)%2 == 1 && i2.Dest == 6 {
+					i2.Dest = 5 // the second writes what the first wrote
+				}
+				fu := installPEI(t, fused, vstart, i1, i2)
+				fp := installPEI(t, plain, vstart, i1, i2)
+				vstart += 0x100
+				for k := 0; k < n*n; k++ {
+					x, y := fusedEdges[k%n], fusedEdges[k/n]
+					for _, f := range []*tcache.Fragment{fu, fp} {
+						setImm(&f.Insts[0], fusedEdges[(k+7)%n])
+						setImm(&f.Insts[1], fusedEdges[(k+3)%n])
+						f.Ops = nil // the edit changes the resolved immediates
+					}
+					for _, v := range []*VM{fused, plain} {
+						v.rf[tcache.AccSlot(0)] = x
+						v.cpu.WriteReg(5, y)
+						v.cpu.WriteReg(6, fusedEdges[(k+11)%n])
+						v.cpu.WriteReg(7, fusedData+8*uint64(k%16))
+					}
+					exitU, errU := fused.execTranslated(fu)
+					exitP, errP := plain.execTranslated(fp)
+					runs++
+					if k == 0 && (fu.Ops[0].Code != code || fp.Ops[0].Code != first) {
+						t.Fatalf("fused opcode %d: the untimed VM runs %d, the timed %d", code, fu.Ops[0].Code, fp.Ops[0].Code)
+					}
+					label := fmt.Sprintf("fused opcode %d, %v %v then %v %v, acc %#x r5 %#x",
+						code, i1.Kind, i1.Op, i2.Kind, i2.Op, x, y)
+					if exitU != exitP || fmt.Sprint(errU) != fmt.Sprint(errP) {
+						t.Fatalf("%s: fused ends %#x, %v; one to one %#x, %v", label, exitU, errU, exitP, errP)
+					}
+					if fused.rf != plain.rf {
+						for s := range fused.rf {
+							if fused.rf[s] != plain.rf[s] {
+								t.Fatalf("%s: slot %d fused %#x, one to one %#x", label, s, fused.rf[s], plain.rf[s])
+							}
+						}
+					}
+					fused.FoldCounts()
+					plain.FoldCounts()
+					if fused.Stats != plain.Stats {
+						t.Fatalf("%s: Stats differ:\nfused      %+v\none to one %+v", label, fused.Stats, plain.Stats)
+					}
+					if ok, addr := mem.Equal(fused.mem, plain.mem); !ok {
+						t.Fatalf("%s: memory differs at %#x", label, addr)
+					}
+				}
+			}
+		}
+		if runs == 0 {
+			t.Fatalf("fused opcode %d never ran", code)
+		}
 	}
 }

@@ -248,7 +248,7 @@ type VM struct {
 
 	// rf is translated code's register file (see execTranslated): the
 	// I-ISA GPRs, the accumulators and the executor's fixed slots.
-	rf  [256]uint64
+	rf  [tcache.RFSize]uint64
 	ras dualRAS
 
 	counters map[uint64]int
